@@ -18,17 +18,32 @@ Optionally the recolor loop is paced: an edge with auxiliary color phi waits
 until slot R + phi * s (R = round the group's phi-exchange finished, s = slot
 width in rounds), which makes the per-level duration track the phi-palette
 instead of the dependency-chain depth.
+
+Bookkeeping: each vertex keeps a group index keyed by (level, psi-history
+prefix). An entry holds the group's edges and the count of those that have
+not decided psi at that level; both change only where an edge appends psi to
+its history, so "is the parent group done" is one count lookup.
+When a whole group holds its phi, each edge gets readiness tallies (group
+edges with a smaller phi still undecided, the psi counts of those decided,
+the final colors taken at the bottom), which every decision updates in place.
+A step advances a worklist of dirty edges to the same fixpoint a full rescan
+would reach: an edge is dirty when its channel delivered a chunk, a payload was
+queued on it, its group's tallies or barrier released it, or the round it
+waits for arrived.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from .coloring import EdgeColoring
 from .graph import Graph, LineGraphMap, build_line_graph
+from .legal import RecursiveColorProgram, _level_plans, _suffix_widths
 from .numbers import PolyPlan, ceil_log2, linial_schedule, poly_coeffs, poly_eval
-from .params import LegalParams, ParamError, recursion_schedule
-from .sim import Context, Message, SimReport, VertexProgram, run
+from .params import LegalParams, ParamError, recursion_schedule, vartheta_of_schedule
+from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
 K_LAB, K_RDY, K_CNT, K_BLIN, K_USED, K_RDY2 = range(6)
 N_KINDS = 6
@@ -116,25 +131,16 @@ def edge_level_plans(
     return levels, bottom
 
 
-def _suffix(levels: List[dict], bottom_width: int) -> List[int]:
-    out = [bottom_width]
-    for level in reversed(levels):
-        out.append(out[-1] * level["p"])
-    out.reverse()
-    return out
-
-
 class _Exchange:
     """One symmetric payload exchange on an edge channel."""
 
-    __slots__ = ("self_arr", "parts", "total", "done_round", "decided")
+    __slots__ = ("self_arr", "parts", "total", "done_round")
 
-    def __init__(self, total: int):
+    def __init__(self):
         self.self_arr: Optional[int] = None
         self.parts: Dict[int, List[int]] = {}
-        self.total = total
+        self.total = -1
         self.done_round: Optional[int] = None
-        self.decided = False
 
     def other_values(self) -> List[int]:
         vals: List[int] = []
@@ -146,6 +152,26 @@ class _Exchange:
         if self.self_arr is None or self.done_round is None:
             return None
         return max(self.self_arr, self.done_round)
+
+
+class _Group:
+    """The incident edges of one vertex whose psi histories share a prefix.
+
+    A level-i group holds the edges whose first i psi decisions agree; at the
+    bottom (i = number of levels) a group holds the edges of one full history.
+    """
+
+    __slots__ = ("members", "undecided", "ready", "lin", "parent", "children")
+
+    def __init__(self, parent: Optional["_Group"]):
+        self.members: List[int] = []  # neighbor Ids
+        self.undecided = 0  # members that have not decided psi at this level
+        self.ready = 0  # members holding this level's phi (phi_bot at the bottom)
+        self.lin: List[int] = []  # lin[j]: members whose Linial iteration reached j
+        self.parent = parent
+        self.children: List[_Group] = []
+        if parent is not None:
+            parent.children.append(self)
 
 
 class EdgeSlot:
@@ -163,6 +189,10 @@ class EdgeSlot:
         "color",
         "exch",
         "tele",
+        "grp",
+        "wait",
+        "psi_counts",
+        "used",
     )
 
     def __init__(self, nbr: int, rank: int):
@@ -177,8 +207,15 @@ class EdgeSlot:
         self.phi_bot: Optional[int] = None
         self.final: Optional[int] = None
         self.color: Optional[int] = None
-        self.exch: Dict[Tuple, _Exchange] = {}
+        self.exch: Dict[Tuple[int, int, int], _Exchange] = {}
         self.tele: Dict[str, Any] = {"phi": {}, "psi": {}}
+        self.grp: Optional[_Group] = None  # the group at the current level
+        # readiness tallies, opened when the whole group holds its phi:
+        # group edges with a smaller phi (phi_bot, rank at the bottom) still
+        # undecided, their psi counts, and the bitmap of final colors taken
+        self.wait = 0
+        self.psi_counts: List[int] = []
+        self.used = 0
 
 
 class EdgeColorProgram(VertexProgram):
@@ -190,7 +227,6 @@ class EdgeColorProgram(VertexProgram):
         self.suffix: List[int] = P["suffix"]
         self.short = P.get("short", False)
         self.paced = P.get("paced", False)
-        self._need: List[int] = []
         self.budget = P.get("budget_bits", ceil_log2(max(ctx.n, 2)))
         self.lvl_dom = len(self.levels) + 2
         self.cnt_dom = (self.levels[0]["Lambda"] + 2) if self.levels else 2
@@ -204,6 +240,7 @@ class EdgeColorProgram(VertexProgram):
         )
         # at least one value per chunk even if the budget can't cover it
         self.chunk_budget = max(self.budget - header, 1)
+        self._layouts: Dict[Tuple[int, int, int], List[int]] = {}
         self.ranks: Dict[int, int] = {
             u: P["rank"][(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)]
             for u in ctx.neighbors
@@ -214,71 +251,76 @@ class EdgeColorProgram(VertexProgram):
         if not self.levels:
             for s in self.slots.values():
                 s.stage = "bot_wait"
+        self.groups: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
+        for s in self.slots.values():
+            self._join(s, None)
+        self.uncolored = len(self.slots)
+        # worklist: slots that may advance; wake-ups: round -> slots waiting on it
+        self._dirty = set(ctx.neighbors)
+        self._due: Dict[int, set] = {}
+        self._due_rounds: List[int] = []
         self.queues: Dict[int, List[Message]] = {u: [] for u in ctx.neighbors}
-        self.qrounds: Dict[int, int] = {u: 0 for u in ctx.neighbors}
         self.rnd = 0
-        self.single_phase = P.get("single_phase", False)
         self.telemetry = {"edges": {u: s.tele for u, s in self.slots.items()}}
 
     # -- payload plumbing ----------------------------------------------------
 
-    def _n_chunks(self, values: List[Tuple[int, int]]) -> int:
-        if not self.short:
-            return 1
-        chunks, used = 1, 0
-        for _, dom in values:
-            b = ceil_log2(dom)
-            if used and used + b > self.chunk_budget:
-                chunks += 1
-                used = 0
-            used += b
-        return chunks
-
     def _submit(self, u: int, kind: int, lvl: int, it: int, values: List[Tuple[int, int]]):
         """Queue a payload to u and record the self-delivery round."""
+        sizes = self._layout(kind, lvl, it)
+        if len(values) != sum(sizes):
+            raise SimError(f"payload {kind} has {len(values)} values, its layout {sizes}")
+        if self.queues[u]:
+            raise SimError(
+                f"vertex {self.ctx.vid}: payload {kind} to {u} queued while an "
+                "earlier one is in flight; per-edge payloads are sequential"
+            )
+        header = ((kind, N_KINDS), (lvl, self.lvl_dom), (it, self.it_dom))
+        start = 0
+        for idx, size in enumerate(sizes):
+            chunk = values[start : start + size]
+            self.queues[u].append(Message(*header, (idx, self.idx_dom), *chunk))
+            start += size
         ex = self.exch_of(u, kind, lvl, it)
-        header = [
-            (kind, N_KINDS),
-            (lvl, self.lvl_dom),
-            (it, self.it_dom),
-        ]
-        msgs: List[Message] = []
-        if not self.short:
-            msgs.append(Message(*header, (0, self.idx_dom), *values))
-        else:
-            chunk: List[Tuple[int, int]] = []
-            used = 0
-            idx = 0
-            for f in values:
-                b = ceil_log2(f[1])
-                if chunk and used + b > self.chunk_budget:
-                    msgs.append(Message(*header, (idx, self.idx_dom), *chunk))
-                    idx += 1
-                    chunk, used = [], 0
-                chunk.append(f)
-                used += b
-            msgs.append(Message(*header, (idx, self.idx_dom), *chunk))
-        assert not self.queues[u], "per-edge payloads are sequential"
-        self.queues[u].extend(msgs)
-        ex.total = len(msgs)
-        ex.self_arr = self.rnd + len(msgs)
-        return ex
+        ex.total = len(sizes)
+        ex.self_arr = self.rnd + len(sizes)
+        self._dirty.add(u)
 
     def exch_of(self, u, kind, lvl, it) -> _Exchange:
-        key = (u, kind, lvl, it)
-        if key not in self.slots[u].exch:
-            self.slots[u].exch[key] = _Exchange(total=-1)
-        return self.slots[u].exch[key]
+        exch = self.slots[u].exch
+        key = (kind, lvl, it)
+        if key not in exch:
+            exch[key] = _Exchange()
+        return exch[key]
 
     def _store(self, u: int, msg: Message):
-        kind, lvl, it, idx = (msg.fields[i][0] for i in range(4))
+        f = msg.fields
+        kind, lvl, it = f[0][0], f[1][0], f[2][0]
         ex = self.exch_of(u, kind, lvl, it)
-        ex.parts[idx] = [f[0] for f in msg.fields[4:]]
-        if self._expected_chunks(kind, lvl, it) == len(ex.parts):
+        ex.parts[f[3][0]] = [value for value, _ in f[4:]]
+        if len(self._layout(kind, lvl, it)) == len(ex.parts):
             ex.done_round = self.rnd
 
-    def _expected_chunks(self, kind, lvl, it) -> int:
-        return self._n_chunks(self._payload_shape(kind, lvl, it))
+    def _layout(self, kind, lvl, it) -> List[int]:
+        """Values per message of a payload: one message in wide mode, in short
+        mode as many values per chunk as fit the bit budget."""
+        key = (kind, lvl, it)
+        sizes = self._layouts.get(key)
+        if sizes is None:
+            shape = self._payload_shape(kind, lvl, it)
+            if not self.short:
+                sizes = [len(shape)]
+            else:
+                sizes, used = [0], 0
+                for _, dom in shape:
+                    b = ceil_log2(dom)
+                    if sizes[-1] and used + b > self.chunk_budget:
+                        sizes.append(0)
+                        used = 0
+                    sizes[-1] += 1
+                    used += b
+            self._layouts[key] = sizes
+        return sizes
 
     def _payload_shape(self, kind, lvl, it) -> List[Tuple[int, int]]:
         """Domain layout of a payload (values are placeholders); both endpoints
@@ -317,8 +359,12 @@ class EdgeColorProgram(VertexProgram):
         self.rnd = round_no
         for u, msg in inbox:
             self._store(u, msg)
-        if round_no == 1:
-            self._start_level_groups(0)
+            self._dirty.add(u)
+        due = self._due_rounds
+        while due and due[0] <= round_no:
+            self._dirty.update(self._due.pop(heappop(due)))
+        if round_no == 1 and self.levels and self.slots:
+            self._start_group(self.groups[(0, ())], 0)
         self._advance()
         out: Dict[int, List[Message]] = {}
         pending = False
@@ -332,82 +378,93 @@ class EdgeColorProgram(VertexProgram):
                 q.clear()
             if q:
                 pending = True
-        wakes = [w for w in self._need if w > round_no]
-        if pending:
-            wakes.append(round_no + 1)
-        self.wake = min(wakes) if wakes else None
-        if all(s.color is not None for s in self.slots.values()) and not pending:
+        # every registered wake-up lies after this round
+        self.wake = round_no + 1 if pending else (due[0] if due else None)
+        if not self.uncolored and not pending:
             self.output = {u: s.color for u, s in self.slots.items()}
         return out
 
-    # -- group bookkeeping ---------------------------------------------------
+    # -- group index ---------------------------------------------------------
 
-    def _group_members(self, lvl: int, hist: Tuple[int, ...]) -> List[int]:
-        return [
-            u
-            for u, s in self.slots.items()
-            if len(s.hist) >= lvl and tuple(s.hist[:lvl]) == hist
-        ]
+    def _join(self, s: EdgeSlot, parent: Optional[_Group]):
+        """Enter s into the group of its current level and psi history."""
+        key = (s.level, tuple(s.hist))
+        g = self.groups.get(key)
+        if g is None:
+            g = self.groups[key] = _Group(parent)
+        g.members.append(s.nbr)
+        g.undecided += 1
+        s.grp = g
 
-    def _parent_ready(self, lvl: int, hist: Tuple[int, ...]) -> bool:
-        """All edges of the level-(lvl-1) parent group have decided psi_{lvl-1}."""
-        if lvl == 0:
-            return True
-        parent = hist[:-1]
-        for u, s in self.slots.items():
-            if tuple(s.hist[: lvl - 1]) == parent and len(s.hist) < lvl:
-                return False
-        return True
-
-    def _start_level_groups(self, lvl: int):
-        """Assign round-robin labels for every group at this level whose
-        membership is final and whose labels are not yet out."""
-        if lvl >= len(self.levels):
-            return
+    def _start_group(self, g: _Group, lvl: int):
+        """Assign round-robin labels in a group whose membership is final."""
         pp = self.levels[lvl]["p_prime"]
-        seen = set()
-        for u, s in self.slots.items():
-            if s.level != lvl or s.stage != "labels":
-                continue
-            hist = tuple(s.hist[:lvl])
-            if hist in seen:
-                continue
-            seen.add(hist)
-            if not self._parent_ready(lvl, hist):
-                continue
-            members = sorted(self._group_members(lvl, hist))
-            for i, w in enumerate(members):
-                label = 1 + i % pp
-                sw = self.slots[w]
-                sw.stage = "phi"
-                sw.R[("lab", lvl)] = label
-                self._submit(w, K_LAB, lvl, 0, [(label - 1, pp)])
+        for i, w in enumerate(sorted(g.members)):
+            label = 1 + i % pp
+            sw = self.slots[w]
+            sw.stage = "phi"
+            sw.R[("lab", lvl)] = label
+            self._submit(w, K_LAB, lvl, 0, [(label - 1, pp)])
+
+    def _decide_psi(self, s: EdgeSlot, psi: int):
+        """Append psi to the history of s, the one place a history grows, and
+        update the group index, undecided counts and loop tallies with it."""
+        lvl, g = s.level, s.grp
+        s.hist.append(psi)
+        g.undecided -= 1
+        mine = s.phi[lvl]
+        for w in g.members:
+            sw = self.slots[w]
+            if sw.phi[lvl] > mine:
+                sw.psi_counts[psi - 1] += 1
+                sw.wait -= 1
+                if not sw.wait:
+                    self._dirty.add(w)
+        s.level += 1
+        s.stage = "labels" if s.level < len(self.levels) else "bot_wait"
+        self._join(s, g)
+        if g.undecided:
+            return
+        # every child group's membership is now final
+        if s.level < len(self.levels):
+            for child in g.children:
+                self._start_group(child, s.level)
+        else:
+            self._dirty.update(g.members)
 
     # -- the advance loop ----------------------------------------------------
 
     def _advance(self):
-        self._need: List[int] = []
-        progress = True
-        while progress:
-            progress = False
-            for u in self.ctx.neighbors:
-                s = self.slots[u]
-                if s.color is not None:
-                    continue
-                if self._advance_slot(s):
-                    progress = True
+        """Advance dirty slots until none can move: the round's fixpoint."""
+        dirty, slots = self._dirty, self.slots
+        while dirty:
+            u = dirty.pop()
+            s = slots[u]
+            if s.color is None and self._advance_slot(s):
+                dirty.add(u)
+
+    def _reached(self, s: EdgeSlot, r: Optional[int]) -> bool:
+        """Whether round r has come; a known later r registers a wake-up."""
+        if r is None:
+            return False
+        if r <= self.rnd:
+            return True
+        waiting = self._due.get(r)
+        if waiting is None:
+            waiting = self._due[r] = set()
+            heappush(self._due_rounds, r)
+        waiting.add(s.nbr)
+        return False
 
     def _advance_slot(self, s: EdgeSlot) -> bool:
         if s.level < len(self.levels):
-            if s.stage == "labels":
-                return False  # waits for _start_level_groups
             if s.stage == "phi":
                 return self._slot_phi(s)
             if s.stage == "rdy":
                 return self._slot_rdy(s)
             if s.stage == "loop":
                 return self._slot_loop(s)
-            return False
+            return False  # "labels" waits for _start_group
         if s.stage == "bot_wait":
             return self._slot_bot_start(s)
         if s.stage == "bot_lin":
@@ -420,9 +477,7 @@ class EdgeColorProgram(VertexProgram):
         lvl = s.level
         ex = self.exch_of(s.nbr, K_LAB, lvl, 0)
         rr = ex.ready_round()
-        if rr is None or rr > self.rnd:
-            if rr is not None:
-                self._need.append(rr)
+        if not self._reached(s, rr):
             return False
         level = self.levels[lvl]
         mine = s.R[("lab", lvl)]
@@ -432,136 +487,109 @@ class EdgeColorProgram(VertexProgram):
         # record the symmetric ready round, not the (possibly later) step round
         s.tele["phi"][lvl] = [rr, s.phi[lvl]]
         s.stage = "rdy"
-        self._maybe_send_rdy(lvl, tuple(s.hist[:lvl]))
+        g = s.grp
+        g.ready += 1
+        if g.ready == len(g.members):
+            self._send_rdy(g, lvl)
         return True
 
-    def _maybe_send_rdy(self, lvl: int, hist: Tuple[int, ...]):
-        members = self._group_members(lvl, hist)
-        if any(lvl not in self.slots[w].phi for w in members):
-            return
-        for w in members:
-            if ("rdy_sent", lvl) not in self.slots[w].R:
-                self.slots[w].R[("rdy_sent", lvl)] = self.rnd
-                self._submit(w, K_RDY, lvl, 0, [(1, 2)])
+    def _send_rdy(self, g: _Group, lvl: int):
+        """The whole group holds its phi: open each member's tallies and
+        signal readiness on its channel."""
+        phis = sorted(self.slots[w].phi[lvl] for w in g.members)
+        p = self.levels[lvl]["p"]
+        for w in g.members:
+            sw = self.slots[w]
+            sw.wait = bisect_left(phis, sw.phi[lvl])
+            sw.psi_counts = [0] * p
+            self._submit(w, K_RDY, lvl, 0, [(1, 2)])
 
     def _slot_rdy(self, s: EdgeSlot) -> bool:
         lvl = s.level
-        ex = self.exch_of(s.nbr, K_RDY, lvl, 0)
-        rr = ex.ready_round()
-        if rr is None or rr > self.rnd:
-            if rr is not None:
-                self._need.append(rr)
+        rr = self.exch_of(s.nbr, K_RDY, lvl, 0).ready_round()
+        if not self._reached(s, rr):
             return False
         s.R[("R", lvl)] = rr
         s.stage = "loop"
         return True
 
-    def _side_counters(self, s: EdgeSlot, lvl: int) -> Optional[List[int]]:
-        """N_{e,v}(k): counts over this side's group edges with smaller phi and
-        decided psi at this level. None while some of them are undecided."""
-        hist = tuple(s.hist[:lvl])
-        p = self.levels[lvl]["p"]
-        counts = [0] * (p + 1)
-        for w in self._group_members(lvl, hist):
-            if w == s.nbr:
-                continue
-            sw = self.slots[w]
-            if sw.phi[lvl] < s.phi[lvl]:
-                if len(sw.hist) <= lvl:
-                    return None
-                counts[sw.hist[lvl]] += 1
-        return counts[1:]
-
     def _slot_loop(self, s: EdgeSlot) -> bool:
+        """Send N_{e,v}(k), the psi counts over this side's group edges with
+        smaller phi, once they have all decided; then pick the least loaded
+        psi from both sides' counts."""
         lvl = s.level
-        level = self.levels[lvl]
-        key = (s.nbr, K_CNT, lvl, 0)
-        ex = self.slots[s.nbr].exch.get(key)
+        ex = s.exch.get((K_CNT, lvl, 0))
         if ex is None or ex.self_arr is None:
-            counts = self._side_counters(s, lvl)
-            if counts is None:
+            if s.wait:
                 return False
-            vals = [(min(c, self.cnt_dom - 1), self.cnt_dom) for c in counts]
-            ex = self._submit(s.nbr, K_CNT, lvl, 0, vals)
-            ex.decided = False
+            vals = [(min(c, self.cnt_dom - 1), self.cnt_dom) for c in s.psi_counts]
+            self._submit(s.nbr, K_CNT, lvl, 0, vals)
             s.R[("cnt", lvl)] = tuple(c for c, _ in vals)
             return True
         rr = ex.ready_round()
-        floor = 0
-        if self.paced:
-            slot_w = self._n_chunks(self._payload_shape(K_CNT, lvl, 0)) + 2
-            floor = s.R[("R", lvl)] + s.phi[lvl] * slot_w
         if rr is None:
             return False
-        due = max(rr, floor)
-        if due > self.rnd:
-            self._need.append(due)
+        due = rr
+        if self.paced:
+            slot_w = len(self._layout(K_CNT, lvl, 0)) + 2
+            due = max(rr, s.R[("R", lvl)] + s.phi[lvl] * slot_w)
+        if not self._reached(s, due):
             return False
         mine = s.R[("cnt", lvl)]
         other = ex.other_values()
-        p = level["p"]
+        p = self.levels[lvl]["p"]
         totals = [mine[k] + other[k] for k in range(p)]
         psi = 1 + min(range(p), key=lambda k: (totals[k], k))
-        s.hist.append(psi)
         s.tele["psi"][lvl] = [due, psi]
-        s.level += 1
-        if s.level < len(self.levels):
-            s.stage = "labels"
-            # this decision may have finalized a next-level group's membership
-            self._start_level_groups(s.level)
-        else:
-            s.stage = "bot_wait"
+        self._decide_psi(s, psi)
         return True
 
     # -- bottom --------------------------------------------------------------
 
     def _slot_bot_start(self, s: EdgeSlot) -> bool:
-        lvl = len(self.levels)
-        hist = tuple(s.hist)
-        if not self._parent_ready(lvl, hist):
+        g = s.grp
+        if g.parent is not None and g.parent.undecided:
             return False
         s.stage = "bot_lin"
         s.lin_iter = 0
         s.lin_hist = [self.ranks[s.nbr]]
+        self._lin_reached(g, 0)
         return True
 
-    def _side_lin_ready(self, s: EdgeSlot, it: int) -> bool:
-        hist = tuple(s.hist)
-        for w in self._group_members(len(self.levels), hist):
-            sw = self.slots[w]
-            if sw.stage == "bot_wait" or sw.lin_iter < it:
-                return False
-        return True
+    def _lin_reached(self, g: _Group, it: int):
+        if len(g.lin) == it:
+            g.lin.append(0)
+        g.lin[it] += 1
+        if g.lin[it] == len(g.members):
+            self._dirty.update(g.members)
 
     def _slot_bot_lin(self, s: EdgeSlot) -> bool:
         plans = self.bottom["lin_plans"]
         lvl = len(self.levels)
+        g = s.grp
         if s.lin_iter == len(plans):
             s.phi_bot = s.lin_hist[-1]
             s.tele["phi"]["bot"] = [s.R.get(("lin_rnd",), 0), s.phi_bot]
             s.stage = "greedy"
-            self._maybe_send_rdy2(tuple(s.hist))
+            g.ready += 1
+            if g.ready == len(g.members):
+                self._send_rdy2(g)
             return True
         it = s.lin_iter
         plan = plans[it]
         cur = s.lin_hist[it]
-        ex = self.slots[s.nbr].exch.get((s.nbr, K_BLIN, lvl, it))
+        ex = s.exch.get((K_BLIN, lvl, it))
         if ex is None or ex.self_arr is None:
-            if not self._side_lin_ready(s, it):
+            # every group edge must have reached this Linial iteration
+            if g.lin[it] < len(g.members):
                 return False
-            cols = [
-                self.slots[w].lin_hist[it]
-                for w in self._group_members(lvl, tuple(s.hist))
-                if w != s.nbr
-            ]
+            cols = [self.slots[w].lin_hist[it] for w in g.members if w != s.nbr]
             bits = conflict_bitmap(cur, cols, plan)
             self._submit(s.nbr, K_BLIN, lvl, it, self._bitmap_fields(bits, plan.q))
             s.R[("blin", it)] = bits
             return True
         rr = ex.ready_round()
-        if rr is None or rr > self.rnd:
-            if rr is not None:
-                self._need.append(rr)
+        if not self._reached(s, rr):
             return False
         union = s.R[("blin", it)] | self._bitmap_from(ex.other_values())
         q = plan.q
@@ -569,69 +597,54 @@ class EdgeColorProgram(VertexProgram):
         while x < q and (union >> x) & 1:
             x += 1
         if x == q:
-            x = 0  # degraded: no conflict-free point (degree bound violated)
+            raise SimError(
+                f"vertex {self.ctx.vid}: no conflict-free Linial point for the edge "
+                f"to {s.nbr} in iteration {it} (incident-degree bound violated)"
+            )
         val = poly_eval(poly_coeffs(cur, plan.k, plan.q), x, plan.q)
         s.lin_hist.append(x * q + val + 1)
         s.lin_iter += 1
         s.R[("lin_rnd",)] = rr
+        self._lin_reached(g, s.lin_iter)
         return True
 
-    def _maybe_send_rdy2(self, hist: Tuple[int, ...]):
-        members = self._group_members(len(self.levels), hist)
-        if any(self.slots[w].phi_bot is None for w in members):
-            return
-        for w in members:
-            if ("rdy2_sent",) not in self.slots[w].R:
-                self.slots[w].R[("rdy2_sent",)] = self.rnd
-                self._submit(w, K_RDY2, len(self.levels), 0, [(1, 2)])
+    def _bot_key(self, u: int) -> Tuple[int, int]:
+        return (self.slots[u].phi_bot, self.ranks[u])
 
-    def _side_used(self, s: EdgeSlot) -> Optional[int]:
-        """Bitmap of final colors on this side; None while a smaller-(phi,rank)
-        group edge is undecided."""
-        hist = tuple(s.hist)
-        mykey = (s.phi_bot, self.ranks[s.nbr])
-        W = self.bottom["target"]
-        bits = 0
-        for w in self._group_members(len(self.levels), hist):
-            if w == s.nbr:
-                continue
+    def _send_rdy2(self, g: _Group):
+        """The whole group holds its phi_bot: open each member's greedy
+        tallies and signal readiness on its channel."""
+        keys = sorted(self._bot_key(w) for w in g.members)
+        for w in g.members:
             sw = self.slots[w]
-            if sw.phi_bot is None:
-                return None
-            if (sw.phi_bot, self.ranks[w]) < mykey and sw.final is None:
-                return None
-            if sw.final is not None and sw.final <= W:
-                bits |= 1 << (sw.final - 1)
-        return bits
+            sw.wait = bisect_left(keys, self._bot_key(w))
+            sw.used = 0
+            self._submit(w, K_RDY2, len(self.levels), 0, [(1, 2)])
 
     def _slot_greedy(self, s: EdgeSlot) -> bool:
+        """Send the bitmap of final colors on this side once every group edge
+        with a smaller (phi_bot, rank) has one; then take the least color
+        free on both sides."""
         lvl = len(self.levels)
-        exr = self.exch_of(s.nbr, K_RDY2, lvl, 0)
-        rrr = exr.ready_round()
-        if rrr is None or rrr > self.rnd:
-            if rrr is not None:
-                self._need.append(rrr)
+        rrr = self.exch_of(s.nbr, K_RDY2, lvl, 0).ready_round()
+        if not self._reached(s, rrr):
             return False
-        key = (s.nbr, K_USED, lvl, 0)
-        ex = self.slots[s.nbr].exch.get(key)
+        W = self.bottom["target"]
+        ex = s.exch.get((K_USED, lvl, 0))
         if ex is None or ex.self_arr is None:
-            bits = self._side_used(s)
-            if bits is None:
+            if s.wait:
                 return False
-            W = self.bottom["target"]
-            ex = self._submit(s.nbr, K_USED, lvl, 0, self._bitmap_fields(bits, W))
-            s.R[("used",)] = bits
+            self._submit(s.nbr, K_USED, lvl, 0, self._bitmap_fields(s.used, W))
+            s.R[("used",)] = s.used
             return True
         rr = ex.ready_round()
-        floor = 0
-        if self.paced:
-            slot_w = self._n_chunks(self._payload_shape(K_USED, lvl, 0)) + 2
-            floor = rrr + s.phi_bot * slot_w
         if rr is None:
             return False
-        due = max(rr, floor)
-        if due > self.rnd:
-            self._need.append(due)
+        due = rr
+        if self.paced:
+            slot_w = len(self._layout(K_USED, lvl, 0)) + 2
+            due = max(rr, rrr + s.phi_bot * slot_w)
+        if not self._reached(s, due):
             return False
         union = s.R[("used",)] | self._bitmap_from(ex.other_values())
         k = 1
@@ -643,6 +656,18 @@ class EdgeColorProgram(VertexProgram):
             color += (psi - 1) * self.suffix[i + 1]
         s.color = color
         s.tele["final"] = [due, k, color]
+        self.uncolored -= 1
+        bit = 1 << (k - 1) if k <= W else 0
+        mykey = self._bot_key(s.nbr)
+        for w in s.grp.members:
+            if w == s.nbr:
+                continue
+            sw = self.slots[w]
+            sw.used |= bit
+            if self._bot_key(w) > mykey:
+                sw.wait -= 1
+                if not sw.wait:
+                    self._dirty.add(w)
         return True
 
 
@@ -658,7 +683,8 @@ def _merge_edge_outputs(g: Graph, report: SimReport, palette: int) -> EdgeColori
     for u, w in g.edges():
         cu = report.outputs[u][w]
         cw = report.outputs[w][u]
-        assert cu == cw, f"endpoints disagree on edge ({u},{w}): {cu} vs {cw}"
+        if cu != cw:
+            raise SimError(f"endpoints disagree on edge ({u},{w}): {cu} vs {cw}", report)
         colors[(u, w)] = cu
     return EdgeColoring(colors, palette, 0)
 
@@ -678,7 +704,7 @@ def edge_color_direct(
     # paced runs reserve one slot per phi value, so a level-independent phi
     # palette makes the per-level round cost uniform
     levels, bottom = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
-    suffix = _suffix(levels, bottom["target"])
+    suffix = _suffix_widths(levels, bottom["target"])
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     run_params = {
         "levels": levels,
@@ -698,22 +724,22 @@ def edge_color_direct(
         budget_factor=budget_factor,
     )
     col = _merge_edge_outputs(g, report, suffix[0])
-    _assert_endpoint_consistency(g, report)
+    _check_endpoint_consistency(g, report)
     report.extra["vartheta"] = suffix[0]
     report.extra["level_lambdas"] = list(schedule)
     report.flags.append("setup: edge Ids assigned by global dense rank")
     return col, report
 
 
-def _assert_endpoint_consistency(g: Graph, report: SimReport):
+def _check_endpoint_consistency(g: Graph, report: SimReport):
     """Both endpoints of every edge recorded identical (round, value) pairs for
-    every per-level phi and psi decision."""
+    every per-level phi and psi decision and for the final color."""
     for u, w in g.edges():
         tu = report.telemetry[u]["edges"][w]
         tw = report.telemetry[w]["edges"][u]
-        assert tu["phi"] == tw["phi"], f"phi history differs on ({u},{w})"
-        assert tu["psi"] == tw["psi"], f"psi history differs on ({u},{w})"
-        assert tu.get("final") == tw.get("final"), f"final differs on ({u},{w})"
+        for key in ("phi", "psi", "final"):
+            if tu.get(key) != tw.get(key):
+                raise SimError(f"{key} history differs on ({u},{w})", report)
 
 
 def edge_color_2delta_minus_1(g: Graph) -> Tuple[EdgeColoring, SimReport]:
@@ -749,8 +775,6 @@ def edge_color_via_line_graph(
 ) -> Tuple[EdgeColoring, SimReport]:
     """Vertex-color the line graph through the host simulation; the induced
     edge coloring inherits its palette bound."""
-    from .legal import RecursiveColorProgram, _level_plans, _suffix_widths
-    from .params import vartheta_of_schedule
     from .sim import run_on_line_graph
 
     lgm = build_line_graph(g)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnicolor.edgecolor import (
+    EdgeColorProgram,
     edge_color_2delta_minus_1,
     edge_color_direct,
     edge_color_via_line_graph,
@@ -15,10 +21,15 @@ from bnicolor.generators import (
     path_graph,
     random_gnd,
 )
+from bnicolor.graph import graph_from_edges
 from bnicolor.params import LegalParams, ParamError
 from bnicolor.verify import check_edge_coloring
 
-from conftest import small_graphs
+from conftest import connected_graphs, small_graphs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# recurses from max degree 4 on: [6, 3] at degree 4, [14, 6, 3] at degree 8
+SMALL_EDGE = LegalParams(1, 5, 4, 1, for_edges=True)
 
 
 class TestSmallestPprime:
@@ -116,6 +127,16 @@ class TestEdgeDirect:
         b_, _ = edge_color_direct(g, params)
         assert a == b_
 
+    @pytest.mark.parametrize("mode", ["wide", "short"])
+    def test_isolated_vertex(self, mode):
+        # K5 recurses under SMALL_EDGE; vertex 6 has no edge and halts at once
+        g = graph_from_edges(6, [(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
+        col, report = edge_color_direct(g, SMALL_EDGE, msg_mode=mode)
+        assert check_edge_coloring(g, col).legal
+        assert len(report.extra["level_lambdas"]) > 1
+        assert report.telemetry[6]["edges"] == {}
+        _endpoints_agree(g, report)
+
 
 class TestEdgeViaLineGraph:
     def test_matches_host_bound(self):
@@ -130,3 +151,158 @@ class TestEdgeViaLineGraph:
         params = LegalParams(1, 9, 16, 2)
         col, report = edge_color_via_line_graph(g, params)
         assert max(col.colors.values()) <= report.extra["vartheta"]
+
+
+def _endpoints_agree(g, report):
+    for u, w in g.edges():
+        assert report.telemetry[u]["edges"][w] == report.telemetry[w]["edges"][u]
+
+
+class TestDifferential:
+    @given(connected_graphs(max_n=9), st.integers(0, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_direct_modes(self, g, isolated):
+        g = graph_from_edges(g.n + isolated, g.edges())
+        for paced in (False, True):
+            colors = {}
+            for mode in ("wide", "short"):
+                col, report = edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced)
+                assert check_edge_coloring(g, col).legal
+                assert max(col.colors.values(), default=0) <= report.extra["vartheta"]
+                _endpoints_agree(g, report)
+                colors[mode] = col.colors
+            # the message modes differ in timing only
+            assert colors["wide"] == colors["short"]
+
+    @given(small_graphs(max_n=10))
+    @settings(max_examples=25, deadline=None)
+    def test_2delta_minus_1(self, g):
+        col, report = edge_color_2delta_minus_1(g)
+        assert check_edge_coloring(g, col).legal
+        assert max(col.colors.values(), default=0) <= col.palette
+        if g.m:
+            assert col.palette == 2 * g.delta - 1
+            _endpoints_agree(g, report)
+
+
+def _rescanned_groups(prog):
+    """(level, psi prefix) -> (sorted members, undecided count), rebuilt from
+    every slot's psi history."""
+    groups = {}
+    for u in sorted(prog.ctx.neighbors):
+        hist = prog.slots[u].hist
+        for lvl in range(len(hist) + 1):
+            key = (lvl, tuple(hist[:lvl]))
+            members, undecided = groups.get(key, ([], 0))
+            groups[key] = (members + [u], undecided + (len(hist) == lvl))
+    return groups
+
+
+def _check_tallies(prog):
+    for s in prog.slots.values():
+        assert prog.groups[(s.level, tuple(s.hist))] is s.grp
+        members = [prog.slots[w] for w in s.grp.members]
+        if s.stage == "loop":
+            lvl = s.level
+            smaller = [w for w in members if w.phi[lvl] < s.phi[lvl]]
+            assert s.wait == sum(len(w.hist) == lvl for w in smaller)
+            assert s.psi_counts == [
+                sum(len(w.hist) > lvl and w.hist[lvl] == k for w in smaller)
+                for k in range(1, len(s.psi_counts) + 1)
+            ]
+        if s.stage == "greedy" and s.grp.ready == len(members):
+            key = prog._bot_key(s.nbr)
+            assert s.wait == sum(
+                prog._bot_key(w.nbr) < key and w.final is None for w in members
+            )
+
+
+class TestGroupIndex:
+    @pytest.mark.parametrize(
+        "run_it",
+        [
+            lambda: edge_color_direct(random_gnd(16, 8, seed=1), SMALL_EDGE, msg_mode="short"),
+            lambda: edge_color_direct(complete_graph(7), SMALL_EDGE, msg_mode="wide", paced=True),
+            lambda: edge_color_2delta_minus_1(random_gnd(12, 5, seed=2)),
+        ],
+        ids=["short", "wide-paced", "2delta"],
+    )
+    def test_index_matches_rescan_after_every_step(self, monkeypatch, run_it):
+        step = EdgeColorProgram.step
+        steps = []
+
+        def checked_step(self, round_no, inbox):
+            out = step(self, round_no, inbox)
+            index = {key: (sorted(g.members), g.undecided) for key, g in self.groups.items()}
+            assert index == _rescanned_groups(self)
+            _check_tallies(self)
+            steps.append(round_no)
+            return out
+
+        monkeypatch.setattr(EdgeColorProgram, "step", checked_step)
+        col, _ = run_it()
+        assert steps and col.colors
+
+
+TAMPERED = """
+import copy
+import sys
+
+from bnicolor.edgecolor import (
+    K_RDY2, EdgeColorProgram, _check_endpoint_consistency, _merge_edge_outputs,
+    edge_color_direct,
+)
+from bnicolor.generators import random_gnd
+from bnicolor.numbers import linial_schedule
+from bnicolor.params import LegalParams
+from bnicolor.sim import Context, SimError
+
+if __debug__:
+    sys.exit("run with python -O")
+
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except SimError:
+        return True
+    return False
+
+
+g = random_gnd(12, 5, seed=1)
+col, report = edge_color_direct(g, LegalParams(1, 5, 4, 1, for_edges=True), msg_mode="wide")
+u, w = g.edges()[0]
+clean = copy.deepcopy(report.telemetry)
+for key in ("phi", "psi", "final"):
+    report.telemetry = copy.deepcopy(clean)
+    tele = report.telemetry[u]["edges"][w]
+    if key == "final":
+        tele[key][1] += 1
+    else:
+        tele[key][0][1] += 1
+    print(key, raises(_check_endpoint_consistency, g, report))
+report.outputs[u][w] += 1
+print("outputs", raises(_merge_edge_outputs, g, report, col.palette))
+bottom = {"Lambda": 0, "target": 1, "lin_plans": linial_schedule(1, 1), "start_palette": 1}
+params = {"levels": [], "bottom": bottom, "suffix": [1], "rank": {(1, 2): 1}}
+prog = EdgeColorProgram(Context(1, (2,), 2, 1, params))
+prog._submit(2, K_RDY2, 0, 0, [(1, 2)])
+print("sequential", raises(prog._submit, 2, K_RDY2, 0, 0, [(1, 2)]))
+"""
+
+
+class TestChecksWithoutAsserts:
+    def test_tampered_report_raises_under_python_O(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", TAMPERED],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "phi", "True", "psi", "True", "final", "True",
+            "outputs", "True", "sequential", "True",
+        ]
