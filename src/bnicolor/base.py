@@ -10,16 +10,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .coloring import EdgeColoring, VertexColoring
 from .graph import Graph
 from .numbers import (
     PolyPlan,
+    agreement_counts,
     kuhn_step_plan,
     linial_schedule,
     poly_coeffs,
     poly_eval,
 )
-from .sim import Context, Message, SimReport, VertexProgram, run
+from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 from .verify import check_vertex_coloring
 
 # recorded implementation constants (measured; asserted stable by the tests)
@@ -35,23 +38,9 @@ def choose_point(
     Returns (x, number of agreements); ties broken toward smaller x. With
     q > k*|nbrs| the minimum is 0 and the step preserves legality.
     """
-    k, q = plan.k, plan.q
-    own = poly_coeffs(own_color, k, q)
-    counts = [0] * q
-    for col in nbr_colors:
-        other = poly_coeffs(col, k, q)
-        if other == own:
-            # identical colors agree everywhere; count once per point
-            for x in range(q):
-                counts[x] += 1
-            continue
-        diff = [(a - b) % q for a, b in zip(own, other)]
-        # agreement points = roots of the difference polynomial (<= k of them)
-        for x in range(q):
-            if poly_eval(diff, x, q) == 0:
-                counts[x] += 1
-    best_x = min(range(q), key=lambda x: (counts[x], x))
-    return best_x, counts[best_x]
+    counts = agreement_counts(own_color, nbr_colors, plan)
+    x = int(np.argmin(counts))
+    return x, int(counts[x])
 
 
 def step_color(own_color: int, x: int, plan: PolyPlan) -> int:
@@ -238,7 +227,8 @@ class KuhnEdgeProgram(VertexProgram):
         for u, msg in inbox:
             self.confirm[u] = msg.fields[0][0] + 1
         if len(self.confirm) == len(self.ctx.neighbors):
-            assert self.confirm == self.colors, "endpoint color mismatch"
+            if self.confirm != self.colors:
+                raise SimError(f"vertex {self.ctx.vid}: endpoint color mismatch")
             self.output = dict(self.colors)
         return {}
 
@@ -252,7 +242,8 @@ def kuhn_defective_edge(g: Graph, p_prime: int) -> Tuple[EdgeColoring, SimReport
     for u, w in g.edges():
         cu = report.outputs[u][w]
         cw = report.outputs[w][u]
-        assert cu == cw, f"endpoints disagree on edge ({u},{w})"
+        if cu != cw:
+            raise SimError(f"endpoints disagree on edge ({u},{w})", report)
         colors[(u, w)] = cu
     claimed = 4 * (-(-g.delta // p_prime)) if g.delta else 0
     return EdgeColoring(colors, p_prime * p_prime, claimed), report

@@ -3,7 +3,7 @@
 Subcommands:
   gen     write a generated graph in the edge-list format
   run     run one experiment spec and emit its JSON report
-  verify  check a coloring file against a graph file (exit 0/1)
+  verify  check a coloring file against a graph file (exit 0/1; 2 on bad input)
   bench   sweep one spec parameter and emit a CSV row per point
 
 Reports land next to stdout unless --out is given; a bare filename is placed
@@ -134,14 +134,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.graph) as fh:
-        g = parse_edge_list(fh.read())
-    with open(args.coloring) as fh:
-        text = fh.read()
-    if args.kind == "edge":
-        report = check_edge_coloring(g, parse_edge_coloring(g, text))
-    else:
-        report = check_vertex_coloring(g, parse_vertex_coloring(text))
+    try:
+        with open(args.graph) as fh:
+            g = parse_edge_list(fh.read())
+        with open(args.coloring) as fh:
+            text = fh.read()
+        if args.kind == "edge":
+            report = check_edge_coloring(g, parse_edge_coloring(g, text))
+        else:
+            report = check_vertex_coloring(g, parse_vertex_coloring(text))
+    except (OSError, ValueError) as exc:
+        print(f"bnicolor verify: {exc}", file=sys.stderr)
+        return 2
     print(report.to_json())
     return 0 if report.ok else 1
 

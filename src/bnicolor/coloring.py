@@ -49,6 +49,13 @@ def format_vertex_coloring(col: VertexColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ColoringError(f"non-integer {token!r} in line {line!r}") from None
+
+
 def parse_vertex_coloring(text: str) -> VertexColoring:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
@@ -56,13 +63,13 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
     head = lines[0].split()
     if len(head) != 4 or head[0] != "palette" or head[2] != "defect":
         raise ColoringError("header must be 'palette P defect D'")
-    palette, defect = int(head[1]), int(head[3])
+    palette, defect = _int(head[1], lines[0]), _int(head[3], lines[0])
     colors = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ColoringError(f"bad line: {ln!r}")
-        v, k = int(parts[0]), int(parts[1])
+        v, k = _int(parts[0], ln), _int(parts[1], ln)
         if v in colors:
             raise ColoringError(f"duplicate entry for {v}")
         colors[v] = k

@@ -38,10 +38,19 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .coloring import EdgeColoring
 from .graph import Graph, LineGraphMap, build_line_graph
 from .legal import RecursiveColorProgram, _level_plans, _suffix_widths
-from .numbers import PolyPlan, ceil_log2, linial_schedule, poly_coeffs, poly_eval
+from .numbers import (
+    PolyPlan,
+    agreement_counts,
+    ceil_log2,
+    linial_schedule,
+    poly_coeffs,
+    poly_eval,
+)
 from .params import LegalParams, ParamError, recursion_schedule, vartheta_of_schedule
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
@@ -51,19 +60,8 @@ N_KINDS = 6
 
 def conflict_bitmap(own_color: int, nbr_colors: List[int], plan: PolyPlan) -> int:
     """Bit x set iff some neighbor polynomial agrees with ours at x."""
-    k, q = plan.k, plan.q
-    own = poly_coeffs(own_color, k, q)
-    bits = 0
-    for col in nbr_colors:
-        other = poly_coeffs(col, k, q)
-        if other == own:
-            bits = (1 << q) - 1
-            break
-        diff = [(a - b) % q for a, b in zip(own, other)]
-        for x in range(q):
-            if poly_eval(diff, x, q) == 0:
-                bits |= 1 << x
-    return bits
+    mask = agreement_counts(own_color, nbr_colors, plan) > 0
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def smallest_pprime(Lambda: int, d: int) -> int:

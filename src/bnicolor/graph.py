@@ -80,6 +80,13 @@ def graph_from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     return Graph(range(1, n + 1), edges)
 
 
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"non-integer {token!r} in line {line!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the `n m` / `u v` edge-list format. Rejects malformed input."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
@@ -88,7 +95,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int(head[0], lines[0]), _int(head[1], lines[0])
     if n < 0 or m < 0:
         raise GraphError("negative n or m")
     if len(lines) - 1 != m:
@@ -98,7 +105,7 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line: {ln!r}")
-        u, w = int(parts[0]), int(parts[1])
+        u, w = _int(parts[0], ln), _int(parts[1], ln)
         if not (1 <= u < w <= n):
             raise GraphError(f"edge ({u},{w}) violates 1 <= u < w <= n")
         edges.append((u, w))

@@ -17,7 +17,7 @@ be earlier than the worst-case schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -122,16 +122,20 @@ class RecursiveColorProgram(VertexProgram):
         self.same: List[int] = []
         self.level = -1
         self.stage = "enter"
-        # per-neighbor stores
-        self.nbr_psi: Dict[int, Dict[int, int]] = {u: {} for u in ctx.neighbors}
-        self.nbr_lin: Dict[int, Dict[Tuple[int, int], int]] = {u: {} for u in ctx.neighbors}
-        self.nbr_phi: Dict[int, Dict[int, int]] = {u: {} for u in ctx.neighbors}
+        # neighbor stores, one per reported quantity: neighbor -> color
+        self.lin_at: Dict[Tuple[int, int], Dict[int, int]] = {}  # (level, iteration)
+        self.phi_at: Dict[int, Dict[int, int]] = {}  # level
+        self.psi_at: Dict[int, Dict[int, int]] = {}  # level
         self.nbr_red: Dict[int, int] = {}
+        self.ids = {u: u for u in ctx.neighbors}  # iteration-0 colors are the Ids
         # lin phase state
         self.lin_iter = 0
         self.cur_lin = ctx.vid
         self.rho_level: Dict[int, int] = {}  # own lin-final per level (incl. bottom)
         self.bot_cur = None
+        # readiness cursors: wait key -> index of the first neighbor still missing
+        self.cursor: Dict[tuple, int] = {}
+        self.smaller: Dict[int, List[int]] = {}  # level -> same-neighbors with smaller phi
         self.telemetry = {"r_phi": {}, "r_psi": {}}
 
     # -- message handling ----------------------------------------------------
@@ -146,18 +150,16 @@ class RecursiveColorProgram(VertexProgram):
         return out
 
     def _store(self, u, msg):
-        kind = msg.fields[0][0]
+        f = msg.fields
+        kind = f[0][0]
         if kind == K_LIN:
-            lvl, it, col = (msg.fields[i][0] for i in (1, 2, 3))
-            self.nbr_lin[u][(lvl, it)] = col + 1
+            self.lin_at.setdefault((f[1][0], f[2][0]), {})[u] = f[3][0] + 1
         elif kind == K_PHI:
-            lvl, col = msg.fields[1][0], msg.fields[2][0]
-            self.nbr_phi[u][lvl] = col + 1
+            self.phi_at.setdefault(f[1][0], {})[u] = f[2][0] + 1
         elif kind == K_PSI:
-            lvl, col = msg.fields[1][0], msg.fields[2][0]
-            self.nbr_psi[u][lvl] = col + 1
+            self.psi_at.setdefault(f[1][0], {})[u] = f[2][0] + 1
         elif kind == K_RED:
-            self.nbr_red[u] = msg.fields[1][0] + 1
+            self.nbr_red[u] = f[1][0] + 1
 
     def _bcast(self, out, msg):
         for u in self.same:
@@ -165,22 +167,38 @@ class RecursiveColorProgram(VertexProgram):
 
     # -- helpers -------------------------------------------------------------
 
-    def _nbr_base(self, u: int, lvl_key: int) -> int:
-        """Neighbor's iteration-0 color for a lin phase."""
+    def _rho_global(self) -> Dict[int, int]:
+        """Neighbors' final colors of the level-0 Linial phase."""
+        n_it = len(self.levels[0]["lin_plans"])
+        return self.lin_at.setdefault((0, n_it), {}) if n_it else self.ids
+
+    def _lin_colors(self, lvl_key: int, it: int) -> Dict[int, int]:
+        """Neighbors' colors at iteration `it` of a level's Linial phase."""
+        if it > 0:
+            return self.lin_at.setdefault((lvl_key, it), {})
         if lvl_key == len(self.levels) and self.bottom["start"] == "rho":
-            return self._nbr_rho_global(u)
-        return u
+            return self._rho_global()
+        return self.ids
 
-    def _nbr_rho_global(self, u: int) -> Optional[int]:
-        plans0 = self.levels[0]["lin_plans"]
-        if not plans0:
-            return u
-        return self.nbr_lin[u].get((0, len(plans0)))
+    def _kuhn_inputs(self, lvl: int) -> Dict[int, int]:
+        """Neighbors' legal colors that a level's defective step reads."""
+        level = self.levels[lvl]
+        if level["rho_source"] == "global":
+            return self._rho_global()
+        return self._lin_colors(lvl, len(level["lin_plans"]))
 
-    def _nbr_lin_color(self, u: int, lvl_key: int, it: int) -> Optional[int]:
-        if it == 0:
-            return self._nbr_base(u, lvl_key)
-        return self.nbr_lin[u].get((lvl_key, it))
+    def _ready(self, key: tuple, nbrs: List[int], store: Dict[int, int]) -> bool:
+        """Whether store holds every u in nbrs.
+
+        The stores only gain entries, so the scan resumes where the previous
+        call for the same key stopped.
+        """
+        i = self.cursor.get(key, 0)
+        n = len(nbrs)
+        while i < n and nbrs[i] in store:
+            i += 1
+        self.cursor[key] = i
+        return i == n
 
     def _lin_plans(self, lvl_key: int) -> List[PolyPlan]:
         if lvl_key == len(self.levels):
@@ -200,11 +218,10 @@ class RecursiveColorProgram(VertexProgram):
             self.same = list(self.ctx.neighbors)
         else:
             prev = self.level
-            if any(prev not in self.nbr_psi[u] for u in self.same):
+            psis = self.psi_at.setdefault(prev, {})
+            if not self._ready(("enter", prev), self.same, psis):
                 return False
-            self.same = [
-                u for u in self.same if self.nbr_psi[u][prev] == self.hist[prev]
-            ]
+            self.same = [u for u in self.same if psis[u] == self.hist[prev]]
         self.level = nxt
         if nxt == len(self.levels):
             self.stage = "lin"
@@ -232,17 +249,12 @@ class RecursiveColorProgram(VertexProgram):
         plans = self._lin_plans(lvl)
         progress = False
         while self.lin_iter < len(plans):
-            cols = []
-            ready = True
-            for u in self.same:
-                c = self._nbr_lin_color(u, lvl, self.lin_iter)
-                if c is None:
-                    ready = False
-                    break
-                cols.append(c)
-            if not ready:
+            it = self.lin_iter
+            colors = self._lin_colors(lvl, it)
+            if not self._ready(("lin", lvl, it), self.same, colors):
                 break
-            plan = plans[self.lin_iter]
+            cols = [colors[u] for u in self.same]
+            plan = plans[it]
             x, _ = choose_point(self.cur_lin, cols, plan)
             self.cur_lin = step_color(self.cur_lin, x, plan)
             self.lin_iter += 1
@@ -268,15 +280,12 @@ class RecursiveColorProgram(VertexProgram):
         if plan is None:
             phi = self.rho_level[self.level]
         else:
-            if level["rho_source"] == "global":
-                cols = [self._nbr_rho_global(u) for u in self.same]
-                own = self.rho_level[0]
-            else:
-                plans = level["lin_plans"]
-                cols = [self._nbr_lin_color(u, self.level, len(plans)) for u in self.same]
-                own = self.rho_level[self.level]
-            if any(c is None for c in cols):
+            lvl = self.level
+            colors = self._kuhn_inputs(lvl)
+            if not self._ready(("kuhn", lvl), self.same, colors):
                 return False
+            cols = [colors[u] for u in self.same]
+            own = self.rho_level[0 if level["rho_source"] == "global" else lvl]
             x, _ = choose_point(own, cols, plan)
             phi = step_color(own, x, plan)
         self.phis[self.level] = phi
@@ -296,20 +305,20 @@ class RecursiveColorProgram(VertexProgram):
     def _do_psi(self, out) -> bool:
         level = self.levels[self.level]
         lvl = self.level
-        own_phi = self.phis[lvl]
-        smaller = []
-        for u in self.same:
-            up = self.nbr_phi[u].get(lvl)
-            if up is None:
-                return False
-            if up < own_phi:
-                smaller.append(u)
-        if any(lvl not in self.nbr_psi[u] for u in smaller):
+        phis = self.phi_at.setdefault(lvl, {})
+        if not self._ready(("phi", lvl), self.same, phis):
+            return False
+        smaller = self.smaller.get(lvl)
+        if smaller is None:
+            own_phi = self.phis[lvl]
+            smaller = self.smaller[lvl] = [u for u in self.same if phis[u] < own_phi]
+        psis = self.psi_at.setdefault(lvl, {})
+        if not self._ready(("psi", lvl), smaller, psis):
             return False
         p = level["p"]
         counts = [0] * (p + 1)
         for u in smaller:
-            counts[self.nbr_psi[u][lvl]] += 1
+            counts[psis[u]] += 1
         psi = min(range(1, p + 1), key=lambda k: (counts[k], k))
         self._decide_psi(out, psi)
         return True
@@ -333,12 +342,12 @@ class RecursiveColorProgram(VertexProgram):
     def _do_bot_red(self, out) -> bool:
         plans = self.bottom["lin_plans"]
         n_it = len(plans)
-        lvl = len(self.levels)
+        finals = self._lin_colors(len(self.levels), n_it)
         cur: Dict[int, int] = {}
         for u in self.same:
             c = self.nbr_red.get(u)
             if c is None:
-                c = self._nbr_lin_color(u, lvl, n_it)
+                c = finals.get(u)
             if c is None:
                 return False
             cur[u] = c
@@ -450,7 +459,10 @@ def legal_color(
     colors = {v: out["color"] for v, out in report.outputs.items()}
     vartheta = vartheta_of_schedule(schedule, params.p)
     suffix = _suffix_widths(levels, bottom["target"])
-    assert suffix[0] == vartheta, "palette accounting mismatch"
+    if suffix[0] != vartheta:
+        raise ParamError(
+            f"palette accounting mismatch: suffix width {suffix[0]} != vartheta {vartheta}"
+        )
     result = LegalResult(
         phi=VertexColoring(colors, vartheta, 0),
         vartheta=vartheta,

@@ -3,14 +3,18 @@
 The coloring subroutines map a K-coloring into (evaluation point, value) pairs of
 low-degree polynomials over a prime field. The plan functions below choose the
 field size q and the degree bound k; they are pure arithmetic, shared by the
-algorithms and by the tests' independent oracles.
+algorithms and by the tests' independent oracles. `agreement_counts` is the one
+polynomial-agreement kernel behind the point choice of every reduction step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from functools import lru_cache
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
 def is_prime(q: int) -> bool:
@@ -156,3 +160,40 @@ def poly_eval(coeffs: List[int], x: int, q: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % q
     return acc
+
+
+@lru_cache(maxsize=256)
+def _power_table(plan: PolyPlan) -> Tuple[np.ndarray, int]:
+    """(q, k+1) table of x**j mod q for every point x, and the color bound q**(k+1)."""
+    k, q = plan.k, plan.q
+    if (k + 1) * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"plan q={q}, k={k} overflows the int64 agreement kernel")
+    table = np.ones((q, k + 1), dtype=np.int64)
+    xs = np.arange(q, dtype=np.int64)
+    for j in range(1, k + 1):
+        table[:, j] = table[:, j - 1] * xs % q
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table, q ** (k + 1)
+
+
+def agreement_counts(own_color: int, nbr_colors: Sequence[int], plan: PolyPlan) -> np.ndarray:
+    """Per evaluation point x in 0..q-1, the number of neighbor colors whose
+    polynomial takes the same value at x as the own color's polynomial.
+
+    All colors must lie in 1..q**(k+1), as for `poly_coeffs`. A neighbor with
+    the own color agrees at every point; repeated neighbor colors count once
+    each.
+    """
+    k, q = plan.k, plan.q
+    table, bound = _power_table(plan)
+    colors = [own_color, *nbr_colors]
+    lo, hi = min(colors), max(colors)
+    if lo < 1 or hi > bound:
+        bad = lo if lo < 1 else hi
+        raise ValueError(f"color {bad} out of range for q={q}, k={k}")
+    rest = np.array(colors, dtype=np.int64) - 1
+    digits = np.empty((k + 1, len(colors)), dtype=np.int64)
+    for j in range(k + 1):
+        rest, digits[j] = np.divmod(rest, q)
+    values = table @ digits % q  # values[x, i] = P_i(x)
+    return np.count_nonzero(values[:, 1:] == values[:, :1], axis=1)

@@ -148,6 +148,7 @@ def run(
     max_mux = 0
     flags: List[str] = []
     flag_overflow = 0
+    budget_violations = 0
     transcript: List[Tuple[int, int, int, int]] = []
     round_no = 0
 
@@ -190,6 +191,7 @@ def run(
                 max_bits = max(max_bits, max(m.bits for m in batch))
                 max_mux = max(max_mux, len(batch))
                 if msg_mode == "short" and bits > budget:
+                    budget_violations += 1
                     if len(flags) < MAX_FLAGS:
                         flags.append(
                             f"round {round_no}: {bits}b message {v}->{dst} exceeds "
@@ -235,9 +237,7 @@ def run(
     if record_transcript:
         report.extra["transcript"] = transcript
     report.extra["budget_bits"] = budget
-    report.extra["budget_violations"] = (
-        sum(1 for f in flags if "exceeds budget" in f) + flag_overflow
-    )
+    report.extra["budget_violations"] = budget_violations
     return report
 
 

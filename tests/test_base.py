@@ -13,8 +13,16 @@ from bnicolor.base import (
     step_color,
 )
 from bnicolor.coloring import VertexColoring
+from bnicolor.edgecolor import conflict_bitmap
 from bnicolor.generators import complete_graph, cycle_graph, path_graph, random_gnd
-from bnicolor.numbers import PolyPlan, log_star
+from bnicolor.numbers import (
+    PolyPlan,
+    kuhn_step_plan,
+    linial_step_plan,
+    log_star,
+    poly_coeffs,
+    poly_eval,
+)
 from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
 from conftest import small_graphs
@@ -36,6 +44,72 @@ class TestChoosePoint:
         for col in range(1, 26):
             for x in range(5):
                 assert 1 <= step_color(col, x, plan) <= plan.palette
+
+
+def brute_force_counts(own, nbrs, plan):
+    """Agreements per point, one poly_eval per neighbor and point."""
+    k, q = plan.k, plan.q
+    mine = [poly_eval(poly_coeffs(own, k, q), x, q) for x in range(q)]
+    counts = [0] * q
+    for col in nbrs:
+        coeffs = poly_coeffs(col, k, q)
+        for x in range(q):
+            counts[x] += poly_eval(coeffs, x, q) == mine[x]
+    return counts
+
+
+@st.composite
+def kernel_cases(draw):
+    """A Linial or Kuhn step plan, an own color and neighbor colors drawn
+    from the plan's whole range, with the own color and repeats mixed in."""
+    n_colors = draw(st.integers(2, 5000))
+    delta = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        plan = linial_step_plan(n_colors, delta)
+    else:
+        plan = kuhn_step_plan(n_colors, delta, draw(st.integers(1, 6)))
+    color = st.integers(1, plan.q ** (plan.k + 1))
+    own = draw(color)
+    pool = draw(st.lists(color, min_size=1, max_size=4)) + [own]
+    nbrs = draw(st.lists(st.one_of(color, st.sampled_from(pool)), max_size=delta))
+    return plan, own, nbrs
+
+
+class TestAgreementKernel:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, case):
+        plan, own, nbrs = case
+        counts = brute_force_counts(own, nbrs, plan)
+        best = min(range(plan.q), key=lambda x: (counts[x], x))
+        assert choose_point(own, nbrs, plan) == (best, counts[best])
+        assert conflict_bitmap(own, nbrs, plan) == sum(1 << x for x, c in enumerate(counts) if c)
+
+    def test_no_neighbors(self):
+        plan = linial_step_plan(200, 5)
+        assert choose_point(17, [], plan) == (0, 0)
+        assert conflict_bitmap(17, [], plan) == 0
+
+    def test_identical_and_repeated_colors(self):
+        plan = linial_step_plan(200, 5)
+        nbrs = [17, 17, 18, 18]
+        counts = brute_force_counts(17, nbrs, plan)
+        # each copy of the own color agrees at every point
+        assert min(counts) >= 2
+        assert choose_point(17, nbrs, plan) == (counts.index(min(counts)), min(counts))
+        assert conflict_bitmap(17, [17], plan) == (1 << plan.q) - 1
+
+    @pytest.mark.parametrize("plan", [linial_step_plan(200, 5), kuhn_step_plan(900, 12, 2)])
+    def test_out_of_range_color_raises(self, plan):
+        top = plan.q ** (plan.k + 1)
+        for bad in (0, -3, top + 1):
+            with pytest.raises(ValueError):
+                choose_point(bad, [1], plan)
+            with pytest.raises(ValueError):
+                choose_point(1, [2, bad], plan)
+            with pytest.raises(ValueError):
+                conflict_bitmap(1, [bad], plan)
+        choose_point(top, [1], plan)  # the largest color is in range
 
 
 class TestLinial:

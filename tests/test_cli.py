@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bnicolor.cli import main
 from bnicolor.graph import parse_edge_list
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestGen:
@@ -85,6 +91,48 @@ class TestVerify:
         assert main(["verify", "--graph", str(gfile), "--coloring", str(cfile)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["legal"] and report["violated"]
+
+    @pytest.mark.parametrize(
+        "graph_text,coloring_text",
+        [
+            ("4 4\n1 2\n2 3\n3 4\n1 4\n", "palette 2 defect 0\n1 1\n2 red\n3 1\n4 2\n"),
+            ("4 4\n1 2\n2 3\n3 4\n1 4\n", "palette 2 defect 0\n1 1\nv2 2\n3 1\n4 2\n"),
+            ("4 4\n1 2\n2 3\n3 4\n1 x\n", "palette 2 defect 0\n1 1\n2 2\n3 1\n4 2\n"),
+        ],
+        ids=["bad-color-token", "non-integer-vertex", "non-integer-graph-vertex"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, graph_text, coloring_text):
+        gfile, cfile = tmp_path / "g.txt", tmp_path / "c.txt"
+        gfile.write_text(graph_text)
+        cfile.write_text(coloring_text)
+        assert main(["verify", "--graph", str(gfile), "--coloring", str(cfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bnicolor verify: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("missing", ["graph", "coloring"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, missing):
+        files = {"graph": self._write_graph(tmp_path), "coloring": tmp_path / "c.txt"}
+        files["coloring"].write_text("palette 2 defect 0\n1 1\n2 2\n3 1\n4 2\n")
+        files[missing] = tmp_path / "absent.txt"
+        argv = ["verify", "--graph", str(files["graph"]), "--coloring", str(files["coloring"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "absent.txt" in err and len(err.splitlines()) == 1
+
+    def test_malformed_input_without_traceback(self, tmp_path):
+        gfile, cfile = tmp_path / "g.txt", tmp_path / "c.txt"
+        gfile.write_text("2 1\n1 2\n")
+        cfile.write_text("palette 2 defect 0\n1 1\n2 blue\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnicolor.cli", "verify", "--graph", str(gfile), "--coloring", str(cfile)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "bnicolor verify: non-integer 'blue' in line '2 blue'\n"
 
     def test_edge_kind(self, tmp_path, capsys):
         gfile = self._write_graph(tmp_path)

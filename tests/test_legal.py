@@ -1,10 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnicolor.edgecolor import edge_color_via_line_graph
 from bnicolor.generators import clique_pendant, complete_graph, generate, random_gnd
-from bnicolor.graph import build_line_graph
+from bnicolor.graph import Graph, build_line_graph
 from bnicolor.legal import (
+    RecursiveColorProgram,
+    _level_plans,
+    _suffix_widths,
     defective_color,
     improved_legal_color,
     legal_color,
@@ -17,7 +23,10 @@ from bnicolor.params import (
     recursion_schedule,
     vartheta_of_schedule,
 )
-from bnicolor.verify import check_defect_pigeonhole, check_vertex_coloring
+from bnicolor.sim import Context, run
+from bnicolor.verify import check_defect_pigeonhole, check_edge_coloring, check_vertex_coloring
+
+from conftest import connected_graphs
 
 
 def line_graph_of_random(n, d, seed):
@@ -104,3 +113,75 @@ class TestLegalColor:
     def test_unknown_phi_mode(self):
         with pytest.raises(ParamError):
             legal_color(complete_graph(4), LegalParams(1, 9, 12, 2), phi_mode="warp")
+
+
+# recurses twice on the line graphs below: [14, 6, 3] at degree 14
+TWO_LEVELS = LegalParams(1, 5, 4, 1)
+
+
+class TestReadinessCursors:
+    """A vertex reaches the same decisions however its messages are batched."""
+
+    @staticmethod
+    def _recorded_run(g, phi_mode):
+        schedule = recursion_schedule(TWO_LEVELS, g.delta)
+        levels, bottom = _level_plans(phi_mode, schedule, TWO_LEVELS, g.id_bound)
+        params = {
+            "levels": levels,
+            "bottom": bottom,
+            "suffix": _suffix_widths(levels, bottom["target"]),
+        }
+        received = {v: [] for v in g.vertices}
+
+        class Recording(RecursiveColorProgram):
+            def step(self, round_no, inbox):
+                received[self.ctx.vid].extend(inbox)
+                return super().step(round_no, inbox)
+
+        return params, received, run(g, Recording, params=params)
+
+    @staticmethod
+    def _replay(g, v, params, batches):
+        prog = RecursiveColorProgram(Context(v, g.adj[v], g.id_bound, g.delta, params))
+        for round_no, inbox in enumerate(batches, 1):
+            prog.step(round_no, inbox)
+        return prog
+
+    @pytest.mark.parametrize("spacing", [1, 1009])
+    @pytest.mark.parametrize("phi_mode", ["fast", "simple", "improved"])
+    def test_one_message_per_step_in_scrambled_order(self, phi_mode, spacing):
+        # sparse Ids (spacing 1009) give every level two Linial iterations
+        lg = line_graph_of_random(24, 8, seed=1)
+        g = Graph(
+            [v * spacing for v in lg.vertices],
+            [(u * spacing, w * spacing) for u, w in lg.edges()],
+        )
+        params, received, report = self._recorded_run(g, phi_mode)
+        rng = random.Random(f"{phi_mode}-{spacing}")
+        for v in g.vertices:
+            # every message v read before it halted
+            whole = self._replay(g, v, params, [received[v]])
+            scrambled = received[v][:]
+            rng.shuffle(scrambled)
+            single = self._replay(g, v, params, [[]] + [[m] for m in scrambled])
+            assert whole.output == report.outputs[v]
+            assert single.output == whole.output
+            assert single.phis == whole.phis
+            assert single.hist == whole.hist == report.outputs[v]["psi_hist"]
+            assert len(whole.hist) == 2
+
+
+class TestLineGraphRoutes:
+    @given(connected_graphs(min_n=3, max_n=9))
+    @settings(max_examples=20, deadline=None)
+    def test_edge_route_equals_legal_on_line_graph(self, g):
+        edge_col, edge_report = edge_color_via_line_graph(g, TWO_LEVELS)
+        lgm = build_line_graph(g)
+        result, _ = legal_color(lgm.lg, TWO_LEVELS)
+        assert check_edge_coloring(g, edge_col).legal
+        assert check_vertex_coloring(lgm.lg, result.phi).legal
+        assert max(edge_col.colors.values()) <= edge_report.extra["vartheta"]
+        assert max(result.phi.colors.values()) <= result.vartheta
+        assert edge_col.colors == {
+            lgm.edge_of[v]: col for v, col in result.phi.colors.items()
+        }
