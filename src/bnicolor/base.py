@@ -238,12 +238,19 @@ def kuhn_defective_edge(g: Graph, p_prime: int) -> Tuple[EdgeColoring, SimReport
     if not (1 <= p_prime <= max(g.delta, 1)):
         raise ValueError(f"p_prime must be in 1..delta, got {p_prime}")
     report = run(g, KuhnEdgeProgram, msg_mode="wide", params={"p_prime": p_prime})
+    claimed = 4 * (-(-g.delta // p_prime)) if g.delta else 0
+    return _merge_edge_outputs(g, report, p_prime * p_prime, claimed), report
+
+
+def _merge_edge_outputs(
+    g: Graph, report: SimReport, palette: int, claimed: int = 0
+) -> EdgeColoring:
+    """The edge coloring both endpoints of every edge reported; they must agree."""
     colors: Dict[Tuple[int, int], int] = {}
     for u, w in g.edges():
         cu = report.outputs[u][w]
         cw = report.outputs[w][u]
         if cu != cw:
-            raise SimError(f"endpoints disagree on edge ({u},{w})", report)
+            raise SimError(f"endpoints disagree on edge ({u},{w}): {cu} vs {cw}", report)
         colors[(u, w)] = cu
-    claimed = 4 * (-(-g.delta // p_prime)) if g.delta else 0
-    return EdgeColoring(colors, p_prime * p_prime, claimed), report
+    return EdgeColoring(colors, palette, claimed)

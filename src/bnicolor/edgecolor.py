@@ -40,14 +40,20 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .base import _merge_edge_outputs
 from .coloring import EdgeColoring
-from .graph import Graph, LineGraphMap, build_line_graph
-from .legal import RecursiveColorProgram, _level_plans, _suffix_widths
+from .graph import Graph, build_line_graph
+from .legal import (
+    LevelPlan,
+    RecursionPlan,
+    RecursiveColorProgram,
+    _level_plans,
+    bottom_plan,
+)
 from .numbers import (
     PolyPlan,
     agreement_counts,
     ceil_log2,
-    linial_schedule,
     poly_coeffs,
     poly_eval,
 )
@@ -82,15 +88,8 @@ def smallest_pprime(Lambda: int, d: int) -> int:
 def _uniform_pprime(schedule: List[int], params: LegalParams) -> int:
     """One p' valid for every level: at least 2bp+1 (enough for Lambda >> bp)
     and at least each level's minimal feasible value."""
-    base = 2 * params.b * params.p + 1
-    out = base
-    for Lam in schedule[:-1]:
-        d = Lam // (params.b * params.p)
-        pp = base
-        while pp < Lam and 2 * (-(-Lam // pp)) - 2 > d:
-            pp += 1
-        out = max(out, pp, smallest_pprime(Lam, d))
-    return out
+    bp = params.b * params.p
+    return max([2 * bp + 1] + [smallest_pprime(Lam, Lam // bp) for Lam in schedule[:-1]])
 
 
 def edge_level_plans(
@@ -98,35 +97,17 @@ def edge_level_plans(
     params: LegalParams,
     m_total: int,
     uniform_pprime: bool = False,
-) -> Tuple[List[dict], dict]:
-    r = len(schedule) - 1
-    levels = []
+) -> RecursionPlan:
     fixed_pp = _uniform_pprime(schedule, params) if uniform_pprime else None
-    for i in range(r):
-        Lam = schedule[i]
+    levels = []
+    for Lam in schedule[:-1]:
         d = Lam // (params.b * params.p)
         pp = fixed_pp if fixed_pp is not None else smallest_pprime(Lam, d)
-        levels.append(
-            {
-                "Lambda": Lam,
-                "p": params.p,
-                "d": d,
-                "p_prime": pp,
-                "phi_palette": pp * pp,
-            }
-        )
+        levels.append(LevelPlan(Lam, params.p, pp * pp, p_prime=pp))
     # schedule entries bound the INCIDENT degree (line-graph degree), so the
     # bottom greedy needs hat+1 colors; for the whole graph hat = 2*(delta-1)
     # recovers the classical 2*delta-1.
-    hat = schedule[-1]
-    plans = linial_schedule(max(m_total, 1), max(hat, 1))
-    bottom = {
-        "Lambda": hat,
-        "target": hat + 1,
-        "lin_plans": plans,
-        "start_palette": max(m_total, 1),
-    }
-    return levels, bottom
+    return RecursionPlan(tuple(levels), bottom_plan(max(m_total, 1), schedule[-1]))
 
 
 class _Exchange:
@@ -220,15 +201,16 @@ class EdgeColorProgram(VertexProgram):
     def __init__(self, ctx: Context):
         super().__init__(ctx)
         P = ctx.params
-        self.levels: List[dict] = P["levels"]
-        self.bottom: dict = P["bottom"]
-        self.suffix: List[int] = P["suffix"]
+        plan: RecursionPlan = P["plan"]
+        self.levels = plan.levels
+        self.bottom = plan.bottom
+        self.suffix = plan.suffix
         self.short = P.get("short", False)
         self.paced = P.get("paced", False)
         self.budget = P.get("budget_bits", ceil_log2(max(ctx.n, 2)))
         self.lvl_dom = len(self.levels) + 2
-        self.cnt_dom = (self.levels[0]["Lambda"] + 2) if self.levels else 2
-        self.it_dom = max(len(self.bottom["lin_plans"]) + 2, 2)
+        self.cnt_dom = (self.levels[0].Lambda + 2) if self.levels else 2
+        self.it_dom = max(len(self.bottom.lin_plans) + 2, 2)
         self.idx_dom = 64
         header = (
             ceil_log2(N_KINDS)
@@ -324,19 +306,19 @@ class EdgeColorProgram(VertexProgram):
         """Domain layout of a payload (values are placeholders); both endpoints
         derive the identical layout, so chunk counts need no extra signaling."""
         if kind == K_LAB:
-            pp = self.levels[lvl]["p_prime"]
+            pp = self.levels[lvl].p_prime
             return [(0, pp)]
         if kind in (K_RDY, K_RDY2):
             return [(0, 2)]
         if kind == K_CNT:
             # one fixed field width across levels keeps the per-level chunk
             # count (and so the per-level round cost) uniform
-            return [(0, self.cnt_dom)] * self.levels[lvl]["p"]
+            return [(0, self.cnt_dom)] * self.levels[lvl].p
         if kind == K_BLIN:
-            q = self.bottom["lin_plans"][it].q
+            q = self.bottom.lin_plans[it].q
             return [(0, 256)] * ((q + 7) // 8)
         if kind == K_USED:
-            W = self.bottom["target"]
+            W = self.bottom.target
             return [(0, 256)] * ((W + 7) // 8)
         raise AssertionError(kind)
 
@@ -396,7 +378,7 @@ class EdgeColorProgram(VertexProgram):
 
     def _start_group(self, g: _Group, lvl: int):
         """Assign round-robin labels in a group whose membership is final."""
-        pp = self.levels[lvl]["p_prime"]
+        pp = self.levels[lvl].p_prime
         for i, w in enumerate(sorted(g.members)):
             label = 1 + i % pp
             sw = self.slots[w]
@@ -477,11 +459,10 @@ class EdgeColorProgram(VertexProgram):
         rr = ex.ready_round()
         if not self._reached(s, rr):
             return False
-        level = self.levels[lvl]
         mine = s.R[("lab", lvl)]
         other = ex.other_values()[0] + 1
         lo, hi = (mine, other) if self.ctx.vid < s.nbr else (other, mine)
-        s.phi[lvl] = (lo - 1) * level["p_prime"] + hi
+        s.phi[lvl] = (lo - 1) * self.levels[lvl].p_prime + hi
         # record the symmetric ready round, not the (possibly later) step round
         s.tele["phi"][lvl] = [rr, s.phi[lvl]]
         s.stage = "rdy"
@@ -495,7 +476,7 @@ class EdgeColorProgram(VertexProgram):
         """The whole group holds its phi: open each member's tallies and
         signal readiness on its channel."""
         phis = sorted(self.slots[w].phi[lvl] for w in g.members)
-        p = self.levels[lvl]["p"]
+        p = self.levels[lvl].p
         for w in g.members:
             sw = self.slots[w]
             sw.wait = bisect_left(phis, sw.phi[lvl])
@@ -535,7 +516,7 @@ class EdgeColorProgram(VertexProgram):
             return False
         mine = s.R[("cnt", lvl)]
         other = ex.other_values()
-        p = self.levels[lvl]["p"]
+        p = self.levels[lvl].p
         totals = [mine[k] + other[k] for k in range(p)]
         psi = 1 + min(range(p), key=lambda k: (totals[k], k))
         s.tele["psi"][lvl] = [due, psi]
@@ -562,7 +543,7 @@ class EdgeColorProgram(VertexProgram):
             self._dirty.update(g.members)
 
     def _slot_bot_lin(self, s: EdgeSlot) -> bool:
-        plans = self.bottom["lin_plans"]
+        plans = self.bottom.lin_plans
         lvl = len(self.levels)
         g = s.grp
         if s.lin_iter == len(plans):
@@ -627,7 +608,7 @@ class EdgeColorProgram(VertexProgram):
         rrr = self.exch_of(s.nbr, K_RDY2, lvl, 0).ready_round()
         if not self._reached(s, rrr):
             return False
-        W = self.bottom["target"]
+        W = self.bottom.target
         ex = s.exch.get((K_USED, lvl, 0))
         if ex is None or ex.self_arr is None:
             if s.wait:
@@ -676,17 +657,6 @@ def _edge_rank(g: Graph) -> Dict[Tuple[int, int], int]:
     return {e: i + 1 for i, e in enumerate(g.edges())}
 
 
-def _merge_edge_outputs(g: Graph, report: SimReport, palette: int) -> EdgeColoring:
-    colors: Dict[Tuple[int, int], int] = {}
-    for u, w in g.edges():
-        cu = report.outputs[u][w]
-        cw = report.outputs[w][u]
-        if cu != cw:
-            raise SimError(f"endpoints disagree on edge ({u},{w}): {cu} vs {cw}", report)
-        colors[(u, w)] = cu
-    return EdgeColoring(colors, palette, 0)
-
-
 def edge_color_direct(
     g: Graph,
     params: LegalParams,
@@ -701,13 +671,10 @@ def edge_color_direct(
     schedule = recursion_schedule(params, Lambda0)
     # paced runs reserve one slot per phi value, so a level-independent phi
     # palette makes the per-level round cost uniform
-    levels, bottom = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
-    suffix = _suffix_widths(levels, bottom["target"])
+    plan = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     run_params = {
-        "levels": levels,
-        "bottom": bottom,
-        "suffix": suffix,
+        "plan": plan,
         "rank": _edge_rank(g),
         "short": msg_mode == "short",
         "paced": paced,
@@ -721,9 +688,9 @@ def edge_color_direct(
         params=run_params,
         budget_factor=budget_factor,
     )
-    col = _merge_edge_outputs(g, report, suffix[0])
+    col = _merge_edge_outputs(g, report, plan.suffix[0])
     _check_endpoint_consistency(g, report)
-    report.extra["vartheta"] = suffix[0]
+    report.extra["vartheta"] = plan.suffix[0]
     report.extra["level_lambdas"] = list(schedule)
     report.flags.append("setup: edge Ids assigned by global dense rank")
     return col, report
@@ -745,24 +712,9 @@ def edge_color_2delta_minus_1(g: Graph) -> Tuple[EdgeColoring, SimReport]:
     if g.m == 0:
         return EdgeColoring({}, 1, 0), SimReport(0, 0, 0, {})
     hat = max(2 * (g.delta - 1), 0)  # incident-degree bound of the edge set
-    plans = linial_schedule(g.m, max(hat, 1))
-    bottom = {
-        "Lambda": hat,
-        "target": hat + 1,
-        "lin_plans": plans,
-        "start_palette": g.m,
-    }
-    run_params = {
-        "levels": [],
-        "bottom": bottom,
-        "suffix": [bottom["target"]],
-        "rank": _edge_rank(g),
-        "short": False,
-        "paced": False,
-    }
-    report = run(g, EdgeColorProgram, msg_mode="wide", params=run_params)
-    col = _merge_edge_outputs(g, report, bottom["target"])
-    return col, report
+    run_params = {"plan": RecursionPlan((), bottom_plan(g.m, hat)), "rank": _edge_rank(g)}
+    report = run(g, EdgeColorProgram, params=run_params)
+    return _merge_edge_outputs(g, report, hat + 1), report
 
 
 def edge_color_via_line_graph(
@@ -780,19 +732,9 @@ def edge_color_via_line_graph(
     Lambda0 = max(lg.delta, 1)
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
-    levels, bottom = _level_plans(phi_mode, schedule, params, max(lg.id_bound, 1))
-    suffix = _suffix_widths(levels, bottom["target"])
+    plan = _level_plans(phi_mode, schedule, params, max(lg.id_bound, 1))
     report = run_on_line_graph(
-        g,
-        RecursiveColorProgram,
-        round_cap=round_cap,
-        params={
-            "levels": levels,
-            "bottom": bottom,
-            "suffix": suffix,
-            "single_level": False,
-        },
-        lgm=lgm,
+        g, RecursiveColorProgram, round_cap=round_cap, params={"plan": plan}, lgm=lgm
     )
     colors = {lgm.edge_of[v]: out["color"] for v, out in report.outputs.items()}
     vartheta = vartheta_of_schedule(schedule, params.p)

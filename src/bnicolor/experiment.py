@@ -11,6 +11,7 @@ the file byte-for-byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import asdict, dataclass, field
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .base import kuhn_defective_edge, linial_coloring
-from .coloring import EdgeColoring, VertexColoring
+from .coloring import EdgeColoring
 from .edgecolor import (
     edge_color_2delta_minus_1,
     edge_color_direct,
@@ -41,6 +42,7 @@ from .params import (
     make_preset,
     smallest_feasible_thm46_t,
 )
+from .sim import SimReport
 from .verify import (
     VerificationReport,
     check_edge_coloring,
@@ -48,21 +50,6 @@ from .verify import (
 )
 
 SCHEMA_VERSION = 1
-
-ALGORITHMS = (
-    "linial",
-    "defective",
-    "legal",
-    "edge_direct",
-    "edge_line",
-    "edge_2delta",
-    "kuhn_edge",
-    "randomized_defective",
-    "randomized",
-    "tradeoff",
-)
-
-EDGE_ALGORITHMS = {"edge_direct", "edge_line", "edge_2delta", "kuhn_edge"}
 
 CSV_COLUMNS = (
     "sweep_key",
@@ -113,10 +100,14 @@ class ExperimentSpec:
         return cls(**data)
 
 
+def _c(spec: ExperimentSpec) -> int:
+    return int(spec.params.get("c", 2))
+
+
 def _legal_params_for(spec: ExperimentSpec, g: Graph, delta: int) -> LegalParams:
     """Build LegalParams from a preset name or explicit (b, p, lam, c)."""
     p = spec.params
-    c = int(p.get("c", 2))
+    c = _c(spec)
     for_edges = spec.algorithm in ("edge_direct",)
     if spec.preset and spec.preset != "custom":
         eps = Fraction(p["eps"]) if "eps" in p else None
@@ -139,76 +130,101 @@ def _legal_params_for(spec: ExperimentSpec, g: Graph, delta: int) -> LegalParams
         raise ParamError(f"custom params need b, p, lam (missing {exc})") from exc
 
 
-def _run_algorithm(spec: ExperimentSpec, g: Graph):
-    """Dispatch; returns (coloring, report, vartheta, params_used, c)."""
-    p = spec.params
-    delta = max(g.delta, 1)
-    c = int(p.get("c", 2))
-    if spec.algorithm == "linial":
-        col, report = linial_coloring(g)
-        return col, report, None, {}, None
-    if spec.algorithm == "defective":
-        dp = DefectiveParams(
-            int(p["b"]), int(p["p"]), int(p.get("Lambda", delta)), c
-        )
-        col, report = defective_color(g, dp, phi_mode=p.get("phi_mode", "fast"))
-        return col, report, None, asdict(dp), c
-    if spec.algorithm == "legal":
-        lp = _legal_params_for(spec, g, delta)
-        result, report = legal_color(
-            g, lp, phi_mode=p.get("phi_mode", "fast"), seed=spec.seed
-        )
-        return result.phi, report, result.vartheta, _params_dict(lp), c
-    if spec.algorithm == "edge_direct":
-        Lambda0 = max(2 * (g.delta - 1), 1)
-        lp = _legal_params_for(spec, g, Lambda0)
-        col, report = edge_color_direct(
-            g,
-            lp,
-            msg_mode=spec.msg_mode,
-            paced=bool(p.get("paced", False)),
-            budget_factor=int(p.get("budget_factor", 1)),
-        )
-        return col, report, report.extra.get("vartheta"), _params_dict(lp), c
-    if spec.algorithm == "edge_line":
-        Lambda0 = max(2 * (g.delta - 1), 1)
-        lp = _legal_params_for(spec, g, Lambda0)
-        col, report = edge_color_via_line_graph(
-            g, lp, phi_mode=p.get("phi_mode", "fast")
-        )
-        return col, report, report.extra.get("vartheta"), _params_dict(lp), c
-    if spec.algorithm == "edge_2delta":
-        col, report = edge_color_2delta_minus_1(g)
-        return col, report, None, {}, None
-    if spec.algorithm == "kuhn_edge":
-        col, report = kuhn_defective_edge(g, int(p["p_prime"]))
-        return col, report, None, {"p_prime": int(p["p_prime"])}, None
-    if spec.algorithm == "randomized_defective":
-        rp = RandomizedParams(
-            kappa=float(p.get("kappa", 2.0)),
-            eta=float(p.get("eta", 0.5)),
-            seed=spec.seed,
-        )
-        col = randomized_defective(g, rp)
-        from .sim import SimReport
+# One runner per algorithm: (spec, graph) -> (coloring, report, vartheta,
+# params_used, c). Each runner calls its algorithm function through this
+# module's globals, so a wrapper set on the module attribute sees the call.
 
-        report = SimReport(0, 0, 0, dict(col.colors))
-        return col, report, None, {"kappa": rp.kappa, "eta": rp.eta}, None
-    if spec.algorithm == "randomized":
-        rp = RandomizedParams(
-            kappa=float(p.get("kappa", 2.0)),
-            eta=float(p.get("eta", 0.5)),
-            seed=spec.seed,
-        )
-        col, report = randomized_color(g, rp)
-        return col, report, None, {"kappa": rp.kappa, "eta": rp.eta}, None
-    if spec.algorithm == "tradeoff":
-        tp = TradeoffParams(
-            g_fn=str(p.get("g_fn", "power:0.5")), eta=float(p.get("eta", 0.25))
-        )
-        col, report = tradeoff_color(g, tp, c, seed=spec.seed)
-        return col, report, None, {"g_fn": tp.g_fn, "eta": tp.eta, "c": c}, c
-    raise ParamError(f"unknown algorithm {spec.algorithm!r}")
+
+def _run_linial(spec: ExperimentSpec, g: Graph):
+    col, report = linial_coloring(g)
+    return col, report, None, {}, None
+
+
+def _run_defective(spec: ExperimentSpec, g: Graph):
+    p, c = spec.params, _c(spec)
+    dp = DefectiveParams(int(p["b"]), int(p["p"]), int(p.get("Lambda", max(g.delta, 1))), c)
+    col, report = defective_color(g, dp, phi_mode=p.get("phi_mode", "fast"))
+    return col, report, None, asdict(dp), c
+
+
+def _run_legal(spec: ExperimentSpec, g: Graph):
+    lp = _legal_params_for(spec, g, max(g.delta, 1))
+    result, report = legal_color(
+        g, lp, phi_mode=spec.params.get("phi_mode", "fast"), seed=spec.seed
+    )
+    return result.phi, report, result.vartheta, _params_dict(lp), _c(spec)
+
+
+def _run_edge_direct(spec: ExperimentSpec, g: Graph):
+    p = spec.params
+    lp = _legal_params_for(spec, g, max(2 * (g.delta - 1), 1))
+    col, report = edge_color_direct(
+        g,
+        lp,
+        msg_mode=spec.msg_mode,
+        paced=bool(p.get("paced", False)),
+        budget_factor=int(p.get("budget_factor", 1)),
+    )
+    return col, report, report.extra.get("vartheta"), _params_dict(lp), _c(spec)
+
+
+def _run_edge_line(spec: ExperimentSpec, g: Graph):
+    lp = _legal_params_for(spec, g, max(2 * (g.delta - 1), 1))
+    col, report = edge_color_via_line_graph(g, lp, phi_mode=spec.params.get("phi_mode", "fast"))
+    return col, report, report.extra.get("vartheta"), _params_dict(lp), _c(spec)
+
+
+def _run_edge_2delta(spec: ExperimentSpec, g: Graph):
+    col, report = edge_color_2delta_minus_1(g)
+    return col, report, None, {}, None
+
+
+def _run_kuhn_edge(spec: ExperimentSpec, g: Graph):
+    p_prime = int(spec.params["p_prime"])
+    col, report = kuhn_defective_edge(g, p_prime)
+    return col, report, None, {"p_prime": p_prime}, None
+
+
+def _randomized_params(spec: ExperimentSpec) -> RandomizedParams:
+    p = spec.params
+    return RandomizedParams(
+        kappa=float(p.get("kappa", 2.0)), eta=float(p.get("eta", 0.5)), seed=spec.seed
+    )
+
+
+def _run_randomized_defective(spec: ExperimentSpec, g: Graph):
+    rp = _randomized_params(spec)
+    col = randomized_defective(g, rp)
+    report = SimReport(0, 0, 0, dict(col.colors))
+    return col, report, None, {"kappa": rp.kappa, "eta": rp.eta}, None
+
+
+def _run_randomized(spec: ExperimentSpec, g: Graph):
+    rp = _randomized_params(spec)
+    col, report = randomized_color(g, rp)
+    return col, report, None, {"kappa": rp.kappa, "eta": rp.eta}, None
+
+
+def _run_tradeoff(spec: ExperimentSpec, g: Graph):
+    p, c = spec.params, _c(spec)
+    tp = TradeoffParams(g_fn=str(p.get("g_fn", "power:0.5")), eta=float(p.get("eta", 0.25)))
+    col, report = tradeoff_color(g, tp, c, seed=spec.seed)
+    return col, report, None, {"g_fn": tp.g_fn, "eta": tp.eta, "c": c}, c
+
+
+RUNNERS = {
+    "linial": _run_linial,
+    "defective": _run_defective,
+    "legal": _run_legal,
+    "edge_direct": _run_edge_direct,
+    "edge_line": _run_edge_line,
+    "edge_2delta": _run_edge_2delta,
+    "kuhn_edge": _run_kuhn_edge,
+    "randomized_defective": _run_randomized_defective,
+    "randomized": _run_randomized,
+    "tradeoff": _run_tradeoff,
+}
+ALGORITHMS = tuple(RUNNERS)
 
 
 def _params_dict(lp: LegalParams) -> Dict:
@@ -225,7 +241,7 @@ def run_experiment(spec: ExperimentSpec) -> Dict:
     """Execute generator -> algorithm -> checker; return the report dict."""
     spec.validate()
     g = generate(spec.generator, spec.gen_params, seed=spec.seed)
-    col, report, vartheta, params_used, c = _run_algorithm(spec, g)
+    col, report, vartheta, params_used, c = RUNNERS[spec.algorithm](spec, g)
     verification = _verify(g, col)
     out = {
         "schema": SCHEMA_VERSION,
@@ -261,17 +277,7 @@ def run_repetitions(spec: ExperimentSpec) -> List[Dict]:
     spec.validate()
     reports = []
     for i in range(spec.repetitions):
-        sub = ExperimentSpec(
-            generator=spec.generator,
-            gen_params=spec.gen_params,
-            algorithm=spec.algorithm,
-            preset=spec.preset,
-            params=spec.params,
-            msg_mode=spec.msg_mode,
-            repetitions=1,
-            seed=spec.seed + i,
-            output=spec.output,
-        )
+        sub = dataclasses.replace(spec, repetitions=1, seed=spec.seed + i)
         reports.append(run_experiment(sub))
     return reports
 

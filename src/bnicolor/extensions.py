@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Tuple
 
 from .coloring import VertexColoring
 from .graph import Graph
-from .legal import RecursiveColorProgram, _level_plans, _suffix_widths
+from .legal import (
+    LevelPlan,
+    RecursionPlan,
+    RecursiveColorProgram,
+    _level_plans,
+    bottom_plan,
+    draw_class,
+)
 from .numbers import kuhn_step_plan, linial_schedule
 from .params import (
     LegalParams,
@@ -30,6 +35,7 @@ from .params import (
     vartheta_of_schedule,
 )
 from .sim import SimReport, run
+from .verify import check_vertex_coloring
 
 
 @dataclass(frozen=True)
@@ -86,13 +92,8 @@ def random_defect_bound(kappa: float, n: int) -> int:
     return math.ceil(kappa * math.e * math.log(max(n, 3)))
 
 
-def draw_class(seed: int, vid: int, p: int) -> int:
-    rng = np.random.Generator(np.random.Philox(key=[seed, vid]))
-    return 1 + int(rng.integers(p))
-
-
-def randomized_defective(g: Graph, params: RandomizedParams) -> VertexColoring:
-    """Uniform random palette-(ceil(delta/ln n)) coloring; defect holds whp."""
+def _class_palette(g: Graph, params: RandomizedParams) -> int:
+    """The number of random classes; refused where delta <= ln n."""
     params.validate()
     ln_n = math.log(max(g.n, 3))
     if g.delta <= ln_n:
@@ -100,7 +101,12 @@ def randomized_defective(g: Graph, params: RandomizedParams) -> VertexColoring:
             f"delta = {g.delta} <= ln n = {ln_n:.2f}: use the deterministic "
             "legal_color path at this degree"
         )
-    p = random_palette_size(g.delta, g.n)
+    return random_palette_size(g.delta, g.n)
+
+
+def randomized_defective(g: Graph, params: RandomizedParams) -> VertexColoring:
+    """Uniform random palette-(ceil(delta/ln n)) coloring; defect holds whp."""
+    p = _class_palette(g, params)
     colors = {v: draw_class(params.seed, v, p) for v in g.vertices}
     return VertexColoring(colors, p, random_defect_bound(params.kappa, g.n))
 
@@ -119,14 +125,7 @@ def randomized_color(
     p * (B+1) holds whenever every class degree stays within the defect bound
     B, and the run is flagged otherwise.
     """
-    params.validate()
-    ln_n = math.log(max(g.n, 3))
-    if g.delta <= ln_n:
-        raise ParamError(
-            f"delta = {g.delta} <= ln n = {ln_n:.2f}: use the deterministic "
-            "legal_color path at this degree"
-        )
-    p = random_palette_size(g.delta, g.n)
+    p = _class_palette(g, params)
     B = random_defect_bound(params.kappa, g.n)
     if legal_params is not None and legal_params.lam < B:
         raise ParamError(
@@ -134,44 +133,18 @@ def randomized_color(
             f"{B}: classes carry no independence bound, so recursion below it "
             "is unsound"
         )
-    levels = [
-        {
-            "kind": "pre_random",
-            "Lambda": g.delta,
-            "p": p,
-            "lin_plans": [],
-            "kuhn_plan": None,
-            "rho_source": "level",
-            "phi_palette": p,
-        }
-    ]
-    plans = linial_schedule(max(g.id_bound, 1), max(B, 1))
-    bottom = {
-        "start": "id",
-        "lin_plans": plans,
-        "start_palette": max(g.id_bound, 1),
-        "Lambda": B,
-        "target": B + 1,
-    }
-    suffix = _suffix_widths(levels, bottom["target"])
+    plan = RecursionPlan(
+        (LevelPlan(g.delta, p, p, kind="pre_random"),),
+        bottom_plan(max(g.id_bound, 1), B),
+    )
     report = run(
-        g,
-        RecursiveColorProgram,
-        msg_mode="wide",
-        round_cap=round_cap,
-        params={"levels": levels, "bottom": bottom, "suffix": suffix},
-        seed=params.seed,
+        g, RecursiveColorProgram, round_cap=round_cap, params={"plan": plan}, seed=params.seed
     )
     colors = {v: out["color"] for v, out in report.outputs.items()}
-    col = VertexColoring(colors, suffix[0], 0)
+    col = VertexColoring(colors, plan.suffix[0], 0)
     # flag classes that exceeded the probabilistic degree bound
-    classes: Dict[int, int] = {
-        v: out["psi_hist"][0] for v, out in report.outputs.items()
-    }
-    worst = 0
-    for v in g.vertices:
-        same = sum(1 for u in g.adj[v] if classes[u] == classes[v])
-        worst = max(worst, same)
+    classes = {v: out["psi_hist"][0] for v, out in report.outputs.items()}
+    worst = check_vertex_coloring(g, VertexColoring(classes, p, B)).measured_defect
     report.extra["class_palette"] = p
     report.extra["class_degree_bound"] = B
     report.extra["max_class_degree"] = worst
@@ -215,30 +188,14 @@ def tradeoff_color(
     rho_palette = plans[-1].palette if plans else n0
     kuhn = kuhn_step_plan(rho_palette, delta, d)
     claimed = max(min(d, kuhn.k * delta // kuhn.q), 1)
-    pre = {
-        "kind": "pre_kuhn",
-        "Lambda": delta,
-        "p": kuhn.palette,
-        "lin_plans": plans,
-        "kuhn_plan": kuhn,
-        "rho_source": "level",
-        "phi_palette": kuhn.palette,
-    }
+    pre = LevelPlan(delta, kuhn.palette, kuhn.palette, tuple(plans), kuhn, kind="pre_kuhn")
     inner_params = preset_improved_s42(c, max(claimed, 2))
     schedule = recursion_schedule(inner_params, max(claimed, 1))
-    inner_levels, bottom = _level_plans("fast", schedule, inner_params, n0)
-    levels = [pre] + inner_levels
-    suffix = _suffix_widths(levels, bottom["target"])
-    report = run(
-        g,
-        RecursiveColorProgram,
-        msg_mode="wide",
-        round_cap=round_cap,
-        params={"levels": levels, "bottom": bottom, "suffix": suffix},
-        seed=seed,
-    )
+    inner = _level_plans("fast", schedule, inner_params, n0)
+    plan = RecursionPlan((pre,) + inner.levels, inner.bottom)
+    report = run(g, RecursiveColorProgram, round_cap=round_cap, params={"plan": plan}, seed=seed)
     colors = {v: out["color"] for v, out in report.outputs.items()}
-    col = VertexColoring(colors, suffix[0], 0)
+    col = VertexColoring(colors, plan.suffix[0], 0)
     report.extra["q"] = q
     report.extra["p_t"] = p_t
     report.extra["class_defect_claimed"] = claimed

@@ -16,8 +16,9 @@ be earlier than the worst-case schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,73 +50,113 @@ class LegalResult:
     level_lambdas: List[int]
 
 
+@dataclass(frozen=True)
+class LevelPlan:
+    """One defective level: the Linial phase and defective step that give phi,
+    then the recolor loop into psi in 1..p.
+
+    rho_global: the defective step reads the level-0 Linial colors, not this
+    level's. kind "pre_random" draws psi at random, "pre_kuhn" takes phi as psi.
+    Edge levels use p_prime, the round-robin label palette (phi = label pair).
+    """
+
+    Lambda: int
+    p: int
+    phi_palette: int
+    lin_plans: Tuple[PolyPlan, ...] = ()
+    kuhn_plan: Optional[PolyPlan] = None
+    rho_global: bool = False
+    kind: str = "std"
+    p_prime: int = 0
+
+
+@dataclass(frozen=True)
+class BottomPlan:
+    """The final level: Linial down from start_palette (from the level-0 Linial
+    colors when from_rho, else from the Ids), then a greedy reduction to
+    1..target."""
+
+    target: int
+    lin_plans: Tuple[PolyPlan, ...]
+    start_palette: int
+    from_rho: bool = False
+
+
+def bottom_plan(start_palette: int, hat: int, from_rho: bool = False) -> BottomPlan:
+    """The bottom of a subgraph of degree <= hat: hat + 1 colors."""
+    plans = tuple(linial_schedule(start_palette, max(hat, 1)))
+    return BottomPlan(hat + 1, plans, start_palette, from_rho)
+
+
+@dataclass(frozen=True)
+class RecursionPlan:
+    """The levels and the bottom of one recursion; bottom None stops every
+    vertex after level 0's psi.
+
+    suffix[i] is the palette width of one level-i subgraph's block, so a
+    vertex's color is its bottom color plus (psi_i - 1) * suffix[i + 1] over
+    its psi history, and suffix[0] is the whole palette.
+    """
+
+    levels: Tuple[LevelPlan, ...]
+    bottom: Optional[BottomPlan]
+
+    @cached_property
+    def suffix(self) -> Tuple[int, ...]:
+        widths = [self.bottom.target if self.bottom else 1]
+        for level in reversed(self.levels):
+            widths.append(widths[-1] * level.p)
+        return tuple(reversed(widths))
+
+
+def draw_class(seed: int, vid: int, p: int) -> int:
+    """A class in 1..p drawn by a counter-based generator keyed by (seed, vid)."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, vid]))
+    return 1 + int(rng.integers(p))
+
+
 def _level_plans(
     mode: str,
     schedule: List[int],
     params: LegalParams,
     n0: int,
-) -> Tuple[List[dict], dict]:
+) -> RecursionPlan:
     """Pure arithmetic: per-level linial/defective-step plans plus the bottom."""
-    r = len(schedule) - 1
-    levels: List[dict] = []
+    levels: List[LevelPlan] = []
     rho_palette = None
-    for i in range(r):
-        Lam = schedule[i]
+    for i, Lam in enumerate(schedule[:-1]):
         d = Lam // (params.b * params.p)
-        level = {"kind": "std", "Lambda": Lam, "p": params.p, "d": d}
         if mode == "improved":
             if i == 0:
                 plans = linial_schedule(n0, max(Lam, 1))
                 rho_palette = plans[-1].palette if plans else n0
-                level["lin_plans"] = plans
             else:
-                level["lin_plans"] = []
-            level["kuhn_plan"] = kuhn_step_plan(rho_palette, Lam, d)
-            level["rho_source"] = "global"
-            level["phi_palette"] = level["kuhn_plan"].palette
-        elif mode == "fast":
+                plans = []
+            kuhn = kuhn_step_plan(rho_palette, Lam, d)
+        else:
             plans = linial_schedule(n0, max(Lam, 1))
             local_pal = plans[-1].palette if plans else n0
-            level["lin_plans"] = plans
-            level["kuhn_plan"] = kuhn_step_plan(local_pal, Lam, d)
-            level["rho_source"] = "level"
-            level["phi_palette"] = level["kuhn_plan"].palette
-        else:  # simple: the legal coloring itself serves as the 0-defective phi
-            plans = linial_schedule(n0, max(Lam, 1))
-            level["lin_plans"] = plans
-            level["kuhn_plan"] = None
-            level["rho_source"] = "level"
-            level["phi_palette"] = plans[-1].palette if plans else n0
-        levels.append(level)
+            # simple: the legal coloring itself serves as the 0-defective phi
+            kuhn = kuhn_step_plan(local_pal, Lam, d) if mode == "fast" else None
+        phi_palette = kuhn.palette if kuhn else local_pal
+        levels.append(
+            LevelPlan(Lam, params.p, phi_palette, tuple(plans), kuhn, mode == "improved")
+        )
     hat = schedule[-1]
     if mode == "improved" and rho_palette is not None:
-        bot_plans = linial_schedule(rho_palette, max(hat, 1))
-        bottom = {"start": "rho", "lin_plans": bot_plans, "start_palette": rho_palette}
+        bottom = bottom_plan(rho_palette, hat, from_rho=True)
     else:
-        bot_plans = linial_schedule(n0, max(hat, 1))
-        bottom = {"start": "id", "lin_plans": bot_plans, "start_palette": n0}
-    bottom["Lambda"] = hat
-    bottom["target"] = hat + 1
-    return levels, bottom
-
-
-def _suffix_widths(levels: List[dict], bottom_width: int) -> List[int]:
-    """suffix[i] = palette width of one level-i subgraph's block."""
-    out = [bottom_width]
-    for level in reversed(levels):
-        out.append(out[-1] * level["p"])
-    out.reverse()
-    return out
+        bottom = bottom_plan(n0, hat)
+    return RecursionPlan(tuple(levels), bottom)
 
 
 class RecursiveColorProgram(VertexProgram):
     def __init__(self, ctx: Context):
         super().__init__(ctx)
-        P = ctx.params
-        self.levels: List[dict] = P["levels"]
-        self.bottom: dict = P["bottom"]
-        self.suffix: List[int] = P["suffix"]
-        self.single_level: bool = P.get("single_level", False)
+        plan: RecursionPlan = ctx.params["plan"]
+        self.levels = plan.levels
+        self.bottom = plan.bottom
+        self.suffix = plan.suffix
         self.rnd = 0
         self.hist: List[int] = []
         self.phis: Dict[int, int] = {}
@@ -169,23 +210,23 @@ class RecursiveColorProgram(VertexProgram):
 
     def _rho_global(self) -> Dict[int, int]:
         """Neighbors' final colors of the level-0 Linial phase."""
-        n_it = len(self.levels[0]["lin_plans"])
+        n_it = len(self.levels[0].lin_plans)
         return self.lin_at.setdefault((0, n_it), {}) if n_it else self.ids
 
     def _lin_colors(self, lvl_key: int, it: int) -> Dict[int, int]:
         """Neighbors' colors at iteration `it` of a level's Linial phase."""
         if it > 0:
             return self.lin_at.setdefault((lvl_key, it), {})
-        if lvl_key == len(self.levels) and self.bottom["start"] == "rho":
+        if lvl_key == len(self.levels) and self.bottom.from_rho:
             return self._rho_global()
         return self.ids
 
     def _kuhn_inputs(self, lvl: int) -> Dict[int, int]:
         """Neighbors' legal colors that a level's defective step reads."""
         level = self.levels[lvl]
-        if level["rho_source"] == "global":
+        if level.rho_global:
             return self._rho_global()
-        return self._lin_colors(lvl, len(level["lin_plans"]))
+        return self._lin_colors(lvl, len(level.lin_plans))
 
     def _ready(self, key: tuple, nbrs: List[int], store: Dict[int, int]) -> bool:
         """Whether store holds every u in nbrs.
@@ -200,10 +241,10 @@ class RecursiveColorProgram(VertexProgram):
         self.cursor[key] = i
         return i == n
 
-    def _lin_plans(self, lvl_key: int) -> List[PolyPlan]:
+    def _lin_plans(self, lvl_key: int) -> Tuple[PolyPlan, ...]:
         if lvl_key == len(self.levels):
-            return self.bottom["lin_plans"]
-        return self.levels[lvl_key]["lin_plans"]
+            return self.bottom.lin_plans
+        return self.levels[lvl_key].lin_plans
 
     # -- the state machine ---------------------------------------------------
 
@@ -226,18 +267,14 @@ class RecursiveColorProgram(VertexProgram):
         if nxt == len(self.levels):
             self.stage = "lin"
             self.lin_iter = 0
-            if self.bottom["start"] == "rho":
+            if self.bottom.from_rho:
                 self.cur_lin = self.rho_level[0]
             else:
                 self.cur_lin = self.ctx.vid
             return True
         level = self.levels[nxt]
-        if level["kind"] == "pre_random":
-            rng = np.random.Generator(
-                np.random.Philox(key=[self.ctx.seed, self.ctx.vid])
-            )
-            psi = 1 + int(rng.integers(level["p"]))
-            self._decide_psi(out, psi)
+        if level.kind == "pre_random":
+            self._decide_psi(out, draw_class(self.ctx.seed, self.ctx.vid, level.p))
             return True
         self.stage = "lin"
         self.lin_iter = 0
@@ -276,7 +313,7 @@ class RecursiveColorProgram(VertexProgram):
 
     def _do_phi(self, out) -> bool:
         level = self.levels[self.level]
-        plan = level["kuhn_plan"]
+        plan = level.kuhn_plan
         if plan is None:
             phi = self.rho_level[self.level]
         else:
@@ -285,7 +322,7 @@ class RecursiveColorProgram(VertexProgram):
             if not self._ready(("kuhn", lvl), self.same, colors):
                 return False
             cols = [colors[u] for u in self.same]
-            own = self.rho_level[0 if level["rho_source"] == "global" else lvl]
+            own = self.rho_level[0 if level.rho_global else lvl]
             x, _ = choose_point(own, cols, plan)
             phi = step_color(own, x, plan)
         self.phis[self.level] = phi
@@ -293,17 +330,16 @@ class RecursiveColorProgram(VertexProgram):
         msg = Message(
             (K_PHI, N_KINDS),
             (self.level, len(self.levels) + 1),
-            (phi - 1, level["phi_palette"]),
+            (phi - 1, level.phi_palette),
         )
         self._bcast(out, msg)
-        if level["kind"] == "pre_kuhn":
+        if level.kind == "pre_kuhn":
             self._decide_psi(out, phi)
         else:
             self.stage = "psi"
         return True
 
     def _do_psi(self, out) -> bool:
-        level = self.levels[self.level]
         lvl = self.level
         phis = self.phi_at.setdefault(lvl, {})
         if not self._ready(("phi", lvl), self.same, phis):
@@ -315,7 +351,7 @@ class RecursiveColorProgram(VertexProgram):
         psis = self.psi_at.setdefault(lvl, {})
         if not self._ready(("psi", lvl), smaller, psis):
             return False
-        p = level["p"]
+        p = self.levels[lvl].p
         counts = [0] * (p + 1)
         for u in smaller:
             counts[psis[u]] += 1
@@ -325,22 +361,21 @@ class RecursiveColorProgram(VertexProgram):
 
     def _decide_psi(self, out, psi: int):
         lvl = self.level
-        level = self.levels[lvl]
         self.hist.append(psi)
         self.telemetry["r_psi"][lvl] = self.rnd
         msg = Message(
             (K_PSI, N_KINDS),
             (lvl, len(self.levels) + 1),
-            (psi - 1, level["p"]),
+            (psi - 1, self.levels[lvl].p),
         )
         self._bcast(out, msg)
-        if self.single_level:
+        if self.bottom is None:
             self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
             return
         self.stage = "enter"
 
     def _do_bot_red(self, out) -> bool:
-        plans = self.bottom["lin_plans"]
+        plans = self.bottom.lin_plans
         n_it = len(plans)
         finals = self._lin_colors(len(self.levels), n_it)
         cur: Dict[int, int] = {}
@@ -351,7 +386,7 @@ class RecursiveColorProgram(VertexProgram):
             if c is None:
                 return False
             cur[u] = c
-        target = self.bottom["target"]
+        target = self.bottom.target
         if self.bot_cur <= target:
             self._finalize()
             return True
@@ -364,7 +399,7 @@ class RecursiveColorProgram(VertexProgram):
             k += 1
         self.bot_cur = k
         maxpal = max(
-            plans[-1].palette if plans else self.bottom.get("start_palette", self.ctx.n),
+            plans[-1].palette if plans else self.bottom.start_palette,
             target,
             self.ctx.n + 2,
         )
@@ -385,31 +420,6 @@ class RecursiveColorProgram(VertexProgram):
 # -- wrappers -----------------------------------------------------------------
 
 
-def _run_recursive(
-    g: Graph,
-    levels: List[dict],
-    bottom: dict,
-    single_level: bool = False,
-    seed: int = 0,
-    round_cap: int = 100_000,
-) -> SimReport:
-    suffix = _suffix_widths(levels, bottom["target"])
-    params = {
-        "levels": levels,
-        "bottom": bottom,
-        "suffix": suffix,
-        "single_level": single_level,
-    }
-    return run(
-        g,
-        RecursiveColorProgram,
-        msg_mode="wide",
-        round_cap=round_cap,
-        params=params,
-        seed=seed,
-    )
-
-
 def defective_color(
     g: Graph, params: DefectiveParams, phi_mode: str = "fast"
 ) -> Tuple[VertexColoring, SimReport]:
@@ -417,14 +427,14 @@ def defective_color(
     if phi_mode not in ("fast", "simple"):
         raise ParamError(f"phi_mode must be fast or simple, got {phi_mode!r}")
     params.validate(delta=g.delta)
-    levels, bottom = _level_plans(
-        "fast" if phi_mode == "fast" else "simple",
+    levels = _level_plans(
+        phi_mode,
         [params.Lambda, 0],
         LegalParams(params.b, params.p, 1, params.c, preset="custom"),
         max(g.id_bound, 1),
-    )
-    levels = levels[:1]
-    report = _run_recursive(g, levels, {"start": "id", "lin_plans": [], "Lambda": 0, "target": 1}, single_level=True)
+    ).levels
+    report = run(g, RecursiveColorProgram, params={"plan": RecursionPlan(levels, None)})
+    level = levels[0]
     psi = VertexColoring(
         {v: out["psi"] for v, out in report.outputs.items()},
         params.p,
@@ -432,10 +442,10 @@ def defective_color(
     )
     phi = VertexColoring(
         {v: out["phi"] for v, out in report.outputs.items()},
-        levels[0]["phi_palette"],
-        levels[0]["Lambda"],
+        level.phi_palette,
+        level.Lambda,
     )
-    report.extra["phi_palette"] = levels[0]["phi_palette"]
+    report.extra["phi_palette"] = level.phi_palette
     report.extra["phi_colors"] = dict(phi.colors)
     r_phis = [t["r_phi"].get(0, 0) for t in report.telemetry.values()]
     r_psis = [t["r_psi"].get(0, 0) for t in report.telemetry.values()]
@@ -454,14 +464,13 @@ def legal_color(
     Lambda0 = max(g.delta, 1)
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
-    levels, bottom = _level_plans(phi_mode, schedule, params, max(g.id_bound, 1))
-    report = _run_recursive(g, levels, bottom, seed=seed)
+    plan = _level_plans(phi_mode, schedule, params, max(g.id_bound, 1))
+    report = run(g, RecursiveColorProgram, params={"plan": plan}, seed=seed)
     colors = {v: out["color"] for v, out in report.outputs.items()}
     vartheta = vartheta_of_schedule(schedule, params.p)
-    suffix = _suffix_widths(levels, bottom["target"])
-    if suffix[0] != vartheta:
+    if plan.suffix[0] != vartheta:
         raise ParamError(
-            f"palette accounting mismatch: suffix width {suffix[0]} != vartheta {vartheta}"
+            f"palette accounting mismatch: suffix width {plan.suffix[0]} != vartheta {vartheta}"
         )
     result = LegalResult(
         phi=VertexColoring(colors, vartheta, 0),
@@ -471,8 +480,8 @@ def legal_color(
     )
     report.extra["vartheta"] = vartheta
     report.extra["level_lambdas"] = list(schedule)
-    if phi_mode == "improved" and levels:
-        report.extra["rho_rounds"] = len(levels[0]["lin_plans"])
+    if phi_mode == "improved" and plan.levels:
+        report.extra["rho_rounds"] = len(plan.levels[0].lin_plans)
     return result, report
 
 

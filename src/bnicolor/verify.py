@@ -40,6 +40,9 @@ def check_vertex_coloring(g: Graph, col: VertexColoring) -> VerificationReport:
     missing = [v for v in g.vertices if v not in col.colors]
     if missing:
         raise ValueError(f"partial coloring, uncolored vertices: {missing[:10]}")
+    if len(col.colors) != g.n:
+        extra = sorted(v for v in col.colors if v not in g.adj)
+        raise ValueError(f"coloring names vertices the graph lacks: {extra[:10]}")
     violated: List[Tuple[str, object]] = []
     defect = 0
     worst = None

@@ -98,8 +98,9 @@ class TestVerify:
             ("4 4\n1 2\n2 3\n3 4\n1 4\n", "palette 2 defect 0\n1 1\n2 red\n3 1\n4 2\n"),
             ("4 4\n1 2\n2 3\n3 4\n1 4\n", "palette 2 defect 0\n1 1\nv2 2\n3 1\n4 2\n"),
             ("4 4\n1 2\n2 3\n3 4\n1 x\n", "palette 2 defect 0\n1 1\n2 2\n3 1\n4 2\n"),
+            ("4 4\n1 2\n2 3\n3 4\n1 4\n", "palette 2 defect 0\n1 1\n2 2\n3 1\n4 2\n99 1\n"),
         ],
-        ids=["bad-color-token", "non-integer-vertex", "non-integer-graph-vertex"],
+        ids=["bad-color-token", "non-integer-vertex", "non-integer-graph-vertex", "vertex-not-in-graph"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, graph_text, coloring_text):
         gfile, cfile = tmp_path / "g.txt", tmp_path / "c.txt"

@@ -253,7 +253,7 @@ from bnicolor.edgecolor import (
     edge_color_direct,
 )
 from bnicolor.generators import random_gnd
-from bnicolor.numbers import linial_schedule
+from bnicolor.legal import RecursionPlan, bottom_plan
 from bnicolor.params import LegalParams
 from bnicolor.sim import Context, SimError
 
@@ -283,8 +283,7 @@ for key in ("phi", "psi", "final"):
     print(key, raises(_check_endpoint_consistency, g, report))
 report.outputs[u][w] += 1
 print("outputs", raises(_merge_edge_outputs, g, report, col.palette))
-bottom = {"Lambda": 0, "target": 1, "lin_plans": linial_schedule(1, 1), "start_palette": 1}
-params = {"levels": [], "bottom": bottom, "suffix": [1], "rank": {(1, 2): 1}}
+params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
 prog = EdgeColorProgram(Context(1, (2,), 2, 1, params))
 prog._submit(2, K_RDY2, 0, 0, [(1, 2)])
 print("sequential", raises(prog._submit, 2, K_RDY2, 0, 0, [(1, 2)]))

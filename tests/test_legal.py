@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnicolor.edgecolor import edge_color_via_line_graph
+from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
 from bnicolor.generators import clique_pendant, complete_graph, generate, random_gnd
 from bnicolor.graph import Graph, build_line_graph
 from bnicolor.legal import (
+    PHI_MODES,
     RecursiveColorProgram,
     _level_plans,
-    _suffix_widths,
     defective_color,
     improved_legal_color,
     legal_color,
@@ -20,7 +20,9 @@ from bnicolor.params import (
     LegalParams,
     ParamError,
     defect_bound,
+    make_preset,
     recursion_schedule,
+    smallest_feasible_thm46_t,
     vartheta_of_schedule,
 )
 from bnicolor.sim import Context, run
@@ -119,18 +121,38 @@ class TestLegalColor:
 TWO_LEVELS = LegalParams(1, 5, 4, 1)
 
 
+class TestRecursionPlan:
+    """A plan's derived palette width is the vartheta of its schedule."""
+
+    @pytest.mark.parametrize(
+        "preset,c,delta",
+        [("thm45", 2, 46), ("thm46", 1, 4096), ("thm48_3", 2, 46), ("improved_s42", 3, 46), ("custom", 1, 14)],
+    )
+    def test_suffix_width_is_vartheta(self, preset, c, delta):
+        for for_edges in (False, True):
+            if preset == "custom":
+                params = LegalParams(1, 5, 4, c, for_edges=for_edges)
+            else:
+                t = smallest_feasible_thm46_t(c, delta) if preset == "thm46" else None
+                params = make_preset(preset, c, delta, t=t, for_edges=for_edges)
+            schedule = recursion_schedule(params, delta)
+            vartheta = vartheta_of_schedule(schedule, params.p)
+            if for_edges:
+                plans = [edge_level_plans(schedule, params, 500, u) for u in (False, True)]
+            else:
+                plans = [_level_plans(mode, schedule, params, 500) for mode in PHI_MODES]
+            for plan in plans:
+                assert len(plan.levels) == len(schedule) - 1
+                assert plan.suffix[0] == vartheta
+
+
 class TestReadinessCursors:
     """A vertex reaches the same decisions however its messages are batched."""
 
     @staticmethod
     def _recorded_run(g, phi_mode):
         schedule = recursion_schedule(TWO_LEVELS, g.delta)
-        levels, bottom = _level_plans(phi_mode, schedule, TWO_LEVELS, g.id_bound)
-        params = {
-            "levels": levels,
-            "bottom": bottom,
-            "suffix": _suffix_widths(levels, bottom["target"]),
-        }
+        params = {"plan": _level_plans(phi_mode, schedule, TWO_LEVELS, g.id_bound)}
         received = {v: [] for v in g.vertices}
 
         class Recording(RecursiveColorProgram):

@@ -42,6 +42,11 @@ class TestVertexChecker:
         with pytest.raises(ValueError):
             check_vertex_coloring(path_graph(3), VertexColoring({1: 1}, 1, 0))
 
+    def test_rejects_vertices_outside_the_graph(self):
+        col = VertexColoring({1: 1, 2: 2, 3: 1, 4: 2, 99: 1}, 2, 0)
+        with pytest.raises(ValueError, match="99"):
+            check_vertex_coloring(cycle_graph(4), col)
+
     def test_checker_is_pure(self):
         g = cycle_graph(5)
         col = VertexColoring({v: 1 + v % 2 for v in g.vertices}, 2, 0)
