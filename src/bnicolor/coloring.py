@@ -7,10 +7,10 @@ rank of the (u, w) pair, u < w) as the id, matching line-graph vertex Ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 
 class ColoringError(ValueError):

@@ -19,10 +19,14 @@ until slot R + phi * s (R = round the group's phi-exchange finished, s = slot
 width in rounds), which makes the per-level duration track the phi-palette
 instead of the dependency-chain depth.
 
-Bookkeeping: each vertex keeps a group index keyed by (level, psi-history
-prefix). An entry holds the group's edges and the count of those that have
-not decided psi at that level; both change only where an edge appends psi to
-its history, so "is the parent group done" is one count lookup.
+Bookkeeping: each payload on an edge (labels, readiness, psi counts, bottom
+Linial bitmaps, used-color bitmaps) is one `_Exchange` record: this side's
+values, the other side's values in chunk order, and the two arrival rounds.
+Both endpoints send the same kind of payload over the same domains, so the
+values a side sent fix its chunking and how many values to expect back.
+Each vertex also keeps a group index keyed by (level, psi-history prefix). An
+entry holds the group's edges and the count of those that have not decided
+psi at that level, so "is the parent group done" is one count lookup.
 When a whole group holds its phi, each edge gets readiness tallies (group
 edges with a smaller phi still undecided, the psi counts of those decided,
 the final colors taken at the bottom), which every decision updates in place.
@@ -111,26 +115,21 @@ def edge_level_plans(
 
 
 class _Exchange:
-    """One symmetric payload exchange on an edge channel."""
+    """One symmetric payload exchange on an edge channel (see Bookkeeping)."""
 
-    __slots__ = ("self_arr", "parts", "total", "done_round")
+    __slots__ = ("mine", "other", "chunks", "self_arr", "last")
 
     def __init__(self):
-        self.self_arr: Optional[int] = None
-        self.parts: Dict[int, List[int]] = {}
-        self.total = -1
-        self.done_round: Optional[int] = None
-
-    def other_values(self) -> List[int]:
-        vals: List[int] = []
-        for i in range(self.total):
-            vals.extend(self.parts[i])
-        return vals
+        self.mine: Optional[List[int]] = None  # this side's values
+        self.other: List[int] = []  # the other side's values, in chunk order
+        self.chunks = 0  # messages this side's payload took
+        self.self_arr: Optional[int] = None  # round of this side's self-delivery
+        self.last: Optional[int] = None  # round the other side's latest chunk arrived
 
     def ready_round(self) -> Optional[int]:
-        if self.self_arr is None or self.done_round is None:
+        if self.self_arr is None or len(self.other) != len(self.mine):
             return None
-        return max(self.self_arr, self.done_round)
+        return max(self.self_arr, self.last)
 
 
 class _Group:
@@ -160,9 +159,7 @@ class EdgeSlot:
         "level",
         "stage",
         "phi",
-        "R",
         "lin_hist",
-        "lin_iter",
         "phi_bot",
         "final",
         "color",
@@ -174,15 +171,13 @@ class EdgeSlot:
         "used",
     )
 
-    def __init__(self, nbr: int, rank: int):
+    def __init__(self, nbr: int, rank: int, stage: str):
         self.nbr = nbr
         self.hist: List[int] = []
         self.level = 0
-        self.stage = "labels"
+        self.stage = stage
         self.phi: Dict[int, int] = {}
-        self.R: Dict[Any, Any] = {}
-        self.lin_hist: List[int] = [rank]
-        self.lin_iter = 0
+        self.lin_hist: List[int] = [rank]  # colors after each Linial iteration
         self.phi_bot: Optional[int] = None
         self.final: Optional[int] = None
         self.color: Optional[int] = None
@@ -197,6 +192,17 @@ class EdgeSlot:
         self.used = 0
 
 
+def _bitmap(bits: int, width: int) -> List[Tuple[int, int]]:
+    """A width-bit set as little-endian byte fields."""
+    return [(b, 256) for b in bits.to_bytes((width + 7) // 8, "little")]
+
+
+def _first_free(ex: _Exchange) -> int:
+    """Lowest bit clear in both sides' bitmaps of a byte-field exchange."""
+    union = int.from_bytes(bytes(ex.mine), "little") | int.from_bytes(bytes(ex.other), "little")
+    return (~union & (union + 1)).bit_length() - 1
+
+
 class EdgeColorProgram(VertexProgram):
     def __init__(self, ctx: Context):
         super().__init__(ctx)
@@ -209,6 +215,8 @@ class EdgeColorProgram(VertexProgram):
         self.paced = P.get("paced", False)
         self.budget = P.get("budget_bits", ceil_log2(max(ctx.n, 2)))
         self.lvl_dom = len(self.levels) + 2
+        # one fixed psi-count width across levels keeps the per-level chunk
+        # count (and so the per-level round cost) uniform
         self.cnt_dom = (self.levels[0].Lambda + 2) if self.levels else 2
         self.it_dom = max(len(self.bottom.lin_plans) + 2, 2)
         self.idx_dom = 64
@@ -220,17 +228,14 @@ class EdgeColorProgram(VertexProgram):
         )
         # at least one value per chunk even if the budget can't cover it
         self.chunk_budget = max(self.budget - header, 1)
-        self._layouts: Dict[Tuple[int, int, int], List[int]] = {}
         self.ranks: Dict[int, int] = {
             u: P["rank"][(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)]
             for u in ctx.neighbors
         }
+        stage = "labels" if self.levels else "bot_wait"
         self.slots: Dict[int, EdgeSlot] = {
-            u: EdgeSlot(u, self.ranks[u]) for u in ctx.neighbors
+            u: EdgeSlot(u, self.ranks[u], stage) for u in ctx.neighbors
         }
-        if not self.levels:
-            for s in self.slots.values():
-                s.stage = "bot_wait"
         self.groups: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
         for s in self.slots.values():
             self._join(s, None)
@@ -246,24 +251,32 @@ class EdgeColorProgram(VertexProgram):
     # -- payload plumbing ----------------------------------------------------
 
     def _submit(self, u: int, kind: int, lvl: int, it: int, values: List[Tuple[int, int]]):
-        """Queue a payload to u and record the self-delivery round."""
-        sizes = self._layout(kind, lvl, it)
-        if len(values) != sum(sizes):
-            raise SimError(f"payload {kind} has {len(values)} values, its layout {sizes}")
+        """Queue a payload to u and record the self-delivery round: one message
+        in wide mode, in short mode as many values per chunk as fit the bit
+        budget."""
         if self.queues[u]:
             raise SimError(
                 f"vertex {self.ctx.vid}: payload {kind} to {u} queued while an "
                 "earlier one is in flight; per-edge payloads are sequential"
             )
+        chunks = [values]
+        if self.short:
+            chunks, used = [[]], 0
+            for field in values:
+                b = ceil_log2(field[1])
+                if chunks[-1] and used + b > self.chunk_budget:
+                    chunks.append([])
+                    used = 0
+                chunks[-1].append(field)
+                used += b
         header = ((kind, N_KINDS), (lvl, self.lvl_dom), (it, self.it_dom))
-        start = 0
-        for idx, size in enumerate(sizes):
-            chunk = values[start : start + size]
+        for idx, chunk in enumerate(chunks):
             self.queues[u].append(Message(*header, (idx, self.idx_dom), *chunk))
-            start += size
         ex = self.exch_of(u, kind, lvl, it)
-        ex.total = len(sizes)
-        ex.self_arr = self.rnd + len(sizes)
+        ex.mine = [value for value, _ in values]
+        ex.chunks = len(chunks)
+        ex.self_arr = self.rnd + len(chunks)
+        self._check_length(u, ex)
         self._dirty.add(u)
 
     def exch_of(self, u, kind, lvl, it) -> _Exchange:
@@ -275,63 +288,17 @@ class EdgeColorProgram(VertexProgram):
 
     def _store(self, u: int, msg: Message):
         f = msg.fields
-        kind, lvl, it = f[0][0], f[1][0], f[2][0]
-        ex = self.exch_of(u, kind, lvl, it)
-        ex.parts[f[3][0]] = [value for value, _ in f[4:]]
-        if len(self._layout(kind, lvl, it)) == len(ex.parts):
-            ex.done_round = self.rnd
+        ex = self.exch_of(u, f[0][0], f[1][0], f[2][0])
+        ex.other.extend(value for value, _ in f[4:])
+        ex.last = self.rnd
+        self._check_length(u, ex)
 
-    def _layout(self, kind, lvl, it) -> List[int]:
-        """Values per message of a payload: one message in wide mode, in short
-        mode as many values per chunk as fit the bit budget."""
-        key = (kind, lvl, it)
-        sizes = self._layouts.get(key)
-        if sizes is None:
-            shape = self._payload_shape(kind, lvl, it)
-            if not self.short:
-                sizes = [len(shape)]
-            else:
-                sizes, used = [0], 0
-                for _, dom in shape:
-                    b = ceil_log2(dom)
-                    if sizes[-1] and used + b > self.chunk_budget:
-                        sizes.append(0)
-                        used = 0
-                    sizes[-1] += 1
-                    used += b
-            self._layouts[key] = sizes
-        return sizes
-
-    def _payload_shape(self, kind, lvl, it) -> List[Tuple[int, int]]:
-        """Domain layout of a payload (values are placeholders); both endpoints
-        derive the identical layout, so chunk counts need no extra signaling."""
-        if kind == K_LAB:
-            pp = self.levels[lvl].p_prime
-            return [(0, pp)]
-        if kind in (K_RDY, K_RDY2):
-            return [(0, 2)]
-        if kind == K_CNT:
-            # one fixed field width across levels keeps the per-level chunk
-            # count (and so the per-level round cost) uniform
-            return [(0, self.cnt_dom)] * self.levels[lvl].p
-        if kind == K_BLIN:
-            q = self.bottom.lin_plans[it].q
-            return [(0, 256)] * ((q + 7) // 8)
-        if kind == K_USED:
-            W = self.bottom.target
-            return [(0, 256)] * ((W + 7) // 8)
-        raise AssertionError(kind)
-
-    def _bitmap_fields(self, bits: int, width: int) -> List[Tuple[int, int]]:
-        nbytes = (width + 7) // 8
-        return [((bits >> (8 * i)) & 0xFF, 256) for i in range(nbytes)]
-
-    @staticmethod
-    def _bitmap_from(values: List[int]) -> int:
-        out = 0
-        for i, b in enumerate(values):
-            out |= b << (8 * i)
-        return out
+    def _check_length(self, u: int, ex: _Exchange):
+        if ex.mine is not None and len(ex.other) > len(ex.mine):
+            raise SimError(
+                f"vertex {self.ctx.vid}: the payload from {u} has {len(ex.other)} "
+                f"values, more than the {len(ex.mine)} sent to it"
+            )
 
     # -- main step -----------------------------------------------------------
 
@@ -380,11 +347,32 @@ class EdgeColorProgram(VertexProgram):
         """Assign round-robin labels in a group whose membership is final."""
         pp = self.levels[lvl].p_prime
         for i, w in enumerate(sorted(g.members)):
-            label = 1 + i % pp
+            self.slots[w].stage = "phi"
+            self._submit(w, K_LAB, lvl, 0, [(i % pp, pp)])
+
+    def _hold(self, s: EdgeSlot):
+        """s now holds its phi (phi_bot at the bottom). Once the whole group
+        does, open each member's tallies and signal readiness on its channel."""
+        g, lvl = s.grp, s.level
+        g.ready += 1
+        if g.ready < len(g.members):
+            return
+        if lvl < len(self.levels):
+            kind, key, p = K_RDY, (lambda w: self.slots[w].phi[lvl]), self.levels[lvl].p
+        else:
+            kind, key, p = K_RDY2, self._bot_key, 0
+        keys = sorted(map(key, g.members))
+        for w in g.members:
             sw = self.slots[w]
-            sw.stage = "phi"
-            sw.R[("lab", lvl)] = label
-            self._submit(w, K_LAB, lvl, 0, [(label - 1, pp)])
+            sw.wait = bisect_left(keys, key(w))
+            sw.psi_counts = [0] * p
+            self._submit(w, kind, lvl, 0, [(1, 2)])
+
+    def _release(self, s: EdgeSlot):
+        """One fewer group edge ahead of s is undecided."""
+        s.wait -= 1
+        if not s.wait:
+            self._dirty.add(s.nbr)
 
     def _decide_psi(self, s: EdgeSlot, psi: int):
         """Append psi to the history of s, the one place a history grows, and
@@ -397,9 +385,7 @@ class EdgeColorProgram(VertexProgram):
             sw = self.slots[w]
             if sw.phi[lvl] > mine:
                 sw.psi_counts[psi - 1] += 1
-                sw.wait -= 1
-                if not sw.wait:
-                    self._dirty.add(w)
+                self._release(sw)
         s.level += 1
         s.stage = "labels" if s.level < len(self.levels) else "bot_wait"
         self._join(s, g)
@@ -420,7 +406,7 @@ class EdgeColorProgram(VertexProgram):
         while dirty:
             u = dirty.pop()
             s = slots[u]
-            if s.color is None and self._advance_slot(s):
+            if s.color is None and getattr(self, "_slot_" + s.stage)(s):
                 dirty.add(u)
 
     def _reached(self, s: EdgeSlot, r: Optional[int]) -> bool:
@@ -436,22 +422,16 @@ class EdgeColorProgram(VertexProgram):
         waiting.add(s.nbr)
         return False
 
-    def _advance_slot(self, s: EdgeSlot) -> bool:
-        if s.level < len(self.levels):
-            if s.stage == "phi":
-                return self._slot_phi(s)
-            if s.stage == "rdy":
-                return self._slot_rdy(s)
-            if s.stage == "loop":
-                return self._slot_loop(s)
-            return False  # "labels" waits for _start_group
-        if s.stage == "bot_wait":
-            return self._slot_bot_start(s)
-        if s.stage == "bot_lin":
-            return self._slot_bot_lin(s)
-        if s.stage == "greedy":
-            return self._slot_greedy(s)
-        return False
+    def _paced_due(self, ex: _Exchange, start: int, key: int) -> Optional[int]:
+        """The decision round of an exchange: its ready round, and when paced
+        no earlier than slot `key` (width ex.chunks + 2 rounds) after start."""
+        rr = ex.ready_round()
+        if rr is None or not self.paced:
+            return rr
+        return max(rr, start + key * (ex.chunks + 2))
+
+    def _slot_labels(self, s: EdgeSlot) -> bool:
+        return False  # waits for _start_group
 
     def _slot_phi(self, s: EdgeSlot) -> bool:
         lvl = s.level
@@ -459,36 +439,18 @@ class EdgeColorProgram(VertexProgram):
         rr = ex.ready_round()
         if not self._reached(s, rr):
             return False
-        mine = s.R[("lab", lvl)]
-        other = ex.other_values()[0] + 1
+        mine, other = ex.mine[0] + 1, ex.other[0] + 1
         lo, hi = (mine, other) if self.ctx.vid < s.nbr else (other, mine)
         s.phi[lvl] = (lo - 1) * self.levels[lvl].p_prime + hi
         # record the symmetric ready round, not the (possibly later) step round
         s.tele["phi"][lvl] = [rr, s.phi[lvl]]
         s.stage = "rdy"
-        g = s.grp
-        g.ready += 1
-        if g.ready == len(g.members):
-            self._send_rdy(g, lvl)
+        self._hold(s)
         return True
 
-    def _send_rdy(self, g: _Group, lvl: int):
-        """The whole group holds its phi: open each member's tallies and
-        signal readiness on its channel."""
-        phis = sorted(self.slots[w].phi[lvl] for w in g.members)
-        p = self.levels[lvl].p
-        for w in g.members:
-            sw = self.slots[w]
-            sw.wait = bisect_left(phis, sw.phi[lvl])
-            sw.psi_counts = [0] * p
-            self._submit(w, K_RDY, lvl, 0, [(1, 2)])
-
     def _slot_rdy(self, s: EdgeSlot) -> bool:
-        lvl = s.level
-        rr = self.exch_of(s.nbr, K_RDY, lvl, 0).ready_round()
-        if not self._reached(s, rr):
+        if not self._reached(s, self.exch_of(s.nbr, K_RDY, s.level, 0).ready_round()):
             return False
-        s.R[("R", lvl)] = rr
         s.stage = "loop"
         return True
 
@@ -497,41 +459,30 @@ class EdgeColorProgram(VertexProgram):
         smaller phi, once they have all decided; then pick the least loaded
         psi from both sides' counts."""
         lvl = s.level
-        ex = s.exch.get((K_CNT, lvl, 0))
-        if ex is None or ex.self_arr is None:
+        ex = self.exch_of(s.nbr, K_CNT, lvl, 0)
+        if ex.mine is None:
             if s.wait:
                 return False
             vals = [(min(c, self.cnt_dom - 1), self.cnt_dom) for c in s.psi_counts]
             self._submit(s.nbr, K_CNT, lvl, 0, vals)
-            s.R[("cnt", lvl)] = tuple(c for c, _ in vals)
             return True
-        rr = ex.ready_round()
-        if rr is None:
-            return False
-        due = rr
-        if self.paced:
-            slot_w = len(self._layout(K_CNT, lvl, 0)) + 2
-            due = max(rr, s.R[("R", lvl)] + s.phi[lvl] * slot_w)
+        start = self.exch_of(s.nbr, K_RDY, lvl, 0).ready_round()
+        due = self._paced_due(ex, start, s.phi[lvl])
         if not self._reached(s, due):
             return False
-        mine = s.R[("cnt", lvl)]
-        other = ex.other_values()
-        p = self.levels[lvl].p
-        totals = [mine[k] + other[k] for k in range(p)]
-        psi = 1 + min(range(p), key=lambda k: (totals[k], k))
+        totals = [a + b for a, b in zip(ex.mine, ex.other)]
+        psi = 1 + min(range(len(totals)), key=lambda k: (totals[k], k))
         s.tele["psi"][lvl] = [due, psi]
         self._decide_psi(s, psi)
         return True
 
     # -- bottom --------------------------------------------------------------
 
-    def _slot_bot_start(self, s: EdgeSlot) -> bool:
+    def _slot_bot_wait(self, s: EdgeSlot) -> bool:
         g = s.grp
         if g.parent is not None and g.parent.undecided:
             return False
         s.stage = "bot_lin"
-        s.lin_iter = 0
-        s.lin_hist = [self.ranks[s.nbr]]
         self._lin_reached(g, 0)
         return True
 
@@ -546,89 +497,60 @@ class EdgeColorProgram(VertexProgram):
         plans = self.bottom.lin_plans
         lvl = len(self.levels)
         g = s.grp
-        if s.lin_iter == len(plans):
+        it = len(s.lin_hist) - 1
+        if it == len(plans):
             s.phi_bot = s.lin_hist[-1]
-            s.tele["phi"]["bot"] = [s.R.get(("lin_rnd",), 0), s.phi_bot]
+            lin_rnd = s.exch[(K_BLIN, lvl, len(plans) - 1)].ready_round() if plans else 0
+            s.tele["phi"]["bot"] = [lin_rnd, s.phi_bot]
             s.stage = "greedy"
-            g.ready += 1
-            if g.ready == len(g.members):
-                self._send_rdy2(g)
+            self._hold(s)
             return True
-        it = s.lin_iter
         plan = plans[it]
         cur = s.lin_hist[it]
-        ex = s.exch.get((K_BLIN, lvl, it))
-        if ex is None or ex.self_arr is None:
+        ex = self.exch_of(s.nbr, K_BLIN, lvl, it)
+        if ex.mine is None:
             # every group edge must have reached this Linial iteration
             if g.lin[it] < len(g.members):
                 return False
             cols = [self.slots[w].lin_hist[it] for w in g.members if w != s.nbr]
             bits = conflict_bitmap(cur, cols, plan)
-            self._submit(s.nbr, K_BLIN, lvl, it, self._bitmap_fields(bits, plan.q))
-            s.R[("blin", it)] = bits
+            self._submit(s.nbr, K_BLIN, lvl, it, _bitmap(bits, plan.q))
             return True
-        rr = ex.ready_round()
-        if not self._reached(s, rr):
+        if not self._reached(s, ex.ready_round()):
             return False
-        union = s.R[("blin", it)] | self._bitmap_from(ex.other_values())
-        q = plan.q
-        x = 0
-        while x < q and (union >> x) & 1:
-            x += 1
-        if x == q:
+        x = _first_free(ex)
+        if x >= plan.q:
             raise SimError(
                 f"vertex {self.ctx.vid}: no conflict-free Linial point for the edge "
                 f"to {s.nbr} in iteration {it} (incident-degree bound violated)"
             )
         val = poly_eval(poly_coeffs(cur, plan.k, plan.q), x, plan.q)
-        s.lin_hist.append(x * q + val + 1)
-        s.lin_iter += 1
-        s.R[("lin_rnd",)] = rr
-        self._lin_reached(g, s.lin_iter)
+        s.lin_hist.append(x * plan.q + val + 1)
+        self._lin_reached(g, it + 1)
         return True
 
     def _bot_key(self, u: int) -> Tuple[int, int]:
         return (self.slots[u].phi_bot, self.ranks[u])
-
-    def _send_rdy2(self, g: _Group):
-        """The whole group holds its phi_bot: open each member's greedy
-        tallies and signal readiness on its channel."""
-        keys = sorted(self._bot_key(w) for w in g.members)
-        for w in g.members:
-            sw = self.slots[w]
-            sw.wait = bisect_left(keys, self._bot_key(w))
-            sw.used = 0
-            self._submit(w, K_RDY2, len(self.levels), 0, [(1, 2)])
 
     def _slot_greedy(self, s: EdgeSlot) -> bool:
         """Send the bitmap of final colors on this side once every group edge
         with a smaller (phi_bot, rank) has one; then take the least color
         free on both sides."""
         lvl = len(self.levels)
-        rrr = self.exch_of(s.nbr, K_RDY2, lvl, 0).ready_round()
-        if not self._reached(s, rrr):
+        start = self.exch_of(s.nbr, K_RDY2, lvl, 0).ready_round()
+        if not self._reached(s, start):
             return False
         W = self.bottom.target
-        ex = s.exch.get((K_USED, lvl, 0))
-        if ex is None or ex.self_arr is None:
+        ex = self.exch_of(s.nbr, K_USED, lvl, 0)
+        if ex.mine is None:
             if s.wait:
                 return False
-            self._submit(s.nbr, K_USED, lvl, 0, self._bitmap_fields(s.used, W))
-            s.R[("used",)] = s.used
+            self._submit(s.nbr, K_USED, lvl, 0, _bitmap(s.used, W))
             return True
-        rr = ex.ready_round()
-        if rr is None:
-            return False
-        due = rr
-        if self.paced:
-            slot_w = len(self._layout(K_USED, lvl, 0)) + 2
-            due = max(rr, rrr + s.phi_bot * slot_w)
+        due = self._paced_due(ex, start, s.phi_bot)
         if not self._reached(s, due):
             return False
-        union = s.R[("used",)] | self._bitmap_from(ex.other_values())
-        k = 1
-        while (union >> (k - 1)) & 1:
-            k += 1
+        k = _first_free(ex) + 1
         s.final = k
         color = k
         for i, psi in enumerate(s.hist):
@@ -644,9 +566,7 @@ class EdgeColorProgram(VertexProgram):
             sw = self.slots[w]
             sw.used |= bit
             if self._bot_key(w) > mykey:
-                sw.wait -= 1
-                if not sw.wait:
-                    self._dirty.add(w)
+                self._release(sw)
         return True
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .graph import Graph, GraphError, build_line_graph, graph_from_edges
 

@@ -7,7 +7,7 @@ working down a recursion.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class GraphError(ValueError):
@@ -177,7 +177,13 @@ def build_line_graph(g: Graph) -> LineGraphMap:
 DEFAULT_INDEPENDENCE_CAP = 512
 
 
-def _max_independent_in(mask: int, nbr_bits: Dict[int, int], order: Sequence[int]) -> int:
+def _neighbor_bits(g: Graph) -> Dict[int, int]:
+    """Vertex index -> bitmask of its neighbors' indices, in `g.vertices` order."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    return {idx[v]: sum(1 << idx[w] for w in g.adj[v]) for v in g.vertices}
+
+
+def _max_independent_in(mask: int, nbr_bits: Dict[int, int]) -> int:
     """Exact maximum independent set size within the vertex set `mask`."""
     best = 0
 
@@ -210,19 +216,12 @@ def neighborhood_independence(g: Graph, cap_delta: int = DEFAULT_INDEPENDENCE_CA
         raise GraphError("neighborhood independence of an empty graph is undefined")
     if g.delta > cap_delta:
         raise GraphError(f"max degree {g.delta} exceeds independence cap {cap_delta}")
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    nbr_bits = {}
-    for v in g.vertices:
-        bits = 0
-        for w in g.adj[v]:
-            bits |= 1 << idx[w]
-        nbr_bits[idx[v]] = bits
+    nbr_bits = _neighbor_bits(g)
     best = 0
-    for v in g.vertices:
-        mask = nbr_bits[idx[v]]
+    for mask in nbr_bits.values():
         if bin(mask).count("1") <= best:
             continue
-        best = max(best, _max_independent_in(mask, nbr_bits, g.vertices))
+        best = max(best, _max_independent_in(mask, nbr_bits))
     return best
 
 
@@ -230,13 +229,7 @@ def independence_at_most(g: Graph, c: int) -> bool:
     """True iff I(G) <= c, by searching each neighborhood for c+1 independent vertices."""
     if c < 0:
         return False
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    nbr_bits = {}
-    for v in g.vertices:
-        bits = 0
-        for w in g.adj[v]:
-            bits |= 1 << idx[w]
-        nbr_bits[idx[v]] = bits
+    nbr_bits = _neighbor_bits(g)
 
     def has_independent(avail: int, need: int) -> bool:
         if need == 0:
@@ -249,7 +242,7 @@ def independence_at_most(g: Graph, c: int) -> bool:
             return True
         return has_independent(avail & ~low, need)
 
-    return not any(has_independent(nbr_bits[idx[v]], c + 1) for v in g.vertices)
+    return not any(has_independent(mask, c + 1) for mask in nbr_bits.values())
 
 
 # -- orientations -------------------------------------------------------------

@@ -16,7 +16,7 @@ strict=True to get the literal values or an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .coloring import EdgeColoring, VertexColoring
-from .graph import Graph, GraphError, Orientation
+from .graph import Graph, Orientation
 
 
 @dataclass
@@ -65,6 +65,10 @@ def check_edge_coloring(g: Graph, col: EdgeColoring) -> VerificationReport:
     missing = [e for e in edges if e not in col.colors]
     if missing:
         raise ValueError(f"partial coloring, uncolored edges: {missing[:10]}")
+    if len(col.colors) != len(edges):
+        known = set(edges)
+        extra = sorted(e for e in col.colors if e not in known)
+        raise ValueError(f"coloring names pairs that are not edges of the graph: {extra[:10]}")
     violated: List[Tuple[str, object]] = []
     defect = 0
     worst = None

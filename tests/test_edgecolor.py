@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnicolor import edgecolor
 from bnicolor.edgecolor import (
+    K_RDY2,
+    N_KINDS,
     EdgeColorProgram,
     edge_color_2delta_minus_1,
     edge_color_direct,
@@ -22,7 +27,9 @@ from bnicolor.generators import (
     random_gnd,
 )
 from bnicolor.graph import graph_from_edges
+from bnicolor.legal import RecursionPlan, bottom_plan
 from bnicolor.params import LegalParams, ParamError
+from bnicolor.sim import Context, Message, SimError
 from bnicolor.verify import check_edge_coloring
 
 from conftest import connected_graphs, small_graphs
@@ -305,3 +312,63 @@ class TestChecksWithoutAsserts:
             "phi", "True", "psi", "True", "final", "True",
             "outputs", "True", "sequential", "True",
         ]
+
+
+def _canonical(obj):
+    """JSON-ready copy with str dict keys and lists for tuples."""
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    return obj
+
+
+def _transcript_digest(monkeypatch):
+    """sha256 over the transcript (round, src, dst, bits), telemetry and
+    outputs of a fixed set of small EdgeColorProgram runs."""
+    real_run = edgecolor.run
+    monkeypatch.setattr(
+        edgecolor, "run", lambda *a, **kw: real_run(*a, record_transcript=True, **kw)
+    )
+    runs = []
+    for g in (random_gnd(16, 8, seed=1), complete_graph(7)):
+        for mode in ("wide", "short"):
+            for paced in (False, True):
+                runs.append(edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced))
+    runs.append(
+        edge_color_direct(random_gnd(16, 8, seed=1), SMALL_EDGE, msg_mode="short", budget_factor=2)
+    )
+    runs.append(edge_color_2delta_minus_1(cycle_graph(60)))
+    h = hashlib.sha256()
+    for _, report in runs:
+        doc = [report.extra["transcript"], report.telemetry, report.outputs]
+        h.update(json.dumps(_canonical(doc), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestTranscriptGuard:
+    # recorded at commit 62d6972, before the exchange-record refactor of
+    # EdgeColorProgram; the short random_gnd runs and cycle_graph(60) reach
+    # the bottom Linial exchange, which no benchmark workload does
+    DIGEST = "238c854bc6b625a5c59de33d097f923407fd1efd46ec67be16a7d3a751efad94"
+
+    def test_transcript_telemetry_outputs_unchanged(self, monkeypatch):
+        assert _transcript_digest(monkeypatch) == self.DIGEST
+
+
+class TestExchangeLength:
+    @pytest.mark.parametrize("submit_first", [True, False])
+    def test_overlong_payload_raises(self, submit_first):
+        """The other side may not send more values than this side did."""
+        params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
+        prog = EdgeColorProgram(Context(1, (2,), 2, 1, params))
+        header = ((K_RDY2, N_KINDS), (0, prog.lvl_dom), (0, prog.it_dom), (0, prog.idx_dom))
+        steps = [
+            lambda: prog._submit(2, K_RDY2, 0, 0, [(1, 2)]),
+            lambda: prog._store(2, Message(*header, (1, 2), (1, 2))),
+        ]
+        if not submit_first:
+            steps.reverse()
+        steps[0]()
+        with pytest.raises(SimError, match="more than the 1 sent"):
+            steps[1]()

@@ -1,9 +1,9 @@
 """The core suite under `python -O`, which strips `assert` statements.
 
 Every guarantee the library relies on must be an explicit check, so the base,
-legal and numbers tests must pass with optimization on as well. pytest still
-checks the tests' own asserts there, because it rewrites them into explicit
-raises.
+legal, numbers and verify tests must pass with optimization on as well. pytest
+still checks the tests' own asserts there, because it rewrites them into
+explicit raises.
 """
 
 import os
@@ -12,7 +12,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CORE = ("tests/test_base.py", "tests/test_legal.py", "tests/test_numbers.py")
+CORE = (
+    "tests/test_base.py",
+    "tests/test_legal.py",
+    "tests/test_numbers.py",
+    "tests/test_verify.py",
+)
 
 
 def test_core_suite_under_python_O():

@@ -76,6 +76,11 @@ class TestEdgeChecker:
         with pytest.raises(ValueError):
             check_edge_coloring(path_graph(3), EdgeColoring({(1, 2): 1}, 1, 0))
 
+    def test_rejects_pairs_outside_the_graph(self):
+        col = EdgeColoring({(1, 2): 1, (2, 3): 2, (1, 3): 3}, 3, 0)
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            check_edge_coloring(path_graph(3), col)
+
 
 class TestBruteChromatic:
     @pytest.mark.parametrize(
