@@ -17,7 +17,7 @@ be earlier than the worst-case schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,9 +109,33 @@ class RecursionPlan:
         return tuple(reversed(widths))
 
 
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+@cache
+def _shared_philox() -> Tuple[np.random.Philox, np.random.Generator]:
+    # built on first use: importing numpy.random costs ~2 MB of resident memory
+    # that the deterministic routes never need
+    bitgen = np.random.Philox(key=[0, 0])
+    return bitgen, np.random.Generator(bitgen)
+
+
 def draw_class(seed: int, vid: int, p: int) -> int:
-    """A class in 1..p drawn by a counter-based generator keyed by (seed, vid)."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, vid]))
+    """A class in 1..p drawn by a counter-based generator keyed by (seed, vid).
+
+    Equal to the first `integers(p)` draw of a fresh
+    `Generator(Philox(key=[seed, vid]))`: one shared generator is reset to
+    counter 0, that key (wrapped to uint64 as Philox does) and an empty buffer.
+    """
+    bitgen, rng = _shared_philox()
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": np.array([seed, vid]).astype(np.uint64)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return 1 + int(rng.integers(p))
 
 

@@ -1,11 +1,14 @@
 """Deterministic synchronous round executor for per-vertex programs.
 
 Model: messages sent in round r are delivered at the start of round r+1; a
-vertex is stepped in round 1 and afterwards whenever its inbox is non-empty.
-The reported round count is the last round in which any vertex sent a message
-(0 for an all-silent program). A vertex halts by assigning `self.output`; its
-inbox keeps receiving (neighbors may not know yet) but it is never stepped
-again.
+vertex is stepped in round 1 and afterwards whenever its inbox is non-empty,
+or, with an empty inbox, in the round its `wake` names (the wake-up is
+cleared when the vertex is stepped in or after that round). Vertices are
+stepped in ascending Id order, and an inbox lists its senders in ascending Id
+order, each sender's messages in batch order. The reported round count is the
+last round in which any vertex sent a message (0 for an all-silent program).
+A vertex halts by assigning `self.output`; it is never stepped again, and
+messages sent to it (neighbors may not know yet) are dropped.
 
 Message bit accounting: a message is a sequence of (value, domain) integer
 fields and costs sum(ceil(log2(domain))) bits. In `short` mode each (edge,
@@ -17,7 +20,10 @@ reports the maximum count.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .graph import Graph, LineGraphMap, build_line_graph
@@ -134,14 +140,18 @@ def run(
         raise ValueError(f"unknown msg_mode {msg_mode!r}")
     if round_cap <= 0:
         raise ValueError("round_cap must be positive")
+    short = msg_mode == "short"
     params = dict(params or {})
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     insts: Dict[int, VertexProgram] = {}
     for v in g.vertices:
         insts[v] = program(Context(v, g.adj[v], g.id_bound, g.delta, params, seed))
 
-    inboxes: Dict[int, List[Tuple[int, Message]]] = {v: [] for v in g.vertices}
+    adjset = g._adjset
+    n = g.n
+    inboxes: Dict[int, List[Tuple[int, Message]]] = {}
     halted: Dict[int, int] = {}
+    wakeups: List[Tuple[int, int]] = []  # (wake round, v); stale entries are skipped
     to_step = list(g.vertices)
     rounds_done = 0
     max_bits = 0
@@ -159,77 +169,96 @@ def run(
         round_no += 1
         if round_no > round_cap:
             raise RoundCapExceeded(
-                f"round cap {round_cap} exceeded with {len(g.vertices) - len(halted)} "
-                "vertices unhalted",
+                f"round cap {round_cap} exceeded with {n - len(halted)} vertices unhalted",
                 partial_report(),
             )
         acted = False
-        outgoing: Dict[int, List[Tuple[int, Message]]] = {}
+        nxt: Dict[int, List[Tuple[int, Message]]] = defaultdict(list)
         for v in to_step:
-            inbox = inboxes[v]
-            inboxes[v] = []
-            if insts[v].wake is not None and insts[v].wake <= round_no:
-                insts[v].wake = None
-            out = insts[v].step(round_no, inbox) or {}
-            for dst, msgs in out.items():
-                if not g.has_edge(v, dst):
+            inst = insts[v]
+            if inst.wake is not None and inst.wake <= round_no:
+                inst.wake = None
+            out = inst.step(round_no, inboxes.pop(v, None) or [])
+            if out:
+                nbrs = adjset[v]
+                local = nbrs.issuperset(out)
+                # on a violation, the destinations before the first non-neighbor
+                # are still accounted, in outbox order, before the error is raised
+                items = out.items() if local else takewhile(lambda kv: kv[0] in nbrs, out.items())
+                for dst, msgs in items:
+                    if not isinstance(msgs, list):
+                        m = msgs
+                    elif len(msgs) == 1:
+                        m = msgs[0]
+                    elif not msgs:
+                        continue
+                    else:
+                        if short:
+                            raise SimError(
+                                f"short mode allows one message per edge per round; "
+                                f"vertex {v} sent {len(msgs)} to {dst} in round {round_no}",
+                                partial_report(),
+                            )
+                        acted = True
+                        box = nxt[dst]
+                        for m in msgs:
+                            if m.bits > max_bits:
+                                max_bits = m.bits
+                            box.append((v, m))
+                        if len(msgs) > max_mux:
+                            max_mux = len(msgs)
+                        if record_transcript:
+                            transcript.append((round_no, v, dst, sum(m.bits for m in msgs)))
+                        continue
+                    acted = True
+                    b = m.bits
+                    if b > max_bits:
+                        max_bits = b
+                    if not max_mux:
+                        max_mux = 1
+                    if short and b > budget:
+                        budget_violations += 1
+                        if len(flags) < MAX_FLAGS:
+                            flags.append(
+                                f"round {round_no}: {b}b message {v}->{dst} exceeds "
+                                f"budget {budget}b"
+                            )
+                        else:
+                            flag_overflow += 1
+                    if record_transcript:
+                        transcript.append((round_no, v, dst, b))
+                    nxt[dst].append((v, m))
+                if not local:
+                    dst = next(d for d in out if d not in nbrs)
                     raise LocalityViolation(
                         f"vertex {v} sent to non-neighbor {dst} in round {round_no}",
                         partial_report(),
                     )
-                batch = msgs if isinstance(msgs, list) else [msgs]
-                if not batch:
-                    continue
-                acted = True
-                if msg_mode == "short" and len(batch) > 1:
-                    raise SimError(
-                        f"short mode allows one message per edge per round; "
-                        f"vertex {v} sent {len(batch)} to {dst} in round {round_no}",
-                        partial_report(),
-                    )
-                bits = sum(m.bits for m in batch)
-                max_bits = max(max_bits, max(m.bits for m in batch))
-                max_mux = max(max_mux, len(batch))
-                if msg_mode == "short" and bits > budget:
-                    budget_violations += 1
-                    if len(flags) < MAX_FLAGS:
-                        flags.append(
-                            f"round {round_no}: {bits}b message {v}->{dst} exceeds "
-                            f"budget {budget}b"
-                        )
-                    else:
-                        flag_overflow += 1
-                if record_transcript:
-                    transcript.append((round_no, v, dst, bits))
-                outgoing.setdefault(dst, []).extend((v, m) for m in batch)
-            if insts[v].output is not None and v not in halted:
+            if inst.output is not None:
                 halted[v] = round_no
+            if inst.wake is not None:
+                heappush(wakeups, (inst.wake, v))
         if acted:
             rounds_done = round_no
-        for dst, arrivals in outgoing.items():
-            inboxes[dst].extend(arrivals)
-        to_step = sorted(
-            v
-            for v in g.vertices
-            if v not in halted
-            and (
-                inboxes[v]
-                or (insts[v].wake is not None and insts[v].wake <= round_no + 1)
-            )
-        )
+        inboxes = nxt
+        ready = set(nxt)
+        while wakeups and wakeups[0][0] <= round_no + 1:
+            v = heappop(wakeups)[1]
+            wake = insts[v].wake
+            if wake is not None and wake <= round_no + 1:
+                ready.add(v)
+        to_step = sorted(ready.difference(halted))
         if not to_step:
-            if len(halted) == len(g.vertices):
+            if len(halted) == n:
                 break
             # idle rounds are fine while some vertex has a future wake-up
-            if any(
-                insts[v].wake is not None
-                for v in g.vertices
-                if v not in halted
-            ):
+            while wakeups and (wakeups[0][1] in halted or insts[wakeups[0][1]].wake is None):
+                heappop(wakeups)
+            if wakeups:
                 continue
             raise DeadlockError(
                 f"no messages in flight after round {round_no} but "
-                f"{len(g.vertices) - len(halted)} vertices unhalted",
+                f"{n - len(halted)} vertices unhalted",
                 partial_report(),
             )
 
@@ -272,6 +301,11 @@ def run_on_line_graph(
     2 setup rounds in which endpoints learn incident edge Ids. Host rounds =
     2T + 2. Host messages carry the logical payload plus a destination-edge
     Id field; per-host-edge multiplexing is counted and reported.
+
+    The owner of line-graph vertex e is `lgm.edge_of[e][0]`, the smaller
+    endpoint. Adjacent edges (su, sw) and (du, dw) share exactly one endpoint:
+    su if su is one of du, dw, else sw. A hop whose owner is the shared
+    endpoint stays on that host and costs no host message.
     """
     if lgm is None:
         lgm = build_line_graph(g)
@@ -285,27 +319,25 @@ def run_on_line_graph(
         record_transcript=True,
     )
     transcript = logical.extra.pop("transcript")
-    m = max(lgm.lg.id_bound, 2)
-    addr_bits = ceil_log2(m)
-
-    def owner(eid: int) -> int:
-        return min(lgm.edge_of[eid])
-
+    addr_bits = ceil_log2(max(lgm.lg.id_bound, 2))
+    edge_of = lgm.edge_of
     # host load: (host round, directed host edge) -> message count
     load: Dict[Tuple[int, int, int], int] = {}
-    host_max_bits = 0
+    logical_max_bits = 0
     for rnd, src_e, dst_e, bits in transcript:
-        su, sw = lgm.edge_of[src_e]
-        du, dw = lgm.edge_of[dst_e]
-        shared = ({su, sw} & {du, dw}).pop()
-        host_max_bits = max(host_max_bits, bits + addr_bits)
-        r1, r2 = 2 * rnd + 1, 2 * rnd + 2  # after the 2 setup rounds
-        if owner(src_e) != shared:
-            key = (r1, owner(src_e), shared)
+        su, sw = edge_of[src_e]
+        du, dw = edge_of[dst_e]
+        shared = su if su == du or su == dw else sw
+        if bits > logical_max_bits:
+            logical_max_bits = bits
+        # after the 2 setup rounds: owner -> shared in 2rnd+1, shared -> owner in 2rnd+2
+        if su != shared:
+            key = (2 * rnd + 1, su, shared)
             load[key] = load.get(key, 0) + 1
-        if owner(dst_e) != shared:
-            key = (r2, shared, owner(dst_e))
+        if du != shared:
+            key = (2 * rnd + 2, shared, du)
             load[key] = load.get(key, 0) + 1
+    host_max_bits = logical_max_bits + addr_bits if transcript else 0
     host_rounds = 2 * logical.rounds + 2
     mux = max(load.values(), default=0)
     # setup round: each vertex tells each neighbor all its incident edge Ids

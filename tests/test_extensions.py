@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,15 @@ class TestDrawClass:
     def test_varies_with_key(self):
         draws = {draw_class(0, vid, 1000) for vid in range(1, 50)}
         assert len(draws) > 20
+
+    def test_matches_a_fresh_philox_generator(self):
+        """The reset shared generator draws what a new one keyed (seed, vid) does,
+        negative seeds (wrapped to uint64) included."""
+        for seed in (0, 1, 7, 2**40 + 3, -1):
+            for vid in range(1, 301):
+                for p in (1, 2, 9, 1000):
+                    fresh = np.random.Generator(np.random.Philox(key=[seed, vid]))
+                    assert draw_class(seed, vid, p) == 1 + int(fresh.integers(p))
 
 
 class TestRandomizedDefective:

@@ -1,9 +1,9 @@
 """The core suite under `python -O`, which strips `assert` statements.
 
 Every guarantee the library relies on must be an explicit check, so the base,
-legal, numbers and verify tests must pass with optimization on as well. pytest
-still checks the tests' own asserts there, because it rewrites them into
-explicit raises.
+legal, numbers, simulator and verify tests must pass with optimization on as
+well. pytest still checks the tests' own asserts there, because it rewrites
+them into explicit raises.
 """
 
 import os
@@ -16,6 +16,7 @@ CORE = (
     "tests/test_base.py",
     "tests/test_legal.py",
     "tests/test_numbers.py",
+    "tests/test_sim.py",
     "tests/test_verify.py",
 )
 
