@@ -6,6 +6,9 @@ Subcommands:
   verify  check a coloring file against a graph file (exit 0/1; 2 on bad input)
   bench   sweep one spec parameter and emit a CSV row per point
 
+Each exits 2 with one `bnicolor <command>: ...` line on stderr when a
+generator or algorithm parameter is missing or out of range.
+
 Reports land next to stdout unless --out is given; a bare filename is placed
 in $BNICOLOR_OUT_DIR when that variable is set.
 """
@@ -28,7 +31,8 @@ from .experiment import (
     sweep_reports,
 )
 from .generators import KINDS, generate
-from .graph import format_edge_list, parse_edge_list
+from .graph import GraphError, format_edge_list, parse_edge_list
+from .params import ParamError
 from .verify import check_edge_coloring, check_vertex_coloring
 
 OUT_DIR_ENV = "BNICOLOR_OUT_DIR"
@@ -215,7 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (GraphError, ParamError) as exc:
+        print(f"bnicolor {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

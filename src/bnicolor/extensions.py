@@ -38,6 +38,13 @@ from .sim import SimReport, run
 from .verify import check_vertex_coloring
 
 
+def _check_seed(seed: int):
+    """Philox keys are 64-bit words: a seed outside [-2**63, 2**63) would share
+    its key with another seed (or fail to convert), so it is refused."""
+    if not -(2**63) <= seed < 2**63:
+        raise ParamError(f"seed must be in [-2**63, 2**63), got {seed}")
+
+
 @dataclass(frozen=True)
 class RandomizedParams:
     kappa: float = 2.0
@@ -49,6 +56,7 @@ class RandomizedParams:
             raise ParamError(f"kappa must exceed 1, got {self.kappa}")
         if not self.eta > 0:
             raise ParamError(f"eta must be positive, got {self.eta}")
+        _check_seed(self.seed)
 
 
 GFn = Callable[[int], float]
@@ -171,6 +179,7 @@ def tradeoff_color(
     coloring on each class; palette ~ q(delta)^2 * class palette."""
     if c < 1:
         raise ParamError("c must be positive")
+    _check_seed(seed)
     delta = max(g.delta, 1)
     params.validate(delta)
     q = params.resolve()(delta) ** (1.0 / (1.0 - params.eta))

@@ -7,6 +7,7 @@ working down a recursion.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, List, Tuple
 
 
@@ -15,32 +16,35 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists. Treat as immutable."""
+    """Simple undirected graph with sorted adjacency lists. Treat as immutable.
+
+    Raises GraphError for a non-positive vertex Id and, naming the first bad
+    edge in input order, for a self-loop, an edge with an unknown endpoint or
+    a duplicate edge (in either orientation).
+    """
 
     __slots__ = ("vertices", "adj", "_adjset", "delta", "id_bound")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]]):
         vs = sorted(set(vertices))
-        if any(v <= 0 for v in vs):
+        if vs and vs[0] <= 0:
             raise GraphError("vertex Ids must be positive integers")
-        vset = set(vs)
+        edges = list(edges)
         adj: Dict[int, List[int]] = {v: [] for v in vs}
-        seen = set()
-        for u, w in edges:
-            if u == w:
-                raise GraphError(f"self-loop at {u}")
-            if u not in vset or w not in vset:
-                raise GraphError(f"edge ({u},{w}) uses unknown vertex")
-            key = (u, w) if u < w else (w, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-            adj[u].append(w)
-            adj[w].append(u)
+        try:
+            for u, w in edges:
+                adj[u].append(w)
+                adj[w].append(u)
+        except KeyError:
+            _raise_first_bad_edge(vs, edges)
         self.vertices: Tuple[int, ...] = tuple(vs)
         self.adj: Dict[int, Tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._adjset = {v: frozenset(ns) for v, ns in self.adj.items()}
-        self.delta = max((len(ns) for ns in self.adj.values()), default=0)
+        # a self-loop at v lists v twice in adj[v], a duplicate edge lists a
+        # neighbor twice: either way the set is shorter than the list
+        if any(len(s) != len(self.adj[v]) for v, s in self._adjset.items()):
+            _raise_first_bad_edge(vs, edges)
+        self.delta = max(map(len, adj.values()), default=0)
         self.id_bound = vs[-1] if vs else 0
 
     @property
@@ -73,6 +77,23 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
+
+
+def _raise_first_bad_edge(vs: List[int], edges: List[Tuple[int, int]]):
+    """Raise the GraphError for the first edge that is a self-loop, has an
+    unknown endpoint or repeats an earlier edge."""
+    vset = set(vs)
+    seen = set()
+    for u, w in edges:
+        if u == w:
+            raise GraphError(f"self-loop at {u}")
+        if u not in vset or w not in vset:
+            raise GraphError(f"edge ({u},{w}) uses unknown vertex")
+        key = (u, w) if u < w else (w, u)
+        if key in seen:
+            raise GraphError(f"duplicate edge {key}")
+        seen.add(key)
+    raise GraphError("inconsistent edge list")
 
 
 def graph_from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
@@ -161,11 +182,8 @@ def build_line_graph(g: Graph) -> LineGraphMap:
     rank = {e: i + 1 for i, e in enumerate(edges)}
     lg_edges = []
     for v in g.vertices:
-        inc = [rank[(v, w) if v < w else (w, v)] for w in g.adj[v]]
-        inc.sort()
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                lg_edges.append((inc[i], inc[j]))
+        inc = sorted([rank[(v, w) if v < w else (w, v)] for w in g.adj[v]])
+        lg_edges.extend(combinations(inc, 2))
     # Two edges sharing both endpoints are impossible in a simple graph, but
     # edges sharing one endpoint are enumerated once per shared endpoint; a
     # pair can share at most one endpoint, so no duplicates arise.

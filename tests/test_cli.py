@@ -71,6 +71,55 @@ class TestRun:
         assert json.loads(out.read_text())["algorithm"] == "edge_2delta"
 
 
+_GND = ["--generator", "random_gnd", "--gen-param", "n=20"]
+_GND_D3 = [*_GND, "--gen-param", "d=3"]
+_PROB_MESSAGE = "random_gnd needs prob to be a real number in [0, 1], got"
+
+
+class TestMalformedParameters:
+    """Bad generator or algorithm parameters end in one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", *_GND_D3, "--gen-param", "prob=abc", "--preset", "thm45"], f"{_PROB_MESSAGE} 'abc'"),
+            (["run", *_GND_D3, "--gen-param", "prob=2"], f"{_PROB_MESSAGE} 2"),
+            (["run", *_GND_D3, "--gen-param", "prob=-1"], f"{_PROB_MESSAGE} -1"),
+            (["run", *_GND_D3, "--gen-param", "prob=NaN"], f"{_PROB_MESSAGE} nan"),
+            (["run", *_GND, "--preset", "thm45"], "random_gnd needs parameter 'd'"),
+            (["run", *_GND_D3, "--preset", "custom"], "custom params need b, p, lam (missing 'b')"),
+            (
+                ["run", *_GND, "--gen-param", "d=12", "--algorithm", "randomized", "--seed", str(2**64)],
+                f"seed must be in [-2**63, 2**63), got {2**64}",
+            ),
+            (["gen", "--kind", "random_gnd", "--gen-param", "n=20"], "random_gnd needs parameter 'd'"),
+            (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be an integer, got 'x'"),
+            (
+                ["bench", *_GND, "--algorithm", "edge_2delta", "--sweep", "gen_params.d=3,x"],
+                "random_gnd parameter d must be an integer, got 'x'",
+            ),
+        ],
+        ids=[
+            "prob-not-a-number", "prob-above-1", "prob-negative", "prob-nan", "missing-d",
+            "custom-missing-b", "seed-2**64", "gen-missing-d", "gen-non-integer", "bench-non-integer",
+        ],
+    )
+    def test_exits_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"bnicolor {argv[0]}: {message}\n"
+
+    def test_no_traceback_from_the_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnicolor.cli", "run", *_GND_D3, "--gen-param", "prob=abc"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"bnicolor run: {_PROB_MESSAGE} 'abc'\n"
+
+
 class TestVerify:
     def _write_graph(self, tmp_path):
         gfile = tmp_path / "g.txt"

@@ -46,6 +46,24 @@ class TestFormulas:
         TradeoffParams("log", eta=0.25).validate(64)
 
 
+class TestSeedRange:
+    """Philox keys are 64-bit words, so the randomized routes refuse a seed
+    outside [-2**63, 2**63) instead of sharing its key with another seed."""
+
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64, -(2**63) - 1])
+    def test_out_of_range_seed_refused(self, seed):
+        with pytest.raises(ParamError, match="seed"):
+            randomized_defective(random_gnd(256, 48, seed=1), RandomizedParams(seed=seed))
+        with pytest.raises(ParamError, match="seed"):
+            tradeoff_color(complete_graph(6), TradeoffParams("power:0.5", eta=0.25), 2, seed=seed)
+
+    def test_range_ends_accepted_with_distinct_draws(self):
+        g = random_gnd(256, 48, seed=1)
+        lo = randomized_defective(g, RandomizedParams(seed=-(2**63)))
+        hi = randomized_defective(g, RandomizedParams(seed=2**63 - 1))
+        assert lo.colors != hi.colors
+
+
 class TestDrawClass:
     @given(st.integers(0, 1000), st.integers(1, 5000), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+from typing import Dict, List
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,78 @@ class TestGraphCore:
         assert set(ball(g, 3, 1).vertices) == {2, 3, 4}
 
 
+def _frozen_graph(vertices, edges):
+    """Graph.__init__ as it was before the bulk checks, the reference: one
+    check per edge, returning (vertices, adj, delta, id_bound)."""
+    vs = sorted(set(vertices))
+    if any(v <= 0 for v in vs):
+        raise GraphError("vertex Ids must be positive integers")
+    vset = set(vs)
+    adj: Dict[int, List[int]] = {v: [] for v in vs}
+    seen = set()
+    for u, w in edges:
+        if u == w:
+            raise GraphError(f"self-loop at {u}")
+        if u not in vset or w not in vset:
+            raise GraphError(f"edge ({u},{w}) uses unknown vertex")
+        key = (u, w) if u < w else (w, u)
+        if key in seen:
+            raise GraphError(f"duplicate edge {key}")
+        seen.add(key)
+        adj[u].append(w)
+        adj[w].append(u)
+    adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    return tuple(vs), adj, max((len(ns) for ns in adj.values()), default=0), vs[-1] if vs else 0
+
+
+@st.composite
+def _edge_inputs(draw):
+    """Vertex sets with edge lists that may hold self-loops, unknown or
+    non-positive Ids, duplicates and reversed duplicates."""
+    vertices = draw(st.sets(st.integers(1, 9), max_size=8) | st.sets(st.integers(-1, 9), max_size=3))
+    pool = st.sampled_from(sorted(vertices) or [1])
+    ids = st.integers(-1, 11)
+    edges = draw(st.lists(st.tuples(pool, pool) | st.tuples(ids, ids), max_size=20))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    if edges and draw(st.booleans()):
+        u, w = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), (w, u))
+    return vertices, edges
+
+
+class TestGraphMatchesFrozenConstructor:
+    @given(_edge_inputs(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_graph_or_same_error(self, inputs, as_generator):
+        vertices, edges = inputs
+        try:
+            expected = _frozen_graph(vertices, edges)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                Graph(vertices, (e for e in edges) if as_generator else edges)
+            assert str(got.value) == str(exc)
+            return
+        g = Graph(vertices, (e for e in edges) if as_generator else edges)
+        assert (g.vertices, g.adj, g.delta, g.id_bound) == expected
+        assert all(g.has_edge(u, w) == (w in g.adj[u]) for u in g.vertices for w in g.vertices)
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(1, 2), (3, 3), (1, 9)], "self-loop at 3"),
+            ([(1, 2), (1, 9), (3, 3)], "edge (1,9) uses unknown vertex"),
+            ([(2, 3), (1, 2), (3, 2), (4, 4)], "duplicate edge (2, 3)"),
+            ([(1, 2), (2, 1)], "duplicate edge (1, 2)"),
+            ([(9, 9)], "self-loop at 9"),
+        ],
+    )
+    def test_first_bad_edge_named(self, edges, message):
+        for given_edges in (edges, iter(edges)):
+            with pytest.raises(GraphError) as got:
+                graph_from_edges(4, given_edges)
+            assert str(got.value) == message
+
+
 class TestEdgeListFormat:
     def test_roundtrip(self):
         g = complete_graph(4)
@@ -97,6 +171,31 @@ class TestLineGraph:
         lg = build_line_graph(g).lg
         if lg.n:
             assert independence_at_most(lg, 2)
+
+
+def _frozen_build_line_graph(g):
+    """build_line_graph as it was before itertools.combinations, the reference."""
+    edges = g.edges()
+    rank = {e: i + 1 for i, e in enumerate(edges)}
+    lg_edges = []
+    for v in g.vertices:
+        inc = [rank[(v, w) if v < w else (w, v)] for w in g.adj[v]]
+        inc.sort()
+        for i in range(len(inc)):
+            for j in range(i + 1, len(inc)):
+                lg_edges.append((inc[i], inc[j]))
+    return Graph(range(1, len(edges) + 1), lg_edges), dict(enumerate(edges, 1))
+
+
+class TestLineGraphMatchesFrozen:
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_line_graph_and_edge_map(self, g):
+        lgm = build_line_graph(g)
+        lg, edge_of = _frozen_build_line_graph(g)
+        assert lgm.lg == lg and lgm.lg.delta == lg.delta
+        assert lgm.edge_of == edge_of
+        assert lgm.vertex_of == {e: v for v, e in edge_of.items()}
 
 
 class TestIndependence:

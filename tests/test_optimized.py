@@ -1,8 +1,8 @@
 """The core suite under `python -O`, which strips `assert` statements.
 
 Every guarantee the library relies on must be an explicit check, so the base,
-legal, numbers, simulator and verify tests must pass with optimization on as
-well. pytest still checks the tests' own asserts there, because it rewrites
+generator, graph, legal, numbers, simulator and verify tests must pass with
+optimization on as well. pytest still checks the tests' own asserts there, because it rewrites
 them into explicit raises.
 """
 
@@ -14,6 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CORE = (
     "tests/test_base.py",
+    "tests/test_generators.py",
+    "tests/test_graph.py",
     "tests/test_legal.py",
     "tests/test_numbers.py",
     "tests/test_sim.py",
