@@ -7,7 +7,8 @@ Subcommands:
   bench   sweep one spec parameter and emit a CSV row per point
 
 Each exits 2 with one `bnicolor <command>: ...` line on stderr when a
-generator or algorithm parameter is missing or out of range.
+generator or algorithm parameter is missing or out of range, or when a --spec
+file cannot be read or does not hold a JSON object.
 
 Reports land next to stdout unless --out is given; a bare filename is placed
 in $BNICOLOR_OUT_DIR when that variable is set.
@@ -77,8 +78,14 @@ def _kv_pairs(items: List[str]) -> Dict:
 
 def _spec_from_args(args) -> ExperimentSpec:
     if args.spec:
-        with open(args.spec) as fh:
-            return ExperimentSpec.from_dict(json.load(fh))
+        try:
+            with open(args.spec) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParamError(f"cannot read spec {args.spec}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParamError(f"spec {args.spec} must hold a JSON object, not {type(data).__name__}")
+        return ExperimentSpec.from_dict(data)
     if not args.generator:
         raise SystemExit("either --spec or --generator is required")
     return ExperimentSpec(

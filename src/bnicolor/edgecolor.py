@@ -208,12 +208,11 @@ class EdgeColorProgram(VertexProgram):
         super().__init__(ctx)
         P = ctx.params
         plan: RecursionPlan = P["plan"]
+        self.plan = plan
         self.levels = plan.levels
         self.bottom = plan.bottom
-        self.suffix = plan.suffix
-        self.short = P.get("short", False)
+        self.short = ctx.msg_mode == "short"
         self.paced = P.get("paced", False)
-        self.budget = P.get("budget_bits", ceil_log2(max(ctx.n, 2)))
         self.lvl_dom = len(self.levels) + 2
         # one fixed psi-count width across levels keeps the per-level chunk
         # count (and so the per-level round cost) uniform
@@ -227,7 +226,7 @@ class EdgeColorProgram(VertexProgram):
             + ceil_log2(self.idx_dom)
         )
         # at least one value per chunk even if the budget can't cover it
-        self.chunk_budget = max(self.budget - header, 1)
+        self.chunk_budget = max(ctx.budget_bits - header, 1)
         self.ranks: Dict[int, int] = {
             u: P["rank"][(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)]
             for u in ctx.neighbors
@@ -552,11 +551,8 @@ class EdgeColorProgram(VertexProgram):
             return False
         k = _first_free(ex) + 1
         s.final = k
-        color = k
-        for i, psi in enumerate(s.hist):
-            color += (psi - 1) * self.suffix[i + 1]
-        s.color = color
-        s.tele["final"] = [due, k, color]
+        s.color = self.plan.color(k, s.hist)
+        s.tele["final"] = [due, k, s.color]
         self.uncolored -= 1
         bit = 1 << (k - 1) if k <= W else 0
         mykey = self._bot_key(s.nbr)
@@ -592,14 +588,7 @@ def edge_color_direct(
     # paced runs reserve one slot per phi value, so a level-independent phi
     # palette makes the per-level round cost uniform
     plan = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
-    budget = budget_factor * ceil_log2(max(g.id_bound, 2))
-    run_params = {
-        "plan": plan,
-        "rank": _edge_rank(g),
-        "short": msg_mode == "short",
-        "paced": paced,
-        "budget_bits": budget,
-    }
+    run_params = {"plan": plan, "rank": _edge_rank(g), "paced": paced}
     report = run(
         g,
         EdgeColorProgram,

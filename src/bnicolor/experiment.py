@@ -108,7 +108,6 @@ def _legal_params_for(spec: ExperimentSpec, g: Graph, delta: int) -> LegalParams
     """Build LegalParams from a preset name or explicit (b, p, lam, c)."""
     p = spec.params
     c = _c(spec)
-    for_edges = spec.algorithm in ("edge_direct",)
     if spec.preset and spec.preset != "custom":
         eps = Fraction(p["eps"]) if "eps" in p else None
         t = int(p["t"]) if "t" in p else None
@@ -119,13 +118,10 @@ def _legal_params_for(spec: ExperimentSpec, g: Graph, delta: int) -> LegalParams
                     f"no feasible thm46 exponent for c={c}, delta={delta}"
                 )
         return make_preset(
-            spec.preset, c, delta, eps=eps, t=t,
-            strict=bool(p.get("strict", False)), for_edges=for_edges,
+            spec.preset, c, delta, eps=eps, t=t, strict=bool(p.get("strict", False))
         )
     try:
-        return LegalParams(
-            int(p["b"]), int(p["p"]), int(p["lam"]), c, for_edges=for_edges
-        )
+        return LegalParams(int(p["b"]), int(p["p"]), int(p["lam"]), c)
     except KeyError as exc:
         raise ParamError(f"custom params need b, p, lam (missing {exc})") from exc
 

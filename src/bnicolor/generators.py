@@ -165,15 +165,19 @@ def _need(kind: str, params: Dict, key: str):
 def generate(kind: str, params: Dict, seed: int = 0) -> Graph:
     """Dispatch by kind; `line_of` nests another generator spec under `inner`.
 
-    A missing or non-integer size parameter raises GraphError naming it.
+    A missing or non-integer size parameter raises GraphError naming it;
+    integral numbers and strings that int() parses are accepted.
     """
 
     def size(key: str) -> int:
         value = _need(kind, params, key)
         try:
-            return int(value)
+            number = int(value)
         except (TypeError, ValueError, OverflowError):
-            raise GraphError(f"{kind} parameter {key} must be an integer, got {value!r}") from None
+            number = None
+        if number is None or not (isinstance(value, str) or number == value):
+            raise GraphError(f"{kind} parameter {key} must be an integer, got {value!r}")
+        return number
 
     if kind == "path":
         return path_graph(size("n"))

@@ -5,13 +5,21 @@ defective level computes an auxiliary coloring phi of the current subgraph and
 then the recolor loop turns it into a psi-color in 1..p, which names the
 subgraph the vertex joins at the next level. The final level legally colors the
 remaining bounded-degree subgraph and every vertex merges its psi-history into
-a globally unique palette slot by pure arithmetic.
+a globally unique palette slot by pure arithmetic (`RecursionPlan.color`).
 
 The recursion is realized as phases of one program: all sibling subgraphs
 advance in the same global rounds, and a vertex knows its subgraph from its own
 psi-history, so no coordination is needed. Progress is event-driven: a vertex
 advances a phase as soon as the messages it depends on have arrived, which can
 be earlier than the worst-case schedule.
+
+Linial phases are numbered as `RecursionPlan.phases`: one per level, then the
+bottom's, whose last color is reduced greedily and kept in `cur_lin`. Stores
+are positional: `lin_at[phase][it]` maps the vertex and its neighbors to their
+colors after Linial iteration `it` (iteration 0 is the Ids, or for a `from_rho`
+bottom the same dict as the level-0 finals), `kuhn_at[lvl]` is the store a
+level's defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at`
+hold the neighbors' phi, psi and reduced bottom colors.
 """
 
 from __future__ import annotations
@@ -93,9 +101,9 @@ class RecursionPlan:
     """The levels and the bottom of one recursion; bottom None stops every
     vertex after level 0's psi.
 
-    suffix[i] is the palette width of one level-i subgraph's block, so a
-    vertex's color is its bottom color plus (psi_i - 1) * suffix[i + 1] over
-    its psi history, and suffix[0] is the whole palette.
+    suffix[i] is the palette width of one level-i subgraph's block and
+    suffix[0] the whole palette; `color` adds (psi_i - 1) * suffix[i + 1] over
+    a psi history to a bottom color.
     """
 
     levels: Tuple[LevelPlan, ...]
@@ -107,6 +115,16 @@ class RecursionPlan:
         for level in reversed(self.levels):
             widths.append(widths[-1] * level.p)
         return tuple(reversed(widths))
+
+    @cached_property
+    def phases(self) -> Tuple[Tuple[PolyPlan, ...], ...]:
+        """The Linial plans of each level, then of the bottom."""
+        bottom = (self.bottom.lin_plans,) if self.bottom else ()
+        return tuple(level.lin_plans for level in self.levels) + bottom
+
+    def color(self, bottom_color: int, hist: List[int]) -> int:
+        """The palette slot of a bottom color under a psi history."""
+        return bottom_color + sum((psi - 1) * w for psi, w in zip(hist, self.suffix[1:]))
 
 
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -178,26 +196,30 @@ class RecursiveColorProgram(VertexProgram):
     def __init__(self, ctx: Context):
         super().__init__(ctx)
         plan: RecursionPlan = ctx.params["plan"]
+        self.plan = plan
         self.levels = plan.levels
         self.bottom = plan.bottom
-        self.suffix = plan.suffix
         self.rnd = 0
         self.hist: List[int] = []
         self.phis: Dict[int, int] = {}
         self.same: List[int] = []
         self.level = -1
         self.stage = "enter"
-        # neighbor stores, one per reported quantity: neighbor -> color
-        self.lin_at: Dict[Tuple[int, int], Dict[int, int]] = {}  # (level, iteration)
-        self.phi_at: Dict[int, Dict[int, int]] = {}  # level
-        self.psi_at: Dict[int, Dict[int, int]] = {}  # level
-        self.nbr_red: Dict[int, int] = {}
-        self.ids = {u: u for u in ctx.neighbors}  # iteration-0 colors are the Ids
-        # lin phase state
+        # positional color stores (see the module docstring)
+        ids = {u: u for u in (ctx.vid, *ctx.neighbors)}
+        self.lin_at = [[ids] + [{} for _ in plans] for plans in plan.phases]
+        if self.bottom is not None and self.bottom.from_rho:
+            self.lin_at[-1][0] = self.lin_at[0][-1]
+        self.kuhn_at = [
+            self.lin_at[0 if level.rho_global else lvl][-1]
+            for lvl, level in enumerate(self.levels)
+        ]
+        self.phi_at: List[Dict[int, int]] = [{} for _ in self.levels]
+        self.psi_at: List[Dict[int, int]] = [{} for _ in self.levels]
+        self.red_at: Dict[int, int] = {}
+        # Linial phase state; after the bottom's phase, the bottom color
         self.lin_iter = 0
         self.cur_lin = ctx.vid
-        self.rho_level: Dict[int, int] = {}  # own lin-final per level (incl. bottom)
-        self.bot_cur = None
         # readiness cursors: wait key -> index of the first neighbor still missing
         self.cursor: Dict[tuple, int] = {}
         self.smaller: Dict[int, List[int]] = {}  # level -> same-neighbors with smaller phi
@@ -208,49 +230,24 @@ class RecursiveColorProgram(VertexProgram):
     def step(self, round_no, inbox):
         self.rnd = round_no
         for u, msg in inbox:
-            self._store(u, msg)
+            f = msg.fields
+            kind = f[0][0]
+            if kind == K_LIN:
+                self.lin_at[f[1][0]][f[2][0]][u] = f[3][0] + 1
+            elif kind == K_PHI:
+                self.phi_at[f[1][0]][u] = f[2][0] + 1
+            elif kind == K_PSI:
+                self.psi_at[f[1][0]][u] = f[2][0] + 1
+            else:
+                self.red_at[u] = f[1][0] + 1
         out: Dict[int, list] = {}
         if self.output is None:
             self._advance(out)
         return out
 
-    def _store(self, u, msg):
-        f = msg.fields
-        kind = f[0][0]
-        if kind == K_LIN:
-            self.lin_at.setdefault((f[1][0], f[2][0]), {})[u] = f[3][0] + 1
-        elif kind == K_PHI:
-            self.phi_at.setdefault(f[1][0], {})[u] = f[2][0] + 1
-        elif kind == K_PSI:
-            self.psi_at.setdefault(f[1][0], {})[u] = f[2][0] + 1
-        elif kind == K_RED:
-            self.nbr_red[u] = f[1][0] + 1
-
     def _bcast(self, out, msg):
         for u in self.same:
             out.setdefault(u, []).append(msg)
-
-    # -- helpers -------------------------------------------------------------
-
-    def _rho_global(self) -> Dict[int, int]:
-        """Neighbors' final colors of the level-0 Linial phase."""
-        n_it = len(self.levels[0].lin_plans)
-        return self.lin_at.setdefault((0, n_it), {}) if n_it else self.ids
-
-    def _lin_colors(self, lvl_key: int, it: int) -> Dict[int, int]:
-        """Neighbors' colors at iteration `it` of a level's Linial phase."""
-        if it > 0:
-            return self.lin_at.setdefault((lvl_key, it), {})
-        if lvl_key == len(self.levels) and self.bottom.from_rho:
-            return self._rho_global()
-        return self.ids
-
-    def _kuhn_inputs(self, lvl: int) -> Dict[int, int]:
-        """Neighbors' legal colors that a level's defective step reads."""
-        level = self.levels[lvl]
-        if level.rho_global:
-            return self._rho_global()
-        return self._lin_colors(lvl, len(level.lin_plans))
 
     def _ready(self, key: tuple, nbrs: List[int], store: Dict[int, int]) -> bool:
         """Whether store holds every u in nbrs.
@@ -265,11 +262,6 @@ class RecursiveColorProgram(VertexProgram):
         self.cursor[key] = i
         return i == n
 
-    def _lin_plans(self, lvl_key: int) -> Tuple[PolyPlan, ...]:
-        if lvl_key == len(self.levels):
-            return self.bottom.lin_plans
-        return self.levels[lvl_key].lin_plans
-
     # -- the state machine ---------------------------------------------------
 
     def _advance(self, out):
@@ -278,40 +270,31 @@ class RecursiveColorProgram(VertexProgram):
             progress = getattr(self, "_do_" + self.stage)(out)
 
     def _do_enter(self, out) -> bool:
-        nxt = self.level + 1
-        if nxt == 0:
+        lvl = self.level
+        if lvl < 0:
             self.same = list(self.ctx.neighbors)
         else:
-            prev = self.level
-            psis = self.psi_at.setdefault(prev, {})
-            if not self._ready(("enter", prev), self.same, psis):
+            psis = self.psi_at[lvl]
+            if not self._ready(("enter", lvl), self.same, psis):
                 return False
-            self.same = [u for u in self.same if psis[u] == self.hist[prev]]
-        self.level = nxt
-        if nxt == len(self.levels):
-            self.stage = "lin"
-            self.lin_iter = 0
-            if self.bottom.from_rho:
-                self.cur_lin = self.rho_level[0]
-            else:
-                self.cur_lin = self.ctx.vid
-            return True
-        level = self.levels[nxt]
-        if level.kind == "pre_random":
-            self._decide_psi(out, draw_class(self.ctx.seed, self.ctx.vid, level.p))
+            self.same = [u for u in self.same if psis[u] == self.hist[lvl]]
+        self.level = lvl = lvl + 1
+        if lvl < len(self.levels) and self.levels[lvl].kind == "pre_random":
+            self._decide_psi(out, draw_class(self.ctx.seed, self.ctx.vid, self.levels[lvl].p))
             return True
         self.stage = "lin"
         self.lin_iter = 0
-        self.cur_lin = self.ctx.vid
+        self.cur_lin = self.lin_at[lvl][0][self.ctx.vid]
         return True
 
     def _do_lin(self, out) -> bool:
         lvl = self.level
-        plans = self._lin_plans(lvl)
+        plans = self.plan.phases[lvl]
+        colors_at = self.lin_at[lvl]
         progress = False
         while self.lin_iter < len(plans):
             it = self.lin_iter
-            colors = self._lin_colors(lvl, it)
+            colors = colors_at[it]
             if not self._ready(("lin", lvl, it), self.same, colors):
                 break
             cols = [colors[u] for u in self.same]
@@ -319,6 +302,7 @@ class RecursiveColorProgram(VertexProgram):
             x, _ = choose_point(self.cur_lin, cols, plan)
             self.cur_lin = step_color(self.cur_lin, x, plan)
             self.lin_iter += 1
+            colors_at[self.lin_iter][self.ctx.vid] = self.cur_lin
             msg = Message(
                 (K_LIN, N_KINDS),
                 (lvl, len(self.levels) + 1),
@@ -328,32 +312,29 @@ class RecursiveColorProgram(VertexProgram):
             self._bcast(out, msg)
             progress = True
         if self.lin_iter == len(plans):
-            self.rho_level[lvl] = self.cur_lin
-            self.stage = "bot_red" if lvl == len(self.levels) else "phi"
-            if lvl == len(self.levels):
-                self.bot_cur = self.cur_lin
+            self.stage = "phi" if lvl < len(self.levels) else "bot_red"
             return True
         return progress
 
     def _do_phi(self, out) -> bool:
-        level = self.levels[self.level]
+        lvl = self.level
+        level = self.levels[lvl]
         plan = level.kuhn_plan
         if plan is None:
-            phi = self.rho_level[self.level]
+            phi = self.cur_lin
         else:
-            lvl = self.level
-            colors = self._kuhn_inputs(lvl)
+            colors = self.kuhn_at[lvl]
             if not self._ready(("kuhn", lvl), self.same, colors):
                 return False
             cols = [colors[u] for u in self.same]
-            own = self.rho_level[0 if level.rho_global else lvl]
+            own = colors[self.ctx.vid]
             x, _ = choose_point(own, cols, plan)
             phi = step_color(own, x, plan)
-        self.phis[self.level] = phi
-        self.telemetry["r_phi"][self.level] = self.rnd
+        self.phis[lvl] = phi
+        self.telemetry["r_phi"][lvl] = self.rnd
         msg = Message(
             (K_PHI, N_KINDS),
-            (self.level, len(self.levels) + 1),
+            (lvl, len(self.levels) + 1),
             (phi - 1, level.phi_palette),
         )
         self._bcast(out, msg)
@@ -365,14 +346,14 @@ class RecursiveColorProgram(VertexProgram):
 
     def _do_psi(self, out) -> bool:
         lvl = self.level
-        phis = self.phi_at.setdefault(lvl, {})
+        phis = self.phi_at[lvl]
         if not self._ready(("phi", lvl), self.same, phis):
             return False
         smaller = self.smaller.get(lvl)
         if smaller is None:
             own_phi = self.phis[lvl]
             smaller = self.smaller[lvl] = [u for u in self.same if phis[u] < own_phi]
-        psis = self.psi_at.setdefault(lvl, {})
+        psis = self.psi_at[lvl]
         if not self._ready(("psi", lvl), smaller, psis):
             return False
         p = self.levels[lvl].p
@@ -399,45 +380,37 @@ class RecursiveColorProgram(VertexProgram):
         self.stage = "enter"
 
     def _do_bot_red(self, out) -> bool:
-        plans = self.bottom.lin_plans
-        n_it = len(plans)
-        finals = self._lin_colors(len(self.levels), n_it)
+        """The greedy reduction of the bottom color to 1..target: neighbors'
+        current colors are their reduced ones, else their Linial finals."""
+        finals = self.lin_at[-1][-1]
         cur: Dict[int, int] = {}
         for u in self.same:
-            c = self.nbr_red.get(u)
-            if c is None:
-                c = finals.get(u)
+            c = self.red_at.get(u) or finals.get(u)
             if c is None:
                 return False
             cur[u] = c
         target = self.bottom.target
-        if self.bot_cur <= target:
+        if self.cur_lin <= target:
             self._finalize()
             return True
         for u, c in cur.items():
-            if c > target and (c, u) > (self.bot_cur, self.ctx.vid):
+            if c > target and (c, u) > (self.cur_lin, self.ctx.vid):
                 return False  # wait for a bigger competitor to recolor first
         used = set(cur.values())
         k = 1
         while k in used:
             k += 1
-        self.bot_cur = k
-        maxpal = max(
-            plans[-1].palette if plans else self.bottom.start_palette,
-            target,
-            self.ctx.n + 2,
-        )
-        msg = Message((K_RED, N_KINDS), (self.bot_cur - 1, maxpal))
-        self._bcast(out, msg)
+        self.cur_lin = k
+        plans = self.bottom.lin_plans
+        final_pal = plans[-1].palette if plans else self.bottom.start_palette
+        self._bcast(out, Message((K_RED, N_KINDS), (k - 1, max(final_pal, target, self.ctx.n + 2))))
         self._finalize()
         return True
 
     def _finalize(self):
-        color = self.bot_cur
-        for i, psi in enumerate(self.hist):
-            color += (psi - 1) * self.suffix[i + 1]
         self.telemetry["out_round"] = self.rnd
-        self.telemetry["bot_color"] = self.bot_cur
+        self.telemetry["bot_color"] = self.cur_lin
+        color = self.plan.color(self.cur_lin, self.hist)
         self.output = {"color": color, "psi_hist": list(self.hist)}
 
 

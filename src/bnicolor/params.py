@@ -16,7 +16,7 @@ strict=True to get the literal values or an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -59,7 +59,6 @@ class LegalParams:
     preset: str = "custom"
     eps: Optional[Fraction] = None  # exponent for thm45 / thm48_3
     t: Optional[int] = None  # exponent for thm46
-    for_edges: bool = False
     clamped: bool = False
     literal: Optional[Tuple[int, int, int]] = None  # pre-clamp (b, p, lam)
 
@@ -180,22 +179,16 @@ def make_preset(
     eps: Optional[Fraction] = None,
     t: Optional[int] = None,
     strict: bool = False,
-    for_edges: bool = False,
 ) -> LegalParams:
     if name == "thm45":
-        out = preset_thm45(eps if eps is not None else Fraction(3, 4), c, delta, strict)
-    elif name == "thm46":
-        out = preset_thm46(t if t is not None else 1, c, delta, strict=True)
-    elif name == "thm48_3":
-        out = preset_thm48_3(eps if eps is not None else Fraction(1, 2), c, delta, strict)
-    elif name == "improved_s42":
-        out = preset_improved_s42(c, delta, strict)
-    else:
-        raise ParamError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
-    if for_edges:
-        out = replace(out, for_edges=True)
-        out.validate(delta)
-    return out
+        return preset_thm45(eps if eps is not None else Fraction(3, 4), c, delta, strict)
+    if name == "thm46":
+        return preset_thm46(t if t is not None else 1, c, delta, strict=True)
+    if name == "thm48_3":
+        return preset_thm48_3(eps if eps is not None else Fraction(1, 2), c, delta, strict)
+    if name == "improved_s42":
+        return preset_improved_s42(c, delta, strict)
+    raise ParamError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
 
 
 def _ceil_pow(base: int, exponent: Fraction) -> int:

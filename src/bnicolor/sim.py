@@ -14,7 +14,10 @@ Message bit accounting: a message is a sequence of (value, domain) integer
 fields and costs sum(ceil(log2(domain))) bits. In `short` mode each (edge,
 direction, round) carries at most one message and rounds exceeding the log-n
 budget are flagged (never rejected); `wide` mode allows multiplexing and
-reports the maximum count.
+reports the maximum count. The budget is budget_factor * ceil(log2(id bound))
+bits. Each program's `Context` carries the run's `msg_mode` and that budget as
+`budget_bits`, so a program splits its payloads by the same rule the run
+accounts them with.
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ class Context:
     delta: int
     params: Dict[str, Any] = field(default_factory=dict)
     seed: int = 0
+    # set by `run`: its message mode and short-mode bit budget per message
+    msg_mode: str = "wide"
+    budget_bits: int = 0
 
     @property
     def degree(self) -> int:
@@ -145,7 +151,8 @@ def run(
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     insts: Dict[int, VertexProgram] = {}
     for v in g.vertices:
-        insts[v] = program(Context(v, g.adj[v], g.id_bound, g.delta, params, seed))
+        ctx = Context(v, g.adj[v], g.id_bound, g.delta, params, seed, msg_mode, budget)
+        insts[v] = program(ctx)
 
     adjset = g._adjset
     n = g.n

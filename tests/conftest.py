@@ -32,6 +32,15 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 10):
     return graph_from_edges(n, sorted(edges))
 
 
+def canonical(obj):
+    """JSON-ready copy with str dict keys and lists for tuples."""
+    if isinstance(obj, dict):
+        return {str(k): canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    return obj
+
+
 @pytest.fixture
 def petersen() -> Graph:
     outer = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]

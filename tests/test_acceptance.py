@@ -243,7 +243,7 @@ class TestAcceptance:
         assert smallest_feasible_thm46_t(2, 256) is None
         with pytest.raises(ParamError):
             make_preset("thm46", 2, 256)
-        params = LegalParams(1, 9, 36, 2, for_edges=True)
+        params = LegalParams(1, 9, 36, 2)
         deltas = (16, 32, 64, 128, 256)
         rows = []
         for D in deltas:

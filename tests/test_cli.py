@@ -120,6 +120,47 @@ class TestMalformedParameters:
         assert proc.stderr == f"bnicolor run: {_PROB_MESSAGE} 'abc'\n"
 
 
+class TestSpecFile:
+    """A --spec file that is missing, is not JSON or does not hold a JSON
+    object ends in one stderr line and exit 2, for run and for bench."""
+
+    CASES = {
+        "missing": (None, "cannot read spec {path}: [Errno 2] "),
+        "not-json": ('{"generator": "path" "gen_params": {}}', "cannot read spec {path}: Expecting ','"),
+        "not-an-object": ('["path", {"n": 3}]', "spec {path} must hold a JSON object, not list\n"),
+        "a-number": ("3", "spec {path} must hold a JSON object, not int\n"),
+    }
+
+    @staticmethod
+    def _argv(command, path):
+        sweep = ["--sweep", "gen_params.n=3,4"] if command == "bench" else []
+        return [command, "--spec", str(path), *sweep]
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, case):
+        content, message = self.CASES[case]
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(self._argv(command, path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bnicolor {command}: " + message.format(path=path))
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_no_traceback_from_the_entry_point(self, tmp_path):
+        path = tmp_path / "absent.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnicolor.cli", *self._argv("bench", path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"bnicolor bench: cannot read spec {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestVerify:
     def _write_graph(self, tmp_path):
         gfile = tmp_path / "g.txt"

@@ -32,11 +32,11 @@ from bnicolor.params import LegalParams, ParamError
 from bnicolor.sim import Context, Message, SimError
 from bnicolor.verify import check_edge_coloring
 
-from conftest import connected_graphs, small_graphs
+from conftest import canonical, connected_graphs, small_graphs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # recurses from max degree 4 on: [6, 3] at degree 4, [14, 6, 3] at degree 8
-SMALL_EDGE = LegalParams(1, 5, 4, 1, for_edges=True)
+SMALL_EDGE = LegalParams(1, 5, 4, 1)
 
 
 class TestSmallestPprime:
@@ -98,7 +98,7 @@ class TestEdgeDirect:
     def test_star_worked_instance(self):
         # Lambda0 = 2*(33-1) = 64 with (b=2, p=9, lam=8) recurses [64,23,9,5]
         g = complete_bipartite(1, 33)
-        params = LegalParams(2, 9, 8, 2, for_edges=True)
+        params = LegalParams(2, 9, 8, 2)
         col, report = edge_color_direct(g, params, msg_mode="wide")
         assert check_edge_coloring(g, col).legal
         assert col.palette == 4374
@@ -108,20 +108,20 @@ class TestEdgeDirect:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_graphs_legal(self, seed):
         g = random_gnd(30, 8, seed=seed)
-        params = LegalParams(1, 9, 16, 2, for_edges=True)
+        params = LegalParams(1, 9, 16, 2)
         col, report = edge_color_direct(g, params, msg_mode="short")
         assert check_edge_coloring(g, col).legal
         assert max(col.colors.values()) <= col.palette
 
     def test_paced_mode_legal(self):
         g = random_gnd(24, 8, seed=3)
-        params = LegalParams(1, 9, 16, 2, for_edges=True)
+        params = LegalParams(1, 9, 16, 2)
         col, report = edge_color_direct(g, params, msg_mode="short", paced=True)
         assert check_edge_coloring(g, col).legal
 
     def test_budget_factor_silences_flags(self):
         g = complete_bipartite(1, 32)
-        params = LegalParams(1, 9, 36, 2, for_edges=True)
+        params = LegalParams(1, 9, 36, 2)
         _, noisy = edge_color_direct(g, params, msg_mode="short", budget_factor=1)
         _, quiet = edge_color_direct(g, params, msg_mode="short", budget_factor=4)
         assert quiet.extra["budget_violations"] <= noisy.extra["budget_violations"]
@@ -129,7 +129,7 @@ class TestEdgeDirect:
 
     def test_deterministic(self):
         g = random_gnd(20, 6, seed=7)
-        params = LegalParams(1, 9, 16, 2, for_edges=True)
+        params = LegalParams(1, 9, 16, 2)
         a, _ = edge_color_direct(g, params)
         b_, _ = edge_color_direct(g, params)
         assert a == b_
@@ -277,7 +277,7 @@ def raises(fn, *args):
 
 
 g = random_gnd(12, 5, seed=1)
-col, report = edge_color_direct(g, LegalParams(1, 5, 4, 1, for_edges=True), msg_mode="wide")
+col, report = edge_color_direct(g, LegalParams(1, 5, 4, 1), msg_mode="wide")
 u, w = g.edges()[0]
 clean = copy.deepcopy(report.telemetry)
 for key in ("phi", "psi", "final"):
@@ -314,15 +314,6 @@ class TestChecksWithoutAsserts:
         ]
 
 
-def _canonical(obj):
-    """JSON-ready copy with str dict keys and lists for tuples."""
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
-
 def _transcript_digest(monkeypatch):
     """sha256 over the transcript (round, src, dst, bits), telemetry and
     outputs of a fixed set of small EdgeColorProgram runs."""
@@ -342,7 +333,7 @@ def _transcript_digest(monkeypatch):
     h = hashlib.sha256()
     for _, report in runs:
         doc = [report.extra["transcript"], report.telemetry, report.outputs]
-        h.update(json.dumps(_canonical(doc), sort_keys=True).encode())
+        h.update(json.dumps(canonical(doc), sort_keys=True).encode())
     return h.hexdigest()
 
 

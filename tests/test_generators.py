@@ -1,7 +1,10 @@
 import math
 import random
+import re
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +194,26 @@ class TestDispatch:
     def test_non_integer_parameter(self, value):
         with pytest.raises(GraphError, match="parameter n must be an integer"):
             generate("path", {"n": value})
+
+    @pytest.mark.parametrize(
+        "kind,params,key,value",
+        [
+            ("path", {"n": 2.7}, "n", 2.7),
+            ("path", {"n": -0.5}, "n", -0.5),
+            ("cycle", {"n": 5.000001}, "n", 5.000001),
+            ("complete", {"n": Fraction(7, 2)}, "n", Fraction(7, 2)),
+            ("random_gnd", {"n": 10, "d": 2.5}, "d", 2.5),
+            ("bipartite", {"a": 2, "b": 3.5}, "b", 3.5),
+        ],
+    )
+    def test_non_integral_number_named(self, kind, params, key, value):
+        message = f"{kind} parameter {key} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(GraphError, match=message):
+            generate(kind, params)
+
+    @pytest.mark.parametrize("value", [4, 4.0, "4", " 4 ", np.int64(4), Fraction(8, 2)])
+    def test_integral_values_accepted(self, value):
+        assert generate("path", {"n": value}) == generate("path", {"n": 4})
 
     def test_deterministic_dispatch(self):
         a = generate("random_gnd", {"n": 25, "d": 4}, seed=3)

@@ -1,5 +1,7 @@
+import re
 from typing import Dict, List
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,23 @@ class TestGraphCore:
     def test_rejects_nonpositive_ids(self):
         with pytest.raises(GraphError):
             Graph([0, 1], [])
+
+    @pytest.mark.parametrize(
+        "vertices,bad",
+        [([1.5, 2], "1.5"), ([1, 2.0], "2.0"), ([3, "1", 2], "'1'"), ([1, None, 0.5], "None")],
+    )
+    def test_rejects_non_integer_ids(self, vertices, bad):
+        """The first Id in input order that is not an integer is named."""
+        with pytest.raises(GraphError, match=f"must be positive integers, got {re.escape(bad)}$"):
+            Graph(vertices, [])
+
+    def test_rejects_non_integer_ids_before_edges(self):
+        with pytest.raises(GraphError, match="got 1.5$"):
+            Graph([1.5, 2], [(1.5, 2)])
+
+    def test_accepts_integral_id_types(self):
+        g = Graph([np.int64(3), 1, True], [(1, 3)])
+        assert g.vertices == (1, 3) and g.has_edge(1, 3) and g.id_bound == 3
 
     def test_induced_subgraph_keeps_ids(self):
         g = complete_graph(5)

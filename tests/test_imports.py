@@ -1,0 +1,87 @@
+"""Every name a module of src/bnicolor imports is used in that module.
+
+An AST name scan, so that deleting a helper cannot leave a dead import
+behind. `__init__.py` re-exports by importing and is exempt. The names the
+benchmark's layer wrappers replace (`bench/spans.py`) are looked up in the
+module that imports them, so they stay bound there even where the module's
+own code no longer calls them.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bnicolor"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# module -> names bench/spans.py patches in it
+PATCHED = {
+    "base": ("run", "choose_point", "poly_eval"),
+    "edgecolor": ("run", "poly_eval", "build_line_graph", "conflict_bitmap"),
+    "extensions": ("run",),
+    "generators": ("build_line_graph",),
+    "legal": ("run", "choose_point"),
+    "sim": ("run", "build_line_graph", "run_on_line_graph"),
+}
+
+
+def _imported(tree):
+    """Bound name -> line of each import outside `from __future__`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _used(tree):
+    """Names read anywhere, including inside string annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for sub in ast.walk(annotation) if annotation else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= _used(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def unused_imports(source: str, keep=()):
+    tree = ast.parse(source)
+    used = _used(tree) | set(keep)
+    return sorted((line, name) for name, line in _imported(tree).items() if name not in used)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    source = (SRC / f"{module}.py").read_text()
+    assert unused_imports(source, PATCHED.get(module, ())) == []
+
+
+@pytest.mark.parametrize("module", sorted(PATCHED))
+def test_patched_names_stay_bound(module):
+    mod = importlib.import_module(f"bnicolor.{module}")
+    for name in PATCHED[module]:
+        assert callable(getattr(mod, name, None)), f"bnicolor.{module}.{name}"
+
+
+def test_the_scan_finds_a_dead_import():
+    source = (
+        "import os.path\n"
+        "from typing import Dict, List, Optional\n"
+        "import numpy as np\n"
+        "def f(x: 'Optional[List[int]]') -> None:\n"
+        "    np = 'Dict'\n"
+        "    return np\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (2, "Dict")]
+    assert unused_imports(source, keep=("os",)) == [(2, "Dict")]

@@ -1,11 +1,21 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnicolor import extensions, legal, sim
 from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
-from bnicolor.generators import clique_pendant, complete_graph, generate, random_gnd
+from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
+from bnicolor.generators import (
+    clique_pendant,
+    complete_bipartite,
+    complete_graph,
+    generate,
+    random_gnd,
+)
 from bnicolor.graph import Graph, build_line_graph
 from bnicolor.legal import (
     PHI_MODES,
@@ -28,11 +38,19 @@ from bnicolor.params import (
 from bnicolor.sim import Context, run
 from bnicolor.verify import check_defect_pigeonhole, check_edge_coloring, check_vertex_coloring
 
-from conftest import connected_graphs
+from conftest import canonical, connected_graphs
 
 
 def line_graph_of_random(n, d, seed):
     return build_line_graph(random_gnd(n, d, seed=seed)).lg
+
+
+def _spaced(g, spacing):
+    """g with every vertex Id multiplied by spacing."""
+    return Graph(
+        [v * spacing for v in g.vertices],
+        [(u * spacing, w * spacing) for u, w in g.edges()],
+    )
 
 
 class TestDefectiveColor:
@@ -129,15 +147,15 @@ class TestRecursionPlan:
         [("thm45", 2, 46), ("thm46", 1, 4096), ("thm48_3", 2, 46), ("improved_s42", 3, 46), ("custom", 1, 14)],
     )
     def test_suffix_width_is_vartheta(self, preset, c, delta):
-        for for_edges in (False, True):
+        for edge_route in (False, True):
             if preset == "custom":
-                params = LegalParams(1, 5, 4, c, for_edges=for_edges)
+                params = LegalParams(1, 5, 4, c)
             else:
                 t = smallest_feasible_thm46_t(c, delta) if preset == "thm46" else None
-                params = make_preset(preset, c, delta, t=t, for_edges=for_edges)
+                params = make_preset(preset, c, delta, t=t)
             schedule = recursion_schedule(params, delta)
             vartheta = vartheta_of_schedule(schedule, params.p)
-            if for_edges:
+            if edge_route:
                 plans = [edge_level_plans(schedule, params, 500, u) for u in (False, True)]
             else:
                 plans = [_level_plans(mode, schedule, params, 500) for mode in PHI_MODES]
@@ -173,11 +191,7 @@ class TestReadinessCursors:
     @pytest.mark.parametrize("phi_mode", ["fast", "simple", "improved"])
     def test_one_message_per_step_in_scrambled_order(self, phi_mode, spacing):
         # sparse Ids (spacing 1009) give every level two Linial iterations
-        lg = line_graph_of_random(24, 8, seed=1)
-        g = Graph(
-            [v * spacing for v in lg.vertices],
-            [(u * spacing, w * spacing) for u, w in lg.edges()],
-        )
+        g = _spaced(line_graph_of_random(24, 8, seed=1), spacing)
         params, received, report = self._recorded_run(g, phi_mode)
         rng = random.Random(f"{phi_mode}-{spacing}")
         for v in g.vertices:
@@ -207,3 +221,51 @@ class TestLineGraphRoutes:
         assert edge_col.colors == {
             lgm.edge_of[v]: col for v, col in result.phi.colors.items()
         }
+
+
+def _transcript_digest(monkeypatch):
+    """sha256 over the transcript (round, src, dst, bits) of every simulator
+    run, and the telemetry and outputs of every report, of a fixed set of
+    small RecursiveColorProgram runs."""
+    transcripts = []
+    real_run = sim.run
+
+    def recording_run(*args, **kwargs):
+        kwargs["record_transcript"] = True
+        report = real_run(*args, **kwargs)
+        transcripts.append(report.extra["transcript"])
+        return report
+
+    for module in (legal, extensions, sim):
+        monkeypatch.setattr(module, "run", recording_run)
+    reports = []
+    lg = line_graph_of_random(24, 8, seed=1)
+    for g in (lg, _spaced(lg, 1009), complete_graph(8)):
+        for mode in PHI_MODES:
+            reports.append(legal_color(g, TWO_LEVELS, phi_mode=mode)[1])
+    dg = line_graph_of_random(16, 5, seed=2)
+    for g in (dg, _spaced(dg, 1009)):
+        for mode in ("fast", "simple"):
+            reports.append(defective_color(g, DefectiveParams(1, 4, dg.delta, 2), mode)[1])
+    reports.append(randomized_color(random_gnd(40, 20, seed=3), RandomizedParams(seed=5))[1])
+    star_lg = build_line_graph(complete_bipartite(1, 33)).lg
+    reports.append(tradeoff_color(star_lg, TradeoffParams("power:0.5", eta=0.25), c=2)[1])
+    reports.append(edge_color_via_line_graph(random_gnd(16, 8, seed=1), TWO_LEVELS)[1])
+    h = hashlib.sha256()
+    h.update(json.dumps(canonical(transcripts)).encode())
+    for report in reports:
+        doc = [report.telemetry, report.outputs]
+        h.update(json.dumps(canonical(doc), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestTranscriptGuard:
+    # recorded at commit 306a4f7, before RecursiveColorProgram moved to
+    # positional per-phase stores; the runs cover every phi mode on dense and
+    # sparse Ids (a from_rho bottom with and without Linial iterations), the
+    # bottom-less defective route, both extension levels and the line-graph
+    # route
+    DIGEST = "52f8e1a5f582263b27b9ba92666e56835467c17b0a7daad75c0e0fb1c10ebd17"
+
+    def test_transcript_telemetry_outputs_unchanged(self, monkeypatch):
+        assert _transcript_digest(monkeypatch) == self.DIGEST
