@@ -48,6 +48,37 @@ def step_color(own_color: int, x: int, plan: PolyPlan) -> int:
     return x * plan.q + value + 1
 
 
+class Outbox(dict):
+    """One step's outbox, neighbor Id -> list of Messages, filled by broadcasts.
+
+    The first broadcast puts one shared batch under every target, and later
+    broadcasts to the same target sequence (the same object, not mutated in
+    between) append to it once. A broadcast to other targets first gives
+    every destination its own copy and then appends per target. Each
+    destination's messages, and their order, are those of a per-target
+    `setdefault(u, []).append(msg)`.
+    """
+
+    __slots__ = ("_targets", "_batch")
+
+    def __init__(self):
+        self._targets = None  # the targets sharing self._batch, if any
+
+    def broadcast(self, targets, msg: Message):
+        if targets is self._targets:
+            self._batch.append(msg)
+        elif not self:
+            self._targets, self._batch = targets, [msg]
+            self.update(dict.fromkeys(targets, self._batch))
+        else:
+            if self._targets is not None:
+                for u in self._targets:
+                    self[u] = list(self._batch)
+                self._targets = None
+            for u in targets:
+                self.setdefault(u, []).append(msg)
+
+
 class LinialProgram(VertexProgram):
     """Iterated polynomial palette reduction; one round per iteration."""
 
@@ -62,7 +93,7 @@ class LinialProgram(VertexProgram):
         for u, msg in inbox:
             it, col = msg.fields[0][0], msg.fields[1][0]
             self.nbr[u][it] = col
-        out = {}
+        out = Outbox()
         while self.j < len(self.plans) and all(
             self.j in self.nbr[u] for u in self.ctx.neighbors
         ):
@@ -73,8 +104,7 @@ class LinialProgram(VertexProgram):
             self.cur = step_color(self.cur, x, plan)
             self.j += 1
             msg = Message((self.j, len(self.plans) + 1), (self.cur - 1, plan.palette))
-            for u in self.ctx.neighbors:
-                out.setdefault(u, []).append(msg)
+            out.broadcast(self.ctx.neighbors, msg)
         if self.j == len(self.plans):
             self.output = self.cur
         return out

@@ -66,6 +66,20 @@ CSV_COLUMNS = (
 )
 
 
+# the JSON types each spec field accepts (a bool is not an int here)
+_SPEC_FIELD_TYPES = {
+    "generator": (str,),
+    "gen_params": (dict,),
+    "algorithm": (str,),
+    "preset": (str, type(None)),
+    "params": (dict,),
+    "msg_mode": (str,),
+    "repetitions": (int,),
+    "seed": (int,),
+    "output": (str, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     generator: str
@@ -97,6 +111,15 @@ class ExperimentSpec:
         extra = set(data) - known
         if extra:
             raise ParamError(f"unknown spec fields: {sorted(extra)}")
+        if "generator" not in data:
+            raise ParamError("spec field 'generator' is required")
+        for name, value in data.items():
+            types = _SPEC_FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+                raise ParamError(
+                    f"spec field {name!r} must be {expected}, not {type(value).__name__}"
+                )
         return cls(**data)
 
 

@@ -24,7 +24,7 @@ from .legal import (
     RecursiveColorProgram,
     _level_plans,
     bottom_plan,
-    draw_class,
+    draw_classes,
 )
 from .numbers import kuhn_step_plan, linial_schedule
 from .params import (
@@ -115,7 +115,7 @@ def _class_palette(g: Graph, params: RandomizedParams) -> int:
 def randomized_defective(g: Graph, params: RandomizedParams) -> VertexColoring:
     """Uniform random palette-(ceil(delta/ln n)) coloring; defect holds whp."""
     p = _class_palette(g, params)
-    colors = {v: draw_class(params.seed, v, p) for v in g.vertices}
+    colors = dict(zip(g.vertices, draw_classes(params.seed, g.vertices, p)))
     return VertexColoring(colors, p, random_defect_bound(params.kappa, g.n))
 
 
@@ -145,8 +145,13 @@ def randomized_color(
         (LevelPlan(g.delta, p, p, kind="pre_random"),),
         bottom_plan(max(g.id_bound, 1), B),
     )
+    classes = dict(zip(g.vertices, draw_classes(params.seed, g.vertices, p)))
     report = run(
-        g, RecursiveColorProgram, round_cap=round_cap, params={"plan": plan}, seed=params.seed
+        g,
+        RecursiveColorProgram,
+        round_cap=round_cap,
+        params={"plan": plan, "classes": classes},
+        seed=params.seed,
     )
     colors = {v: out["color"] for v, out in report.outputs.items()}
     col = VertexColoring(colors, plan.suffix[0], 0)

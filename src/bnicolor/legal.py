@@ -20,17 +20,24 @@ colors after Linial iteration `it` (iteration 0 is the Ids, or for a `from_rho`
 bottom the same dict as the level-0 finals), `kuhn_at[lvl]` is the store a
 level's defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at`
 hold the neighbors' phi, psi and reduced bottom colors.
+
+Every message goes to all of `same`, the neighbors in the vertex's current
+subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
+object across their destinations as long as `same` is not narrowed, so the
+simulator accounts them once per batch. Random classes are drawn for all
+vertices at once by `draw_classes`, a Philox4x64-10 over arrays equal to the
+per-vertex `draw_class`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import choose_point, step_color
+from .base import Outbox, choose_point, step_color
 from .coloring import VertexColoring
 from .graph import Graph
 from .numbers import PolyPlan, kuhn_step_plan, linial_schedule
@@ -64,7 +71,8 @@ class LevelPlan:
     then the recolor loop into psi in 1..p.
 
     rho_global: the defective step reads the level-0 Linial colors, not this
-    level's. kind "pre_random" draws psi at random, "pre_kuhn" takes phi as psi.
+    level's. kind "pre_random" takes psi from the run's "classes" param (vertex
+    Id -> class, from `draw_classes`), "pre_kuhn" takes phi as psi.
     Edge levels use p_prime, the round-robin label palette (phi = label pair).
     """
 
@@ -157,6 +165,62 @@ def draw_class(seed: int, vid: int, p: int) -> int:
     return 1 + int(rng.integers(p))
 
 
+# Philox4x64-10 (Salmon et al., SC'11) multipliers and Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = 0xFFFFFFFF
+
+
+def _mulhilo(a: int, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> 32
+    b_lo, b_hi = b & _LO32, b >> 32
+    ll, lh, hl = b_lo * a_lo, b_hi * a_lo, b_lo * a_hi
+    mid = (ll >> 32) + (lh & _LO32) + (hl & _LO32)
+    return b_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), b * a
+
+
+def _philox_word0(k0: int, k1: np.ndarray) -> np.ndarray:
+    """Output word 0 of Philox4x64-10 at counter [1, 0, 0, 0] under the keys
+    [k0, k1[i]]: the first word of a fresh numpy `Philox`, which bumps its
+    counter before the first block."""
+    c0 = np.ones(len(k1), dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0
+
+
+def draw_classes(seed: int, vids: Sequence[int], p: int) -> List[int]:
+    """`draw_class(seed, v, p)` for every v in vids, computed over arrays.
+
+    The first 32-bit output of the generator keyed [seed, v] is the low half
+    u of Philox word 0, and `integers(p)` maps it by Lemire's method: class
+    1 + (u * p >> 32), unless the low half of u * p falls below
+    (2**32 - p) % p, where numpy draws again. Such lanes, and vids, seeds or
+    palettes outside 64-bit keys and 32-bit draws, call `draw_class`.
+    """
+    vids = list(vids)
+    if not (-(2**63) <= seed < 2**63 and 1 <= p <= 2**32):
+        return [draw_class(seed, v, p) for v in vids]
+    if p == 1:
+        return [1] * len(vids)
+    fits = [-(2**63) <= v < 2**63 for v in vids]
+    keys = np.array([v if ok else 0 for v, ok in zip(vids, fits)], dtype=np.int64)
+    m = (_philox_word0(seed % 2**64, keys.view(np.uint64)) & _LO32) * p
+    classes = ((m >> 32) + 1).tolist()
+    redo = (m & _LO32) < (2**32 - p) % p
+    for i, v in enumerate(vids):
+        if redo[i] or not fits[i]:
+            classes[i] = draw_class(seed, v, p)
+    return classes
+
+
 def _level_plans(
     mode: str,
     schedule: List[int],
@@ -240,14 +304,10 @@ class RecursiveColorProgram(VertexProgram):
                 self.psi_at[f[1][0]][u] = f[2][0] + 1
             else:
                 self.red_at[u] = f[1][0] + 1
-        out: Dict[int, list] = {}
+        out = Outbox()
         if self.output is None:
             self._advance(out)
         return out
-
-    def _bcast(self, out, msg):
-        for u in self.same:
-            out.setdefault(u, []).append(msg)
 
     def _ready(self, key: tuple, nbrs: List[int], store: Dict[int, int]) -> bool:
         """Whether store holds every u in nbrs.
@@ -280,7 +340,7 @@ class RecursiveColorProgram(VertexProgram):
             self.same = [u for u in self.same if psis[u] == self.hist[lvl]]
         self.level = lvl = lvl + 1
         if lvl < len(self.levels) and self.levels[lvl].kind == "pre_random":
-            self._decide_psi(out, draw_class(self.ctx.seed, self.ctx.vid, self.levels[lvl].p))
+            self._decide_psi(out, self.ctx.params["classes"][self.ctx.vid])
             return True
         self.stage = "lin"
         self.lin_iter = 0
@@ -309,7 +369,7 @@ class RecursiveColorProgram(VertexProgram):
                 (self.lin_iter, len(plans) + 1),
                 (self.cur_lin - 1, plan.palette),
             )
-            self._bcast(out, msg)
+            out.broadcast(self.same, msg)
             progress = True
         if self.lin_iter == len(plans):
             self.stage = "phi" if lvl < len(self.levels) else "bot_red"
@@ -337,7 +397,7 @@ class RecursiveColorProgram(VertexProgram):
             (lvl, len(self.levels) + 1),
             (phi - 1, level.phi_palette),
         )
-        self._bcast(out, msg)
+        out.broadcast(self.same, msg)
         if level.kind == "pre_kuhn":
             self._decide_psi(out, phi)
         else:
@@ -373,7 +433,7 @@ class RecursiveColorProgram(VertexProgram):
             (lvl, len(self.levels) + 1),
             (psi - 1, self.levels[lvl].p),
         )
-        self._bcast(out, msg)
+        out.broadcast(self.same, msg)
         if self.bottom is None:
             self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
             return
@@ -403,7 +463,8 @@ class RecursiveColorProgram(VertexProgram):
         self.cur_lin = k
         plans = self.bottom.lin_plans
         final_pal = plans[-1].palette if plans else self.bottom.start_palette
-        self._bcast(out, Message((K_RED, N_KINDS), (k - 1, max(final_pal, target, self.ctx.n + 2))))
+        msg = Message((K_RED, N_KINDS), (k - 1, max(final_pal, target, self.ctx.n + 2)))
+        out.broadcast(self.same, msg)
         self._finalize()
         return True
 

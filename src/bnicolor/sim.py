@@ -18,6 +18,13 @@ reports the maximum count. The budget is budget_factor * ceil(log2(id bound))
 bits. Each program's `Context` carries the run's `msg_mode` and that budget as
 `budget_bits`, so a program splits its payloads by the same rule the run
 accounts them with.
+
+Several destinations of one outbox may share one batch object (a broadcast).
+The run accounts such a batch once, for the run of consecutive destinations
+holding it: its bits, the maximum width and multiplexing, and its inbox
+entries are computed once and reused; the transcript row, the short-mode
+budget flag and the locality rule stay per destination. The run never
+mutates a batch, and a program must not mutate one after returning it.
 """
 
 from __future__ import annotations
@@ -55,11 +62,13 @@ class Message:
     __slots__ = ("fields", "bits")
 
     def __init__(self, *fields: Tuple[int, int]):
+        bits = 0
         for value, domain in fields:
             if domain < 1 or not (0 <= value < domain):
                 raise ValueError(f"field value {value} outside domain {domain}")
+            bits += (domain - 1).bit_length() or 1  # ceil_log2(domain)
         self.fields = fields
-        self.bits = sum(ceil_log2(domain) for _, domain in fields)
+        self.bits = bits
 
     def __repr__(self):
         return f"Message({', '.join(str(f) for f in self.fields)})"
@@ -86,8 +95,10 @@ class VertexProgram:
     """Base class: subclass and implement step(round_no, inbox) -> outbox.
 
     inbox is a list of (sender Id, Message); outbox maps neighbor Id to a
-    Message (short mode) or a list of Messages (wide mode). Set self.output
-    to halt.
+    Message (short mode) or a list of Messages (wide mode). Several neighbors
+    may map to the same batch object: the run accounts it once and never
+    mutates it, and the program must not mutate it after returning it. Set
+    self.output to halt.
     """
 
     def __init__(self, ctx: Context):
@@ -125,6 +136,7 @@ class SimReport:
 
 DEFAULT_ROUND_CAP = 100_000
 MAX_FLAGS = 50
+_NO_BATCH = object()  # never an outbox value: the first destination starts a new batch
 
 
 def run(
@@ -192,37 +204,46 @@ def run(
                 # on a violation, the destinations before the first non-neighbor
                 # are still accounted, in outbox order, before the error is raised
                 items = out.items() if local else takewhile(lambda kv: kv[0] in nbrs, out.items())
+                # a batch is accounted once for the run of destinations sharing it:
+                # k messages, their inbox entry (k == 1) or entries, and bit sum b
+                prev = _NO_BATCH
                 for dst, msgs in items:
-                    if not isinstance(msgs, list):
-                        m = msgs
-                    elif len(msgs) == 1:
-                        m = msgs[0]
-                    elif not msgs:
-                        continue
-                    else:
-                        if short:
-                            raise SimError(
-                                f"short mode allows one message per edge per round; "
-                                f"vertex {v} sent {len(msgs)} to {dst} in round {round_no}",
-                                partial_report(),
-                            )
-                        acted = True
-                        box = nxt[dst]
-                        for m in msgs:
-                            if m.bits > max_bits:
-                                max_bits = m.bits
-                            box.append((v, m))
-                        if len(msgs) > max_mux:
-                            max_mux = len(msgs)
-                        if record_transcript:
-                            transcript.append((round_no, v, dst, sum(m.bits for m in msgs)))
+                    if msgs is not prev:
+                        prev = msgs
+                        if not isinstance(msgs, list):
+                            msgs = [msgs]
+                        k = len(msgs)
+                        if k == 1:
+                            m = msgs[0]
+                            entry = (v, m)
+                            b = m.bits
+                            if b > max_bits:
+                                max_bits = b
+                            if not max_mux:
+                                max_mux = 1
+                        elif k:
+                            if short:
+                                raise SimError(
+                                    f"short mode allows one message per edge per round; "
+                                    f"vertex {v} sent {k} to {dst} in round {round_no}",
+                                    partial_report(),
+                                )
+                            entries = [(v, m) for m in msgs]
+                            b = 0
+                            for m in msgs:
+                                b += m.bits
+                                if m.bits > max_bits:
+                                    max_bits = m.bits
+                            if k > max_mux:
+                                max_mux = k
+                    if not k:
                         continue
                     acted = True
-                    b = m.bits
-                    if b > max_bits:
-                        max_bits = b
-                    if not max_mux:
-                        max_mux = 1
+                    if k > 1:
+                        nxt[dst].extend(entries)
+                        if record_transcript:
+                            transcript.append((round_no, v, dst, b))
+                        continue
                     if short and b > budget:
                         budget_violations += 1
                         if len(flags) < MAX_FLAGS:
@@ -234,7 +255,7 @@ def run(
                             flag_overflow += 1
                     if record_transcript:
                         transcript.append((round_no, v, dst, b))
-                    nxt[dst].append((v, m))
+                    nxt[dst].append(entry)
                 if not local:
                     dst = next(d for d in out if d not in nbrs)
                     raise LocalityViolation(

@@ -19,7 +19,7 @@ from bnicolor.experiment import ExperimentSpec, report_json, run_experiment
 from bnicolor.extensions import (
     RandomizedParams,
     TradeoffParams,
-    draw_class,
+    draw_classes,
     random_defect_bound,
     random_palette_size,
     randomized_color,
@@ -344,11 +344,7 @@ class TestAcceptance:
         u, w = edges[:, 0] - 1, edges[:, 1] - 1
         exceed = 0
         for seed in range(200):
-            cols = np.fromiter(
-                (draw_class(seed, v, p) for v in range(1, g.n + 1)),
-                dtype=np.int64,
-                count=g.n,
-            )
+            cols = np.array(draw_classes(seed, range(1, g.n + 1), p), dtype=np.int64)
             same = cols[u] == cols[w]
             deg = np.bincount(np.concatenate([u[same], w[same]]), minlength=g.n)
             if int(deg.max()) > B:

@@ -121,14 +121,41 @@ class TestMalformedParameters:
 
 
 class TestSpecFile:
-    """A --spec file that is missing, is not JSON or does not hold a JSON
-    object ends in one stderr line and exit 2, for run and for bench."""
+    """A --spec file that is missing, is not JSON, does not hold a JSON object
+    or gives a field a value of the wrong type ends in one stderr line and
+    exit 2, for run and for bench."""
 
     CASES = {
         "missing": (None, "cannot read spec {path}: [Errno 2] "),
         "not-json": ('{"generator": "path" "gen_params": {}}', "cannot read spec {path}: Expecting ','"),
         "not-an-object": ('["path", {"n": 3}]', "spec {path} must hold a JSON object, not list\n"),
         "a-number": ("3", "spec {path} must hold a JSON object, not int\n"),
+        "repetitions-a-string": (
+            '{"generator": "path", "gen_params": {"n": 3}, "repetitions": "2"}',
+            "spec field 'repetitions' must be int, not str\n",
+        ),
+        "seed-a-bool": (
+            '{"generator": "path", "gen_params": {"n": 3}, "seed": true}',
+            "spec field 'seed' must be int, not bool\n",
+        ),
+        "seed-a-float": (
+            '{"generator": "path", "gen_params": {"n": 3}, "seed": 1.5}',
+            "spec field 'seed' must be int, not float\n",
+        ),
+        "gen-params-a-list": (
+            '{"generator": "path", "gen_params": [3]}',
+            "spec field 'gen_params' must be dict, not list\n",
+        ),
+        "params-null": (
+            '{"generator": "path", "gen_params": {"n": 3}, "params": null}',
+            "spec field 'params' must be dict, not NoneType\n",
+        ),
+        "preset-a-number": (
+            '{"generator": "path", "gen_params": {"n": 3}, "preset": 3}',
+            "spec field 'preset' must be str or None, not int\n",
+        ),
+        "generator-a-number": ('{"generator": 7}', "spec field 'generator' must be str, not int\n"),
+        "generator-missing": ('{"gen_params": {"n": 3}}', "spec field 'generator' is required\n"),
     }
 
     @staticmethod

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from bnicolor.extensions import (
     RandomizedParams,
     TradeoffParams,
-    draw_class,
     random_defect_bound,
     random_palette_size,
     randomized_color,
@@ -16,7 +17,8 @@ from bnicolor.extensions import (
     tradeoff_color,
 )
 from bnicolor.generators import complete_bipartite, complete_graph, random_gnd
-from bnicolor.graph import build_line_graph
+from bnicolor.graph import Graph, build_line_graph
+from bnicolor.legal import draw_class, draw_classes
 from bnicolor.params import ParamError
 from bnicolor.verify import check_vertex_coloring
 
@@ -84,6 +86,43 @@ class TestDrawClass:
                 for p in (1, 2, 9, 1000):
                     fresh = np.random.Generator(np.random.Philox(key=[seed, vid]))
                     assert draw_class(seed, vid, p) == 1 + int(fresh.integers(p))
+
+
+class TestDrawClasses:
+    """The array Philox draws what `draw_class` draws, lane by lane."""
+
+    SEEDS = (0, 1, 7, 2**40 + 3, -1, -(2**63), 2**63 - 1)
+    # 2**31 + 11 sends about half the lanes through the rejection fallback
+    PALETTES = (1, 2, 9, 16, 1000, 2**31 + 11)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_draw_class_on_dense_and_sparse_ids(self, seed):
+        dense = range(1, 2001)
+        sparse = sorted(random.Random(seed).sample(range(1, 2**40), 1999)) + [2**40]
+        for p in self.PALETTES:
+            for vids in (dense, sparse):
+                assert draw_classes(seed, vids, p) == [draw_class(seed, v, p) for v in vids]
+
+    def test_fallbacks_equal_draw_class(self):
+        """Palettes above 2**32, Ids at or above 2**63 and seeds outside
+        64-bit keys take `draw_class` itself."""
+        for p in (2**32, 2**32 + 1, 2**40):
+            assert draw_classes(3, range(1, 200), p) == [draw_class(3, v, p) for v in range(1, 200)]
+        vids = [1, 2**63 - 1, 2**63, 2**64 - 1, 5]
+        with warnings.catch_warnings():
+            # numpy warns while casting the float64 key of a vid at or above 2**63
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for seed in (0, 2**63, 2**64 - 1):
+                assert draw_classes(seed, vids, 9) == [draw_class(seed, v, 9) for v in vids]
+
+    def test_randomized_color_classes_on_sparse_ids(self):
+        g = random_gnd(80, 24, seed=4)
+        spaced = Graph([v * 2**40 for v in g.vertices], [(u * 2**40, w * 2**40) for u, w in g.edges()])
+        col, report = randomized_color(spaced, RandomizedParams(seed=9))
+        assert check_vertex_coloring(spaced, col).legal
+        p = report.extra["class_palette"]
+        for v, out in report.outputs.items():
+            assert out["psi_hist"][0] == draw_class(9, v, p)
 
 
 class TestRandomizedDefective:

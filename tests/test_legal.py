@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnicolor import extensions, legal, sim
+from bnicolor.base import Outbox
 from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
 from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
 from bnicolor.generators import (
@@ -205,6 +206,49 @@ class TestReadinessCursors:
             assert single.phis == whole.phis
             assert single.hist == whole.hist == report.outputs[v]["psi_hist"]
             assert len(whole.hist) == 2
+
+
+class TestBroadcastOutbox:
+    """Each outbox holds, by value and in destination order, what one
+    `setdefault(u, []).append(msg)` per broadcast target would have built,
+    also in steps where `same` narrows between two broadcasts."""
+
+    @pytest.mark.parametrize("phi_mode", PHI_MODES)
+    def test_outbox_equals_per_target_construction(self, monkeypatch, phi_mode):
+        class Recording(Outbox):
+            __slots__ = ("calls",)
+
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def broadcast(self, targets, msg):
+                self.calls.append((targets, msg))
+                super().broadcast(targets, msg)
+
+        narrowed = []
+
+        class Checked(RecursiveColorProgram):
+            def step(self, round_no, inbox):
+                out = super().step(round_no, inbox)
+                expected = {}
+                for targets, msg in out.calls:
+                    for u in targets:
+                        expected.setdefault(u, []).append(msg)
+                assert list(out.items()) == list(expected.items())
+                if len({id(targets) for targets, _ in out.calls}) > 1:
+                    narrowed.append((self.ctx.vid, round_no))
+                return out
+
+        g = line_graph_of_random(24, 8, seed=1)
+        schedule = recursion_schedule(TWO_LEVELS, g.delta)
+        params = {"plan": _level_plans(phi_mode, schedule, TWO_LEVELS, g.id_bound)}
+        plain = run(g, RecursiveColorProgram, params=params, record_transcript=True)
+        monkeypatch.setattr(legal, "Outbox", Recording)
+        checked = run(g, Checked, params=params, record_transcript=True)
+        assert checked.to_json() == plain.to_json()
+        assert checked.extra == plain.extra
+        assert narrowed
 
 
 class TestLineGraphRoutes:

@@ -1,9 +1,9 @@
 """The core suite under `python -O`, which strips `assert` statements.
 
 Every guarantee the library relies on must be an explicit check, so the base,
-generator, graph, legal, numbers, simulator and verify tests must pass with
-optimization on as well. pytest still checks the tests' own asserts there, because it rewrites
-them into explicit raises.
+extensions, generator, graph, legal, numbers, simulator and verify tests must
+pass with optimization on as well. pytest still checks the tests' own asserts
+there, because it rewrites them into explicit raises.
 """
 
 import os
@@ -14,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CORE = (
     "tests/test_base.py",
+    "tests/test_extensions.py",
     "tests/test_generators.py",
     "tests/test_graph.py",
     "tests/test_legal.py",

@@ -331,7 +331,9 @@ class Scripted(VertexProgram):
     `max_batch` messages, a single one bare or in a list, to a random subset
     of neighbors in random order, now and then also to a non-neighbor; it
     leaves `wake` as it is or sets it to None or a past, present or future
-    round, and halts with probability `halt`.
+    round, and halts with probability `halt`. With `share` on, a destination
+    may instead get the very batch object (a list, possibly empty or of
+    several messages, or a bare Message) of an earlier destination.
     """
 
     def step(self, round_no, inbox):
@@ -346,6 +348,9 @@ class Scripted(VertexProgram):
             targets.insert(rng.randint(0, len(targets)), stranger)
         out = {}
         for dst in targets:
+            if p.get("share") and out and rng.random() < 0.7:
+                out[dst] = rng.choice(list(out.values()))
+                continue
             domains = [rng.choice(DOMAINS) for _ in range(rng.randint(0, p["max_batch"]))]
             batch = [Message((rng.randrange(d), d)) for d in domains]
             out[dst] = batch[0] if len(batch) == 1 and rng.random() < 0.5 else batch
@@ -361,11 +366,11 @@ class Scripted(VertexProgram):
         return out
 
 
-def _outcome(runner, g, script, **kwargs):
+def _outcome(runner, g, script, program=Scripted, **kwargs):
     """The step log and the report, or the raised error with its partial report."""
     log = []
     try:
-        rep = runner(g, Scripted, params={**script, "log": log}, **kwargs)
+        rep = runner(g, program, params={**script, "log": log}, **kwargs)
     except SimError as exc:
         part = exc.partial
         return log, (type(exc), str(exc), part.to_json(), part.extra, part.flags)
@@ -408,6 +413,53 @@ class TestRunMatchesFrozenLoop:
             assert new == _outcome(_frozen_run, g, script, **options)
             seen.add(new[1][0])
         assert seen == {"ok", LocalityViolation, SimError, DeadlockError, RoundCapExceeded}
+
+
+class SharedThenStray(VertexProgram):
+    """Sends one batch object to every neighbor (a list of `k` messages, or
+    the bare message); vertex 2 then addresses a non-neighbor, right after
+    that shared run."""
+
+    def step(self, round_no, inbox):
+        p = self.ctx.params
+        p["log"].append((self.ctx.vid, round_no, tuple((u, m.fields) for u, m in inbox)))
+        msg = Message((self.ctx.vid % 16, 16))
+        batch = msg if p["k"] == 0 else [msg] * p["k"]
+        out = dict.fromkeys(self.ctx.neighbors, batch)
+        if self.ctx.vid == 2 and round_no == 2:
+            out[self.ctx.n + 1] = batch
+        if round_no == 3:
+            self.output = round_no
+        return out
+
+
+class TestSharedBatches:
+    """Destinations sharing one batch object are accounted as if each had
+    its own: same steps, reports, flags, transcripts and errors as the
+    oracle, which reads every destination's batch separately."""
+
+    @given(small_graphs(max_n=8), SCRIPTS.map(lambda s: {**s, "share": True}), RUN_OPTIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_shared_batches_match_the_oracle(self, g, script, options):
+        assert _outcome(run, g, script, **options) == _outcome(_frozen_run, g, script, **options)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("msg_mode", ["short", "wide"])
+    @pytest.mark.parametrize("budget_factor", [1, 2])
+    @pytest.mark.parametrize("record_transcript", [False, True])
+    def test_locality_violation_after_a_shared_run(self, k, msg_mode, budget_factor, record_transcript):
+        options = {
+            "msg_mode": msg_mode,
+            "budget_factor": budget_factor,
+            "record_transcript": record_transcript,
+        }
+        script = {"k": k}
+        new = _outcome(run, cycle_graph(5), script, program=SharedThenStray, **options)
+        assert new == _outcome(_frozen_run, cycle_graph(5), script, program=SharedThenStray, **options)
+        expected = SimError if msg_mode == "short" and k > 1 else LocalityViolation
+        assert new[1][0] is expected
+        if expected is LocalityViolation and msg_mode == "short" and budget_factor == 1:
+            assert new[1][4] and "exceeds budget" in new[1][4][0]
 
 
 class Gossip(VertexProgram):
