@@ -31,7 +31,7 @@ from .graph import (
     graph_from_edges,
     neighborhood_independence,
 )
-from .legal import LegalResult, defective_color, improved_legal_color, legal_color
+from .legal import LegalResult, defective_color, legal_color
 from .params import (
     DefectiveParams,
     LegalParams,
@@ -77,7 +77,6 @@ __all__ = [
     "edge_color_via_line_graph",
     "generate",
     "graph_from_edges",
-    "improved_legal_color",
     "kuhn_defective_edge",
     "kuhn_defective_vertex",
     "legal_color",

@@ -8,7 +8,7 @@ two-round defective edge labeling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class LinialProgram(VertexProgram):
     def step(self, round_no, inbox):
         for u, msg in inbox:
             it, col = msg.fields[0][0], msg.fields[1][0]
-            self.nbr[u][it] = col
+            self.nbr[u][it] = col + 1
         out = Outbox()
         while self.j < len(self.plans) and all(
             self.j in self.nbr[u] for u in self.ctx.neighbors
@@ -110,12 +110,11 @@ class LinialProgram(VertexProgram):
         return out
 
 
-def linial_coloring(g: Graph, delta_bound: Optional[int] = None) -> Tuple[VertexColoring, SimReport]:
+def linial_coloring(g: Graph) -> Tuple[VertexColoring, SimReport]:
     """Legal coloring with palette <= C_LIN * delta^2, in O(log* n) rounds."""
     if g.n == 0:
         return VertexColoring({}, 1, 0), SimReport(0, 0, 0, {})
-    bound = delta_bound if delta_bound is not None else g.delta
-    plans = linial_schedule(g.id_bound, max(bound, 1))
+    plans = linial_schedule(g.id_bound, max(g.delta, 1))
     palette = plans[-1].palette if plans else g.id_bound
     report = run(g, LinialProgram, msg_mode="wide", params={"plans": plans})
     col = VertexColoring(dict(report.outputs), max(palette, 1), 0)

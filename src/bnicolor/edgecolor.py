@@ -66,6 +66,7 @@ from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
 K_LAB, K_RDY, K_CNT, K_BLIN, K_USED, K_RDY2 = range(6)
 N_KINDS = 6
+DIRECT_ROUND_CAP = 200_000  # round cap of `edge_color_direct`'s run
 
 
 def conflict_bitmap(own_color: int, nbr_colors: List[int], plan: PolyPlan) -> int:
@@ -579,7 +580,6 @@ def edge_color_direct(
     msg_mode: str = "short",
     paced: bool = False,
     budget_factor: int = 1,
-    round_cap: int = 200_000,
 ) -> Tuple[EdgeColoring, SimReport]:
     """Legal edge coloring via the edge-specialized recursion; short messages."""
     Lambda0 = max(2 * (g.delta - 1), 1)
@@ -593,7 +593,7 @@ def edge_color_direct(
         g,
         EdgeColorProgram,
         msg_mode=msg_mode,
-        round_cap=round_cap,
+        round_cap=DIRECT_ROUND_CAP,
         params=run_params,
         budget_factor=budget_factor,
     )
@@ -630,7 +630,6 @@ def edge_color_via_line_graph(
     g: Graph,
     params: LegalParams,
     phi_mode: str = "fast",
-    round_cap: int = 100_000,
 ) -> Tuple[EdgeColoring, SimReport]:
     """Vertex-color the line graph through the host simulation; the induced
     edge coloring inherits its palette bound."""
@@ -642,9 +641,7 @@ def edge_color_via_line_graph(
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
     plan = _level_plans(phi_mode, schedule, params, max(lg.id_bound, 1))
-    report = run_on_line_graph(
-        g, RecursiveColorProgram, round_cap=round_cap, params={"plan": plan}, lgm=lgm
-    )
+    report = run_on_line_graph(g, RecursiveColorProgram, params={"plan": plan}, lgm=lgm)
     colors = {lgm.edge_of[v]: out["color"] for v, out in report.outputs.items()}
     vartheta = vartheta_of_schedule(schedule, params.p)
     col = EdgeColoring(colors, vartheta, 0)

@@ -168,9 +168,7 @@ def _run_defective(spec: ExperimentSpec, g: Graph):
 
 def _run_legal(spec: ExperimentSpec, g: Graph):
     lp = _legal_params_for(spec, g, max(g.delta, 1))
-    result, report = legal_color(
-        g, lp, phi_mode=spec.params.get("phi_mode", "fast"), seed=spec.seed
-    )
+    result, report = legal_color(g, lp, phi_mode=spec.params.get("phi_mode", "fast"))
     return result.phi, report, result.vartheta, _params_dict(lp), _c(spec)
 
 
@@ -227,7 +225,7 @@ def _run_randomized(spec: ExperimentSpec, g: Graph):
 def _run_tradeoff(spec: ExperimentSpec, g: Graph):
     p, c = spec.params, _c(spec)
     tp = TradeoffParams(g_fn=str(p.get("g_fn", "power:0.5")), eta=float(p.get("eta", 0.25)))
-    col, report = tradeoff_color(g, tp, c, seed=spec.seed)
+    col, report = tradeoff_color(g, tp, c)
     return col, report, None, {"g_fn": tp.g_fn, "eta": tp.eta, "c": c}, c
 
 

@@ -5,16 +5,17 @@ the randomized variant picks the first-level class uniformly at random (zero
 communication), the tradeoff variant takes the single-shot defective recoloring
 itself as the class (no recolor loop). The remaining levels run unchanged.
 
-Randomness is drawn from a counter-based generator keyed by (seed, vertex Id),
-so draws are independent of execution order and runs are reproducible from
-(graph, params, seed).
+Randomness comes only from `legal.draw_classes`, a counter-based generator
+keyed by (seed, vertex Id) that draws every class before the run starts, so
+draws are independent of execution order and runs are reproducible from
+(graph, params). The tradeoff variant draws nothing and is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .coloring import VertexColoring
 from .graph import Graph
@@ -28,7 +29,6 @@ from .legal import (
 )
 from .numbers import kuhn_step_plan, linial_schedule
 from .params import (
-    LegalParams,
     ParamError,
     preset_improved_s42,
     recursion_schedule,
@@ -36,13 +36,6 @@ from .params import (
 )
 from .sim import SimReport, run
 from .verify import check_vertex_coloring
-
-
-def _check_seed(seed: int):
-    """Philox keys are 64-bit words: a seed outside [-2**63, 2**63) would share
-    its key with another seed (or fail to convert), so it is refused."""
-    if not -(2**63) <= seed < 2**63:
-        raise ParamError(f"seed must be in [-2**63, 2**63), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,6 @@ class RandomizedParams:
             raise ParamError(f"kappa must exceed 1, got {self.kappa}")
         if not self.eta > 0:
             raise ParamError(f"eta must be positive, got {self.eta}")
-        _check_seed(self.seed)
 
 
 GFn = Callable[[int], float]
@@ -122,8 +114,6 @@ def randomized_defective(g: Graph, params: RandomizedParams) -> VertexColoring:
 def randomized_color(
     g: Graph,
     params: RandomizedParams,
-    legal_params: Optional[LegalParams] = None,
-    round_cap: int = 100_000,
 ) -> Tuple[VertexColoring, SimReport]:
     """Random class partition, then each class legally colored in parallel.
 
@@ -135,24 +125,12 @@ def randomized_color(
     """
     p = _class_palette(g, params)
     B = random_defect_bound(params.kappa, g.n)
-    if legal_params is not None and legal_params.lam < B:
-        raise ParamError(
-            f"inner lambda = {legal_params.lam} below the class degree bound "
-            f"{B}: classes carry no independence bound, so recursion below it "
-            "is unsound"
-        )
     plan = RecursionPlan(
         (LevelPlan(g.delta, p, p, kind="pre_random"),),
         bottom_plan(max(g.id_bound, 1), B),
     )
     classes = dict(zip(g.vertices, draw_classes(params.seed, g.vertices, p)))
-    report = run(
-        g,
-        RecursiveColorProgram,
-        round_cap=round_cap,
-        params={"plan": plan, "classes": classes},
-        seed=params.seed,
-    )
+    report = run(g, RecursiveColorProgram, params={"plan": plan, "classes": classes})
     colors = {v: out["color"] for v, out in report.outputs.items()}
     col = VertexColoring(colors, plan.suffix[0], 0)
     # flag classes that exceeded the probabilistic degree bound
@@ -177,14 +155,11 @@ def tradeoff_color(
     g: Graph,
     params: TradeoffParams,
     c: int,
-    seed: int = 0,
-    round_cap: int = 100_000,
 ) -> Tuple[VertexColoring, SimReport]:
     """Single-shot defective partition sized by g(delta), then the recursive
     coloring on each class; palette ~ q(delta)^2 * class palette."""
     if c < 1:
         raise ParamError("c must be positive")
-    _check_seed(seed)
     delta = max(g.delta, 1)
     params.validate(delta)
     q = params.resolve()(delta) ** (1.0 / (1.0 - params.eta))
@@ -193,7 +168,7 @@ def tradeoff_color(
         from .legal import legal_color
 
         inner = preset_improved_s42(c, delta)
-        result, report = legal_color(g, inner, phi_mode="improved", seed=seed)
+        result, report = legal_color(g, inner, phi_mode="improved")
         report.extra["fallback"] = "legal_color"
         return result.phi, report
     d = max(delta // p_t, 1)
@@ -207,7 +182,7 @@ def tradeoff_color(
     schedule = recursion_schedule(inner_params, max(claimed, 1))
     inner = _level_plans("fast", schedule, inner_params, n0)
     plan = RecursionPlan((pre,) + inner.levels, inner.bottom)
-    report = run(g, RecursiveColorProgram, round_cap=round_cap, params={"plan": plan}, seed=seed)
+    report = run(g, RecursiveColorProgram, params={"plan": plan})
     colors = {v: out["color"] for v, out in report.outputs.items()}
     col = VertexColoring(colors, plan.suffix[0], 0)
     report.extra["q"] = q

@@ -198,7 +198,7 @@ def build_line_graph(g: Graph) -> LineGraphMap:
 
 # -- neighborhood independence ------------------------------------------------
 
-DEFAULT_INDEPENDENCE_CAP = 512
+INDEPENDENCE_CAP = 512
 
 
 def _neighbor_bits(g: Graph) -> Dict[int, int]:
@@ -230,16 +230,17 @@ def _max_independent_in(mask: int, nbr_bits: Dict[int, int]) -> int:
     return best
 
 
-def neighborhood_independence(g: Graph, cap_delta: int = DEFAULT_INDEPENDENCE_CAP) -> int:
+def neighborhood_independence(g: Graph) -> int:
     """Exact I(G): the largest independent subset of any single neighborhood.
 
-    Edgeless graphs return 0. Refuses graphs with max degree above `cap_delta`
-    (the per-neighborhood search is exponential in the degree only).
+    Edgeless graphs return 0. Refuses graphs with max degree above
+    `INDEPENDENCE_CAP` (the per-neighborhood search is exponential in the
+    degree only).
     """
     if g.n == 0:
         raise GraphError("neighborhood independence of an empty graph is undefined")
-    if g.delta > cap_delta:
-        raise GraphError(f"max degree {g.delta} exceeds independence cap {cap_delta}")
+    if g.delta > INDEPENDENCE_CAP:
+        raise GraphError(f"max degree {g.delta} exceeds independence cap {INDEPENDENCE_CAP}")
     nbr_bits = _neighbor_bits(g)
     best = 0
     for mask in nbr_bits.values():

@@ -24,15 +24,15 @@ hold the neighbors' phi, psi and reduced bottom colors.
 Every message goes to all of `same`, the neighbors in the vertex's current
 subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
 object across their destinations as long as `same` is not narrowed, so the
-simulator accounts them once per batch. Random classes are drawn for all
-vertices at once by `draw_classes`, a Philox4x64-10 over arrays equal to the
-per-vertex `draw_class`.
+simulator accounts them once per batch. `draw_classes` is the library's only
+random draw: a Philox4x64-10 over arrays that gives every vertex its class
+before the run starts, so the programs themselves are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,36 +135,6 @@ class RecursionPlan:
         return bottom_color + sum((psi - 1) * w for psi, w in zip(hist, self.suffix[1:]))
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
-
-@cache
-def _shared_philox() -> Tuple[np.random.Philox, np.random.Generator]:
-    # built on first use: importing numpy.random costs ~2 MB of resident memory
-    # that the deterministic routes never need
-    bitgen = np.random.Philox(key=[0, 0])
-    return bitgen, np.random.Generator(bitgen)
-
-
-def draw_class(seed: int, vid: int, p: int) -> int:
-    """A class in 1..p drawn by a counter-based generator keyed by (seed, vid).
-
-    Equal to the first `integers(p)` draw of a fresh
-    `Generator(Philox(key=[seed, vid]))`: one shared generator is reset to
-    counter 0, that key (wrapped to uint64 as Philox does) and an empty buffer.
-    """
-    bitgen, rng = _shared_philox()
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": np.array([seed, vid]).astype(np.uint64)},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return 1 + int(rng.integers(p))
-
-
 # Philox4x64-10 (Salmon et al., SC'11) multipliers and Weyl key increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -180,45 +150,58 @@ def _mulhilo(a: int, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return b_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), b * a
 
 
-def _philox_word0(k0: int, k1: np.ndarray) -> np.ndarray:
-    """Output word 0 of Philox4x64-10 at counter [1, 0, 0, 0] under the keys
-    [k0, k1[i]]: the first word of a fresh numpy `Philox`, which bumps its
-    counter before the first block."""
-    c0 = np.ones(len(k1), dtype=np.uint64)
+def _philox_block(k0: int, keys: np.ndarray, counter: int) -> Tuple[np.ndarray, ...]:
+    """The four output words of Philox4x64-10 at counter [counter, 0, 0, 0]
+    under the keys [k0, keys[i]]. A fresh numpy `Philox` bumps its counter
+    before each block, so its first block is counter 1."""
+    c0 = np.full(len(keys), counter, dtype=np.uint64)
     c1 = c2 = c3 = np.zeros_like(c0)
     for r in range(10):
         if r:
             k0 = (k0 + _PHILOX_W[0]) % 2**64
-            k1 = k1 + _PHILOX_W[1]
+            keys = keys + _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ keys, lo0
+    return c0, c1, c2, c3
 
 
 def draw_classes(seed: int, vids: Sequence[int], p: int) -> List[int]:
-    """`draw_class(seed, v, p)` for every v in vids, computed over arrays.
+    """A class in 1..p for every vertex Id v in vids, from the counter-based
+    Philox4x64-10 keyed [seed mod 2**64, v]: the first `integers(p) + 1` of a
+    fresh numpy `Generator(Philox(key=[seed % 2**64, v]))`, computed over
+    arrays, so draws do not depend on execution order.
 
-    The first 32-bit output of the generator keyed [seed, v] is the low half
-    u of Philox word 0, and `integers(p)` maps it by Lemire's method: class
-    1 + (u * p >> 32), unless the low half of u * p falls below
-    (2**32 - p) % p, where numpy draws again. Such lanes, and vids, seeds or
-    palettes outside 64-bit keys and 32-bit draws, call `draw_class`.
+    The generator's 32-bit outputs are the low then the high half of each
+    block word, blocks at counters 1, 2, ... `integers(p)` maps an output u
+    by Lemire's method: class 1 + (u * p >> 32), unless the low half of
+    u * p falls below (2**32 - p) % p, where the lane takes its next output.
+    Seeds outside [-2**63, 2**63), Ids outside [0, 2**64) and p outside
+    1..2**32 are refused: keys are 64-bit words, so a wider seed would share
+    its key with another seed.
     """
+    if not -(2**63) <= seed < 2**63:
+        raise ParamError(f"seed must be in [-2**63, 2**63), got {seed}")
+    if not 1 <= p <= 2**32:
+        raise ParamError(f"class palette must be in 1..2**32, got {p}")
     vids = list(vids)
-    if not (-(2**63) <= seed < 2**63 and 1 <= p <= 2**32):
-        return [draw_class(seed, v, p) for v in vids]
-    if p == 1:
-        return [1] * len(vids)
-    fits = [-(2**63) <= v < 2**63 for v in vids]
-    keys = np.array([v if ok else 0 for v, ok in zip(vids, fits)], dtype=np.int64)
-    m = (_philox_word0(seed % 2**64, keys.view(np.uint64)) & _LO32) * p
-    classes = ((m >> 32) + 1).tolist()
-    redo = (m & _LO32) < (2**32 - p) % p
-    for i, v in enumerate(vids):
-        if redo[i] or not fits[i]:
-            classes[i] = draw_class(seed, v, p)
-    return classes
+    if vids and not (0 <= min(vids) and max(vids) < 2**64):
+        raise ParamError("vertex Ids must be in [0, 2**64) to key a Philox draw")
+    keys = np.array(vids, dtype=np.uint64)
+    classes = np.zeros(len(vids), dtype=np.uint64)
+    todo = np.arange(len(vids))  # lanes still rejected, in lane order
+    threshold = (2**32 - p) % p
+    counter = 1
+    while len(todo):
+        block = _philox_block(seed % 2**64, keys[todo], counter)
+        m = np.stack([half for w in block for half in (w & _LO32, w >> 32)]) * p
+        accepted = (m & _LO32) >= threshold
+        first = accepted.argmax(axis=0)  # a lane's first accepted output
+        done = accepted.any(axis=0)
+        classes[todo[done]] = (m[first, np.arange(len(todo))][done] >> 32) + 1
+        todo = todo[~done]
+        counter += 1
+    return classes.tolist()
 
 
 def _level_plans(
@@ -515,7 +498,6 @@ def legal_color(
     g: Graph,
     params: LegalParams,
     phi_mode: str = "fast",
-    seed: int = 0,
 ) -> Tuple[LegalResult, SimReport]:
     if phi_mode not in PHI_MODES:
         raise ParamError(f"unknown phi_mode {phi_mode!r}")
@@ -523,7 +505,7 @@ def legal_color(
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
     plan = _level_plans(phi_mode, schedule, params, max(g.id_bound, 1))
-    report = run(g, RecursiveColorProgram, params={"plan": plan}, seed=seed)
+    report = run(g, RecursiveColorProgram, params={"plan": plan})
     colors = {v: out["color"] for v, out in report.outputs.items()}
     vartheta = vartheta_of_schedule(schedule, params.p)
     if plan.suffix[0] != vartheta:
@@ -542,10 +524,3 @@ def legal_color(
         report.extra["rho_rounds"] = len(plan.levels[0].lin_plans)
     return result, report
 
-
-def improved_legal_color(
-    g: Graph, params: LegalParams, seed: int = 0
-) -> Tuple[LegalResult, SimReport]:
-    """legal_color with the one-time global auxiliary coloring; per-level cost
-    is then independent of n."""
-    return legal_color(g, params, phi_mode="improved", seed=seed)

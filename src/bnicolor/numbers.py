@@ -105,11 +105,6 @@ def linial_schedule(n_colors: int, delta_bound: int) -> List[PolyPlan]:
     return plans
 
 
-def linial_final_palette(n_colors: int, delta_bound: int) -> int:
-    sched = linial_schedule(n_colors, delta_bound)
-    return sched[-1].palette if sched else n_colors
-
-
 def kuhn_step_plan(n_colors: int, delta_bound: int, d: int) -> PolyPlan:
     """Plan for one defective step: agreement count <= floor(k*delta/q) <= d.
 

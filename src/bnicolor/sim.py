@@ -17,7 +17,9 @@ budget are flagged (never rejected); `wide` mode allows multiplexing and
 reports the maximum count. The budget is budget_factor * ceil(log2(id bound))
 bits. Each program's `Context` carries the run's `msg_mode` and that budget as
 `budget_bits`, so a program splits its payloads by the same rule the run
-accounts them with.
+accounts them with. A `Context` holds no seed: the programs are deterministic,
+and the one random draw (`legal.draw_classes`) is made before a run and
+handed in through `params`.
 
 Several destinations of one outbox may share one batch object (a broadcast).
 The run accounts such a batch once, for the run of consecutive destinations
@@ -81,7 +83,6 @@ class Context:
     n: int  # Id-space bound (= n for freshly built graphs)
     delta: int
     params: Dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
     # set by `run`: its message mode and short-mode bit budget per message
     msg_mode: str = "wide"
     budget_bits: int = 0
@@ -145,7 +146,6 @@ def run(
     msg_mode: str = "wide",
     round_cap: int = DEFAULT_ROUND_CAP,
     params: Optional[Dict[str, Any]] = None,
-    seed: int = 0,
     budget_factor: int = 1,
     record_transcript: bool = False,
 ) -> SimReport:
@@ -163,7 +163,7 @@ def run(
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     insts: Dict[int, VertexProgram] = {}
     for v in g.vertices:
-        ctx = Context(v, g.adj[v], g.id_bound, g.delta, params, seed, msg_mode, budget)
+        ctx = Context(v, g.adj[v], g.id_bound, g.delta, params, msg_mode, budget)
         insts[v] = program(ctx)
 
     adjset = g._adjset
@@ -315,9 +315,7 @@ def _report(rounds, max_bits, max_mux, insts, halted, flags, flag_overflow) -> S
 def run_on_line_graph(
     g: Graph,
     program: Callable[[Context], VertexProgram],
-    round_cap: int = DEFAULT_ROUND_CAP,
     params: Optional[Dict[str, Any]] = None,
-    seed: int = 0,
     lgm: Optional[LineGraphMap] = None,
 ) -> SimReport:
     """Simulate a line-graph vertex program on the host graph (edge e=(u,w),
@@ -341,9 +339,7 @@ def run_on_line_graph(
         lgm.lg,
         program,
         msg_mode="wide",
-        round_cap=round_cap,
         params=params,
-        seed=seed,
         record_transcript=True,
     )
     transcript = logical.extra.pop("transcript")

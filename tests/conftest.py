@@ -32,6 +32,14 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 10):
     return graph_from_edges(n, sorted(edges))
 
 
+def spread_ids(g: Graph, seed: int = 0) -> Graph:
+    """g with its vertices renamed, in order, to distinct random Ids below
+    2**40 and the largest one to 2**40."""
+    ids = sorted(random.Random(seed).sample(range(1, 2**40), g.n - 1)) + [2**40]
+    new = dict(zip(g.vertices, ids))
+    return Graph(ids, [(new[u], new[w]) for u, w in g.edges()])
+
+
 def canonical(obj):
     """JSON-ready copy with str dict keys and lists for tuples."""
     if isinstance(obj, dict):

@@ -25,7 +25,7 @@ from bnicolor.numbers import (
 )
 from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
-from conftest import small_graphs
+from conftest import small_graphs, spread_ids
 
 
 class TestChoosePoint:
@@ -119,6 +119,22 @@ class TestLinial:
         col, report = linial_coloring(g)
         assert check_vertex_coloring(g, col).legal
         assert col.palette <= max(C_LIN * max(g.delta, 1) ** 2, g.id_bound)
+
+    @pytest.mark.parametrize(
+        "n, d, seed, spread",
+        [(200, 2, 1, False), (1000, 3, 1, False), (5000, 4, 1, False), (40, 12, 0, True), (40, 12, 1, True)],
+    )
+    def test_later_iterations(self, n, d, seed, spread):
+        """These graphs take two or more iterations, and from the second on each
+        vertex must read its neighbors' colors as sent (wire value plus 1);
+        spread Ids reach 2**40."""
+        g = random_gnd(n, d, seed=seed)
+        if spread:
+            g = spread_ids(g, seed)
+        col, report = linial_coloring(g)
+        assert report.rounds >= 2
+        verification = check_vertex_coloring(g, col)
+        assert verification.legal and verification.ok
 
     def test_round_count_logstar(self):
         g = random_gnd(400, 6, seed=1)

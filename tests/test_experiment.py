@@ -5,14 +5,20 @@ import pytest
 from bnicolor.experiment import (
     ALGORITHMS,
     CSV_COLUMNS,
+    RUNNERS,
     ExperimentSpec,
+    _verify,
     report_json,
     run_experiment,
     run_repetitions,
     sweep_csv,
     sweep_reports,
 )
+from bnicolor.generators import random_gnd
+from bnicolor.graph import build_line_graph, neighborhood_independence
 from bnicolor.params import ParamError
+
+from conftest import spread_ids
 
 REQUIRED_KEYS = {
     "schema",
@@ -117,3 +123,42 @@ class TestSweep:
         a = sweep_reports(spec, "gen_params.d", [4])
         b = sweep_reports(spec, "gen_params.d", [4])
         assert report_json(a[0][1]) == report_json(b[0][1])
+
+
+SPARSE_GRAPHS = {
+    "gnd40": lambda: spread_ids(random_gnd(40, 12, seed=1), 1),
+    "line": lambda: spread_ids(build_line_graph(random_gnd(16, 5, seed=2)).lg, 2),
+    "gnd60": lambda: spread_ids(random_gnd(60, 24, seed=3), 3),
+}
+
+
+class TestSparseIds:
+    """Every runner on graphs whose Ids reach 2**40, so that message domains and
+    the short-mode bit budget are sized by the Id bound, not by n."""
+
+    @pytest.mark.parametrize("graph", sorted(SPARSE_GRAPHS))
+    def test_every_runner_verifies_its_claim(self, graph):
+        g = SPARSE_GRAPHS[graph]()
+        assert max(g.vertices) == 2**40
+        c = neighborhood_independence(g)
+        # the edge routes color the line graph of g, whose independence is <= 2
+        spec_args = {
+            "defective": dict(params={"b": 1, "p": 4, "c": c}),
+            "legal": dict(preset="thm45", params={"c": c}),
+            "edge_direct": dict(preset="thm45", params={"c": 2}),
+            "edge_line": dict(preset="thm45", params={"c": 2}),
+            "kuhn_edge": dict(params={"p_prime": 3}),
+            "tradeoff": dict(params={"c": c}),
+        }
+        runs = [(algorithm, "wide") for algorithm in RUNNERS] + [("edge_direct", "short")]
+        for algorithm, msg_mode in runs:
+            spec = ExperimentSpec(
+                "random_gnd",
+                algorithm=algorithm,
+                msg_mode=msg_mode,
+                seed=5,
+                **spec_args.get(algorithm, {}),
+            )
+            col, report, *_ = RUNNERS[algorithm](spec, g)
+            verification = _verify(g, col)
+            assert verification.ok, (algorithm, msg_mode, verification.violated)

@@ -5,6 +5,9 @@ behind. `__init__.py` re-exports by importing and is exempt. The names the
 benchmark's layer wrappers replace (`bench/spans.py`) are looked up in the
 module that imports them, so they stay bound there even where the module's
 own code no longer calls them.
+
+A second scan keeps `numpy.random` out of the library: its one random draw
+is `legal.draw_classes`, a Philox over numpy arrays.
 """
 
 import ast
@@ -85,3 +88,44 @@ def test_the_scan_finds_a_dead_import():
     )
     assert unused_imports(source) == [(1, "os"), (2, "Dict")]
     assert unused_imports(source, keep=("os",)) == [(2, "Dict")]
+
+
+def numpy_random_uses(source: str):
+    """Lines that import `numpy.random` or read `.random` off a name numpy is
+    bound to."""
+    tree = ast.parse(source)
+    numpy_names = {"np", "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names |= {a.asname for a in node.names if a.name == "numpy" and a.asname}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"numpy.{node.attr}"] if node.value.id in numpy_names else []
+        else:
+            continue
+        if any(n == "numpy.random" or n.startswith("numpy.random.") for n in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_numpy_random(module):
+    assert numpy_random_uses((SRC / f"{module}.py").read_text()) == []
+
+
+def test_the_scan_finds_numpy_random():
+    source = (
+        "import random\n"
+        "import numpy as xp\n"
+        "import numpy.random\n"
+        "from numpy import random as npr\n"
+        "from numpy.random import Philox\n"
+        "def f() -> int:\n"
+        "    return xp.random.default_rng, xp.randomize, random.random()\n"
+    )
+    assert numpy_random_uses(source) == [3, 4, 5, 7]

@@ -23,7 +23,6 @@ from bnicolor.legal import (
     RecursiveColorProgram,
     _level_plans,
     defective_color,
-    improved_legal_color,
     legal_color,
 )
 from bnicolor.params import (
@@ -117,13 +116,6 @@ class TestLegalColor:
         result, _ = legal_color(g, params)
         assert result.depth == 0
         assert check_vertex_coloring(g, result.phi).legal
-
-    def test_improved_equals_wrapper(self):
-        g = line_graph_of_random(18, 6, seed=4)
-        params = LegalParams(1, 9, 12, 2)
-        a, _ = improved_legal_color(g, params)
-        b_, _ = legal_color(g, params, phi_mode="improved")
-        assert a.phi == b_.phi
 
     def test_clique_pendant_family(self):
         g = clique_pendant(24)

@@ -9,7 +9,6 @@ from bnicolor.numbers import (
     ceil_log2,
     is_prime,
     kuhn_step_plan,
-    linial_final_palette,
     linial_schedule,
     linial_step_plan,
     log_star,
@@ -83,7 +82,8 @@ class TestPlans:
         # recorded constant: final palette <= 9 * delta^2 over this sweep
         for delta in (1, 2, 4, 8, 16, 64, 128):
             for n in (10, 1000, 10**6):
-                assert linial_final_palette(n, delta) <= 9 * delta * delta
+                plans = linial_schedule(n, delta)
+                assert (plans[-1].palette if plans else n) <= 9 * delta * delta
 
     @given(st.integers(2, 50_000), st.integers(2, 64), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)

@@ -202,7 +202,6 @@ def _frozen_run(
     msg_mode="wide",
     round_cap=DEFAULT_ROUND_CAP,
     params=None,
-    seed=0,
     budget_factor=1,
     record_transcript=False,
 ):
@@ -217,7 +216,7 @@ def _frozen_run(
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     insts = {}
     for v in g.vertices:
-        insts[v] = program(Context(v, g.adj[v], g.id_bound, g.delta, params, seed))
+        insts[v] = program(Context(v, g.adj[v], g.id_bound, g.delta, params))
 
     inboxes = {v: [] for v in g.vertices}
     halted = {}
