@@ -3,12 +3,7 @@ independence: a synchronous message-passing simulator, defective/legal vertex
 coloring, direct and line-graph edge coloring, randomized and tradeoff
 variants, exact verification oracles, and an experiment harness."""
 
-from .base import (
-    kuhn_defective_edge,
-    kuhn_defective_vertex,
-    linial_coloring,
-    reduce_to_delta_plus_one,
-)
+from .base import kuhn_defective_edge, linial_coloring
 from .coloring import EdgeColoring, VertexColoring
 from .edgecolor import (
     edge_color_2delta_minus_1,
@@ -78,7 +73,6 @@ __all__ = [
     "generate",
     "graph_from_edges",
     "kuhn_defective_edge",
-    "kuhn_defective_vertex",
     "legal_color",
     "linial_coloring",
     "make_preset",
@@ -86,7 +80,6 @@ __all__ = [
     "randomized_color",
     "randomized_defective",
     "recursion_schedule",
-    "reduce_to_delta_plus_one",
     "run",
     "run_experiment",
     "run_on_line_graph",

@@ -1,9 +1,11 @@
 """Base coloring subroutines as vertex programs.
 
 These implement the prior-work contracts the recursive algorithms build on:
-an iterated polynomial log*-time coloring, the one-class-per-round palette
-reduction, the single-shot defective recoloring from a legal coloring, and the
-two-round defective edge labeling.
+an iterated polynomial log*-time coloring and the two-round defective edge
+labeling, plus the polynomial step (`choose_point`, `step_color`) that the
+Linial iterations and the single-shot defective recoloring share. The
+recoloring and the palette reduction run as phases of
+`legal.RecursiveColorProgram`.
 """
 
 from __future__ import annotations
@@ -17,17 +19,14 @@ from .graph import Graph
 from .numbers import (
     PolyPlan,
     agreement_counts,
-    kuhn_step_plan,
     linial_schedule,
     poly_coeffs,
     poly_eval,
 )
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
-from .verify import check_vertex_coloring
 
 # recorded implementation constants (measured; asserted stable by the tests)
 C_LIN = 9  # linial palette <= C_LIN * delta^2 (delta >= 1)
-C_KUHN = 16  # kuhn palette <= C_KUHN * (delta/d)^2 over the tested sweeps
 
 
 def choose_point(
@@ -119,108 +118,6 @@ def linial_coloring(g: Graph) -> Tuple[VertexColoring, SimReport]:
     report = run(g, LinialProgram, msg_mode="wide", params={"plans": plans})
     col = VertexColoring(dict(report.outputs), max(palette, 1), 0)
     report.extra["palette"] = col.palette
-    return col, report
-
-
-class ReduceProgram(VertexProgram):
-    """One color class recolors per round, highest class first."""
-
-    def __init__(self, ctx: Context):
-        super().__init__(ctx)
-        self.start = ctx.params["start"][ctx.vid]
-        self.p0 = ctx.params["p0"]
-        self.target = ctx.params["target"]
-        self.cur = self.start
-        self.nbr: Dict[int, int] = {}
-
-    def step(self, round_no, inbox):
-        for u, msg in inbox:
-            self.nbr[u] = msg.fields[0][0]
-        if round_no == 1:
-            if not self.ctx.neighbors:
-                self.cur = self.start if self.start <= self.target else 1
-                self.output = self.cur
-                return {}
-            if self.start > self.target:
-                self.wake = 2 + (self.p0 - self.start)
-            else:
-                self.output = self.cur
-            msg = Message((self.cur, self.p0 + 1))
-            return {u: msg for u in self.ctx.neighbors}
-        act_round = 2 + (self.p0 - self.start)
-        if self.start > self.target and round_no == act_round:
-            used = set(self.nbr.values())
-            k = 1
-            while k in used:
-                k += 1
-            self.cur = k
-            self.output = self.cur
-            msg = Message((self.cur, self.target + 1))
-            return {u: msg for u in self.ctx.neighbors}
-        return {}
-
-
-def reduce_to_delta_plus_one(
-    g: Graph, start: VertexColoring
-) -> Tuple[VertexColoring, SimReport]:
-    """Legal (delta+1)-coloring from any legal coloring; palette(start) rounds."""
-    rep = check_vertex_coloring(g, start)
-    if not rep.legal:
-        raise ValueError("reduce_to_delta_plus_one requires a legal start coloring")
-    p0 = max(start.palette, max(start.colors.values(), default=1))
-    target = g.delta + 1
-    if p0 <= target:
-        report = SimReport(0, 0, 0, dict(start.colors))
-        return VertexColoring(dict(start.colors), target, 0), report
-    report = run(
-        g,
-        ReduceProgram,
-        msg_mode="wide",
-        params={"start": start.colors, "p0": p0, "target": target},
-    )
-    return VertexColoring(dict(report.outputs), target, 0), report
-
-
-class KuhnVertexProgram(VertexProgram):
-    """Single-shot defective recoloring: exchange legal colors, then each vertex
-    picks the evaluation point with fewest polynomial agreements."""
-
-    def __init__(self, ctx: Context):
-        super().__init__(ctx)
-        self.rho = ctx.params["rho"][ctx.vid]
-        self.plan: PolyPlan = ctx.params["plan"]
-
-    def step(self, round_no, inbox):
-        if round_no == 1:
-            if not self.ctx.neighbors:
-                self.output = step_color(self.rho, 0, self.plan)
-                return {}
-            msg = Message((self.rho - 1, self.plan.n_colors))
-            return {u: msg for u in self.ctx.neighbors}
-        nbr_rho = [msg.fields[0][0] + 1 for _, msg in inbox]
-        x, _ = choose_point(self.rho, nbr_rho, self.plan)
-        self.output = step_color(self.rho, x, self.plan)
-        return {}
-
-
-def kuhn_defective_vertex(
-    g: Graph, rho: VertexColoring, d: int
-) -> Tuple[VertexColoring, SimReport]:
-    """d-defective coloring with palette <= C_KUHN*(delta/d)^2 from a legal rho."""
-    if d < 1:
-        raise ValueError("defect target d must be >= 1")
-    rep = check_vertex_coloring(g, rho)
-    if not rep.legal:
-        raise ValueError("kuhn_defective_vertex requires a legal rho")
-    if d >= g.delta:
-        col = VertexColoring({v: 1 for v in g.vertices}, 1, min(d, g.delta))
-        return col, SimReport(0, 0, 0, dict(col.colors))
-    M = max(rho.palette, max(rho.colors.values(), default=1))
-    plan = kuhn_step_plan(M, g.delta, d)
-    report = run(g, KuhnVertexProgram, msg_mode="wide", params={"rho": rho.colors, "plan": plan})
-    claimed = min(d, plan.k * g.delta // plan.q)
-    col = VertexColoring(dict(report.outputs), plan.palette, claimed)
-    report.extra["plan"] = (plan.k, plan.q)
     return col, report
 
 

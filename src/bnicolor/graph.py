@@ -7,9 +7,11 @@ working down a recursion.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from numbers import Integral
 from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -20,8 +22,8 @@ class Graph:
     """Simple undirected graph with sorted adjacency lists. Treat as immutable.
 
     Raises GraphError for a vertex Id that is not a positive integer and,
-    naming the first bad edge in input order, for a self-loop, an edge with an
-    unknown endpoint or a duplicate edge (in either orientation).
+    naming the first bad edge in input order, for a self-loop, a non-integer
+    or unknown endpoint or a duplicate edge (in either orientation).
     """
 
     __slots__ = ("vertices", "adj", "_adjset", "delta", "id_bound")
@@ -29,8 +31,7 @@ class Graph:
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]]):
         vertices = list(vertices)
         for v in vertices:
-            # int first: the Integral check alone is an ABC lookup, ~20x slower
-            if not isinstance(v, (int, Integral)):
+            if not _is_id(v):
                 raise GraphError(f"vertex Ids must be positive integers, got {v!r}")
         vs = sorted(set(vertices))
         if vs and vs[0] <= 0:
@@ -42,6 +43,17 @@ class Graph:
                 adj[u].append(w)
                 adj[w].append(u)
         except KeyError:
+            _raise_first_bad_edge(vs, edges)
+        # An endpoint equal to a vertex Id but not an integer (1.0) finds that
+        # vertex above. sum adds exact ints on its fast path, and any other
+        # endpoint type (numpy ones may overflow) makes the total another type:
+        # only then is each endpoint checked.
+        try:
+            with np.errstate(over="ignore"):
+                exact = type(sum(map(sum, adj.values()))) is int
+        except TypeError:  # Decimal(1) + 1.0
+            exact = False
+        if not (exact or all(map(_is_id, chain.from_iterable(edges)))):
             _raise_first_bad_edge(vs, edges)
         self.vertices: Tuple[int, ...] = tuple(vs)
         self.adj: Dict[int, Tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
@@ -85,12 +97,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
 
 
+def _is_id(x) -> bool:
+    # int first: the Integral check alone is an ABC lookup, ~20x slower
+    return isinstance(x, (int, Integral))
+
+
 def _raise_first_bad_edge(vs: List[int], edges: List[Tuple[int, int]]):
-    """Raise the GraphError for the first edge that is a self-loop, has an
-    unknown endpoint or repeats an earlier edge."""
+    """Raise the GraphError for the first edge that is a self-loop, has a
+    non-integer or unknown endpoint or repeats an earlier edge."""
     vset = set(vs)
     seen = set()
     for u, w in edges:
+        if not (_is_id(u) and _is_id(w)):
+            raise GraphError(f"edge ({u!r},{w!r}) has a non-integer endpoint")
         if u == w:
             raise GraphError(f"self-loop at {u}")
         if u not in vset or w not in vset:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .numbers import log_star
 
@@ -60,7 +60,6 @@ class LegalParams:
     eps: Optional[Fraction] = None  # exponent for thm45 / thm48_3
     t: Optional[int] = None  # exponent for thm46
     clamped: bool = False
-    literal: Optional[Tuple[int, int, int]] = None  # pre-clamp (b, p, lam)
 
     def validate(self, Lambda: int):
         if min(self.b, self.p, self.lam, self.c) < 1:
@@ -81,7 +80,6 @@ class LegalParams:
 def _clamp(
     b: int, p: int, lam: int, c: int, Lambda: int, strict: bool, label: str, **kw
 ) -> LegalParams:
-    literal = (b, p, lam)
     cb, cp, clam = b, p, lam
     clamped = False
     if cp <= 4 * c:
@@ -98,9 +96,7 @@ def _clamp(
         # degree, so lift lambda to Lambda and let the bottom stage do it all
         clam = Lambda
         clamped = True
-    out = LegalParams(
-        cb, cp, clam, c, preset=label, clamped=clamped, literal=literal, **kw
-    )
+    out = LegalParams(cb, cp, clam, c, preset=label, clamped=clamped, **kw)
     if strict and clamped:
         raise ParamError(
             f"preset {label} literal values (b={b}, p={p}, lambda={lam}) violate "

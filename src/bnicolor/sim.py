@@ -87,10 +87,6 @@ class Context:
     msg_mode: str = "wide"
     budget_bits: int = 0
 
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
 
 class VertexProgram:
     """Base class: subclass and implement step(round_no, inbox) -> outbox.

@@ -3,18 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnicolor.base import (
-    C_KUHN,
     C_LIN,
     choose_point,
     kuhn_defective_edge,
-    kuhn_defective_vertex,
     linial_coloring,
-    reduce_to_delta_plus_one,
     step_color,
 )
-from bnicolor.coloring import VertexColoring
 from bnicolor.edgecolor import conflict_bitmap
-from bnicolor.generators import complete_graph, cycle_graph, path_graph, random_gnd
+from bnicolor.generators import path_graph, random_gnd
 from bnicolor.numbers import (
     PolyPlan,
     kuhn_step_plan,
@@ -142,52 +138,6 @@ class TestLinial:
         assert check_vertex_coloring(g, col).legal
         # schedule length is O(log* n); generous recorded constant
         assert report.rounds <= log_star(g.id_bound) + 4
-
-
-class TestReduce:
-    @given(small_graphs(max_n=10))
-    @settings(max_examples=25, deadline=None)
-    def test_reduces_to_delta_plus_one(self, g):
-        start = VertexColoring({v: v for v in g.vertices}, g.id_bound, 0)
-        col, report = reduce_to_delta_plus_one(g, start)
-        assert check_vertex_coloring(g, col).legal
-        assert max(col.colors.values(), default=1) <= g.delta + 1
-
-    def test_rounds_at_most_start_palette(self):
-        g = complete_graph(6)
-        start = VertexColoring({v: v for v in g.vertices}, 6, 0)
-        _, report = reduce_to_delta_plus_one(g, start)
-        assert report.rounds <= 6
-
-    def test_rejects_illegal_start(self):
-        g = path_graph(2)
-        with pytest.raises(ValueError):
-            reduce_to_delta_plus_one(g, VertexColoring({1: 1, 2: 1}, 1, 0))
-
-
-class TestKuhnVertex:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_defect_and_palette(self, seed, d):
-        g = random_gnd(60, 10, seed=seed)
-        rho, _ = linial_coloring(g)
-        col, report = kuhn_defective_vertex(g, rho, d)
-        rep = check_vertex_coloring(g, col)
-        assert rep.measured_defect <= col.claimed_defect
-        assert col.palette <= C_KUHN * max(g.delta // d, 1) ** 2 * 4
-
-    def test_large_d_is_trivial(self):
-        g = path_graph(4)
-        col, report = kuhn_defective_vertex(
-            g, VertexColoring({v: v for v in g.vertices}, 4, 0), d=5
-        )
-        assert set(col.colors.values()) == {1}
-        assert report.rounds == 0
-
-    def test_rejects_illegal_rho(self):
-        g = path_graph(2)
-        with pytest.raises(ValueError):
-            kuhn_defective_vertex(g, VertexColoring({1: 1, 2: 1}, 1, 0), 1)
 
 
 class TestKuhnEdge:

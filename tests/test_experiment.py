@@ -1,7 +1,11 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import bnicolor
+from bnicolor import base, edgecolor, extensions, legal, sim
 from bnicolor.experiment import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -17,6 +21,7 @@ from bnicolor.experiment import (
 from bnicolor.generators import random_gnd
 from bnicolor.graph import build_line_graph, neighborhood_independence
 from bnicolor.params import ParamError
+from bnicolor.sim import VertexProgram
 
 from conftest import spread_ids
 
@@ -162,3 +167,49 @@ class TestSparseIds:
             col, report, *_ = RUNNERS[algorithm](spec, g)
             verification = _verify(g, col)
             assert verification.ok, (algorithm, msg_mode, verification.violated)
+
+
+def _program_classes():
+    """Every VertexProgram subclass defined in a module of bnicolor."""
+    classes = set()
+    for info in pkgutil.iter_modules(bnicolor.__path__):
+        module = importlib.import_module(f"bnicolor.{info.name}")
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, VertexProgram)
+                and obj is not VertexProgram
+                and obj.__module__ == module.__name__
+            ):
+                classes.add(obj)
+    return classes
+
+
+def test_every_program_runs_on_some_route(monkeypatch):
+    """A vertex program that no route runs is dead code: one small spec per
+    route, with `run` patched wherever it is called, must reach every one."""
+    ran = set()
+    real_run = sim.run
+
+    def recording_run(g, program, *args, **kwargs):
+        ran.add(program)
+        return real_run(g, program, *args, **kwargs)
+
+    for module in (base, legal, edgecolor, extensions, sim):
+        monkeypatch.setattr(module, "run", recording_run)
+    spec_args = {
+        "defective": dict(params={"b": 1, "p": 4, "c": 2}),
+        "legal": dict(preset="thm45", params={"c": 2}),
+        "edge_direct": dict(preset="thm45", params={"c": 2}),
+        "edge_line": dict(preset="thm45", params={"c": 2}),
+        "kuhn_edge": dict(params={"p_prime": 2}),
+        "tradeoff": dict(params={"c": 2}),
+    }
+    for algorithm in RUNNERS:
+        spec = ExperimentSpec(
+            "random_gnd", {"n": 20, "d": 5}, algorithm=algorithm, **spec_args.get(algorithm, {})
+        )
+        assert not run_experiment(spec)["verification"]["violated"], algorithm
+    programs = _program_classes()
+    assert programs, "no VertexProgram subclass found"
+    assert programs <= ran, sorted(p.__name__ for p in programs - ran)

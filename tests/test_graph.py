@@ -1,4 +1,7 @@
 import re
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from typing import Dict, List
 
 import numpy as np
@@ -57,9 +60,34 @@ class TestGraphCore:
         with pytest.raises(GraphError, match="got 1.5$"):
             Graph([1.5, 2], [(1.5, 2)])
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(1.0, 2)], "edge (1.0,2) has a non-integer endpoint"),
+            ([(1, 2), (3, Fraction(2))], "edge (3,Fraction(2, 1)) has a non-integer endpoint"),
+            ([(2, 3), (1, 2.5)], "edge (1,2.5) has a non-integer endpoint"),
+            ([(Decimal(1), 2), (1.0, 3)], "edge (Decimal('1'),2) has a non-integer endpoint"),
+            ([(3, 3), (1.0, 2)], "self-loop at 3"),
+        ],
+    )
+    def test_rejects_non_integer_endpoints(self, edges, message):
+        """An endpoint equal to a vertex Id but not an integer is refused like
+        a non-integer vertex Id; the first bad edge in input order is named."""
+        for given_edges in (edges, iter(edges)):
+            with pytest.raises(GraphError) as got:
+                Graph([1, 2, 3], given_edges)
+            assert str(got.value) == message
+
     def test_accepts_integral_id_types(self):
         g = Graph([np.int64(3), 1, True], [(1, 3)])
         assert g.vertices == (1, 3) and g.has_edge(1, 3) and g.id_bound == 3
+        g = Graph([1, 2, 3], [(np.int64(1), 3), (2, np.uint8(3))])
+        assert g.has_edge(1, 3) and g.has_edge(2, 3)
+        big = [np.int64(2**62 + i) for i in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy Ids summing past int64
+            g = Graph(big, [(big[0], big[1]), (big[0], big[2])])
+        assert g.degree(big[0]) == 2
 
     def test_induced_subgraph_keeps_ids(self):
         g = complete_graph(5)

@@ -7,7 +7,9 @@ module that imports them, so they stay bound there even where the module's
 own code no longer calls them.
 
 A second scan keeps `numpy.random` out of the library: its one random draw
-is `legal.draw_classes`, a Philox over numpy arrays.
+is `legal.draw_classes`, a Philox over numpy arrays. A third keeps `assert`
+statements out: `python -O` strips them, so a guarantee the library relies on
+must raise an error instead.
 """
 
 import ast
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bnicolor"
-MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+MODULES = [m for m in ALL_MODULES if m != "__init__"]
 
 # module -> names bench/spans.py patches in it
 PATCHED = {
@@ -113,7 +116,7 @@ def numpy_random_uses(source: str):
     return sorted(lines)
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_numpy_random(module):
     assert numpy_random_uses((SRC / f"{module}.py").read_text()) == []
 
@@ -129,3 +132,26 @@ def test_the_scan_finds_numpy_random():
         "    return xp.random.default_rng, xp.randomize, random.random()\n"
     )
     assert numpy_random_uses(source) == [3, 4, 5, 7]
+
+
+def assert_lines(source: str):
+    """Lines of the `assert` statements in source."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_assert(module):
+    assert assert_lines((SRC / f"{module}.py").read_text()) == []
+
+
+def test_the_scan_finds_asserts():
+    source = (
+        "def f(x):\n"
+        "    assert x > 0, 'x'\n"
+        "    note = 'assert x'  # assert in a comment\n"
+        "    if x:\n"
+        "        assert (x, note)\n"
+        "    return x\n"
+        "assert f(1)\n"
+    )
+    assert assert_lines(source) == [2, 5, 7]

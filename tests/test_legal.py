@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bnicolor import extensions, legal, sim
 from bnicolor.base import Outbox
+from bnicolor.coloring import VertexColoring
 from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
 from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
 from bnicolor.generators import (
@@ -64,6 +65,23 @@ class TestDefectiveColor:
         assert rep.measured_defect <= defect_bound(params)
         assert max(psi.colors.values()) <= p
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("b,p", [(1, 2), (1, 3), (2, 5)])  # defect bounds 4, 2, 0
+    def test_phi_defect_within_kuhn_plan(self, seed, b, p):
+        """The single-shot Kuhn step's phi: measured defect within
+        floor(k * Lambda / q) <= Lambda // (b * p), colors within its palette."""
+        g = random_gnd(60, 10, seed=seed)
+        Lam = g.delta
+        _, report = defective_color(g, DefectiveParams(b, p, Lam, 2))
+        level = _level_plans("fast", [Lam, 0], LegalParams(b, p, 1, 2), g.id_bound).levels[0]
+        plan = level.kuhn_plan
+        bound = plan.k * Lam // plan.q
+        assert bound <= Lam // (b * p)
+        phi = VertexColoring(report.extra["phi_colors"], report.extra["phi_palette"], bound)
+        assert report.extra["phi_palette"] == level.phi_palette == plan.palette
+        assert check_vertex_coloring(g, phi).measured_defect <= bound
+        assert max(phi.colors.values()) <= phi.palette
+
     def test_loop_rounds_within_phi_palette(self):
         g = line_graph_of_random(16, 5, seed=2)
         params = DefectiveParams(1, 4, g.delta, 2)
@@ -74,8 +92,6 @@ class TestDefectiveColor:
         g = line_graph_of_random(18, 5, seed=3)
         params = DefectiveParams(1, 4, g.delta, 2)
         psi, report = defective_color(g, params)
-        from bnicolor.coloring import VertexColoring
-
         phi = VertexColoring(report.extra["phi_colors"], report.extra["phi_palette"], g.delta)
         rep = check_defect_pigeonhole(g, phi, psi, p=4, Lambda=g.delta)
         assert not rep.violated
