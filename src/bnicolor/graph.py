@@ -8,10 +8,9 @@ working down a recursion.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from math import gcd
 from numbers import Integral
 from typing import Dict, Iterable, List, Tuple
-
-import numpy as np
 
 
 class GraphError(ValueError):
@@ -42,18 +41,10 @@ class Graph:
             for u, w in edges:
                 adj[u].append(w)
                 adj[w].append(u)
-        except KeyError:
-            _raise_first_bad_edge(vs, edges)
-        # An endpoint equal to a vertex Id but not an integer (1.0) finds that
-        # vertex above. sum adds exact ints on its fast path, and any other
-        # endpoint type (numpy ones may overflow) makes the total another type:
-        # only then is each endpoint checked.
-        try:
-            with np.errstate(over="ignore"):
-                exact = type(sum(map(sum, adj.values()))) is int
-        except TypeError:  # Decimal(1) + 1.0
-            exact = False
-        if not (exact or all(map(_is_id, chain.from_iterable(edges)))):
+            # an endpoint equal to a vertex Id but not an integer (1.0) found
+            # that vertex above; gcd takes integers of any size and nothing else
+            gcd(*chain.from_iterable(adj.values()))
+        except (KeyError, TypeError):
             _raise_first_bad_edge(vs, edges)
         self.vertices: Tuple[int, ...] = tuple(vs)
         self.adj: Dict[int, Tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}

@@ -68,6 +68,7 @@ class TestGraphCore:
             ([(2, 3), (1, 2.5)], "edge (1,2.5) has a non-integer endpoint"),
             ([(Decimal(1), 2), (1.0, 3)], "edge (Decimal('1'),2) has a non-integer endpoint"),
             ([(3, 3), (1.0, 2)], "self-loop at 3"),
+            ([(1, 2), ([1], 3)], "edge ([1],3) has a non-integer endpoint"),
         ],
     )
     def test_rejects_non_integer_endpoints(self, edges, message):
@@ -85,9 +86,15 @@ class TestGraphCore:
         assert g.has_edge(1, 3) and g.has_edge(2, 3)
         big = [np.int64(2**62 + i) for i in range(3)]
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy Ids summing past int64
+            warnings.simplefilter("error")  # no numpy overflow warning
             g = Graph(big, [(big[0], big[1]), (big[0], big[2])])
-        assert g.degree(big[0]) == 2
+            assert g.degree(big[0]) == 2
+            # a numpy Id next to Python Ids past int64's range
+            g = Graph([np.int64(1), 2**63], [(np.int64(1), 2**63)])
+            assert g.has_edge(1, 2**63) and g.id_bound == 2**63
+            huge = [np.int64(1), 2**62, 2**62 + 1, 2**62 + 2]
+            g = Graph(huge, [(huge[1], huge[2]), (huge[1], huge[3]), (huge[0], huge[1])])
+            assert g.degree(2**62) == 3
 
     def test_induced_subgraph_keeps_ids(self):
         g = complete_graph(5)
