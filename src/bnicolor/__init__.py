@@ -26,7 +26,7 @@ from .graph import (
     graph_from_edges,
     neighborhood_independence,
 )
-from .legal import LegalResult, defective_color, legal_color
+from .legal import defective_color, legal_color
 from .params import (
     DefectiveParams,
     LegalParams,
@@ -53,7 +53,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "LegalParams",
-    "LegalResult",
     "ParamError",
     "RandomizedParams",
     "SimReport",

@@ -1,8 +1,8 @@
 """Coloring value types and their text serialization.
 
 Text format: header line `palette P defect D`, then one line per item. Vertex
-colorings use `id color`; edge colorings use the dense edge rank (lexicographic
-rank of the (u, w) pair, u < w) as the id, matching line-graph vertex Ids.
+colorings use `id color`; edge colorings use the edge's `graph.edge_ids` Id,
+which is also its line-graph vertex Id.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .graph import Graph
+from .graph import Graph, edge_ids
 
 
 class ColoringError(ValueError):
@@ -77,21 +77,21 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
 
 
 def format_edge_coloring(g: Graph, col: EdgeColoring) -> str:
-    rank = {e: i + 1 for i, e in enumerate(g.edges())}
-    missing = [e for e in rank if e not in col.colors]
+    ids = edge_ids(g)
+    missing = [e for e in ids if e not in col.colors]
     if missing:
         raise ColoringError(f"coloring misses edges: {missing[:5]}")
     lines = [f"palette {col.palette} defect {col.claimed_defect}"]
-    lines.extend(f"{rank[e]} {col.colors[e]}" for e in g.edges())
+    lines.extend(f"{i} {col.colors[e]}" for e, i in ids.items())
     return "\n".join(lines) + "\n"
 
 
 def parse_edge_coloring(g: Graph, text: str) -> EdgeColoring:
     vc = parse_vertex_coloring(text)
-    edges = g.edges()
+    edge_of = {i: e for e, i in edge_ids(g).items()}
     colors = {}
     for eid, k in vc.colors.items():
-        if not (1 <= eid <= len(edges)):
-            raise ColoringError(f"edge id {eid} out of range 1..{len(edges)}")
-        colors[edges[eid - 1]] = k
+        if eid not in edge_of:
+            raise ColoringError(f"edge id {eid} out of range 1..{len(edge_of)}")
+        colors[edge_of[eid]] = k
     return EdgeColoring(colors, vc.palette, vc.claimed_defect)

@@ -46,14 +46,8 @@ import numpy as np
 
 from .base import _merge_edge_outputs
 from .coloring import EdgeColoring
-from .graph import Graph, build_line_graph
-from .legal import (
-    LevelPlan,
-    RecursionPlan,
-    RecursiveColorProgram,
-    _level_plans,
-    bottom_plan,
-)
+from .graph import Graph, build_line_graph, edge_ids
+from .legal import LevelPlan, RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
 from .numbers import (
     PolyPlan,
     agreement_counts,
@@ -61,7 +55,7 @@ from .numbers import (
     poly_coeffs,
     poly_eval,
 )
-from .params import LegalParams, ParamError, recursion_schedule, vartheta_of_schedule
+from .params import LegalParams, ParamError, recursion_schedule
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
 K_LAB, K_RDY, K_CNT, K_BLIN, K_USED, K_RDY2 = range(6)
@@ -79,15 +73,13 @@ def smallest_pprime(Lambda: int, d: int) -> int:
     """Smallest p' whose round-robin label defect fits under d.
 
     An edge has at most ceil(Lambda/p') - 1 same-label co-incident edges per
-    endpoint, so its phi-defect is at most 2*ceil(Lambda/p') - 2; p' = Lambda
-    always satisfies the condition, hence every level is feasible.
+    endpoint, so its phi-defect is at most 2*ceil(Lambda/p') - 2. That is <= d
+    exactly when ceil(Lambda/p') <= d//2 + 1, i.e. p' >= ceil(Lambda/(d//2 + 1));
+    the result is at most Lambda, hence every level is feasible.
     """
     if d < 0:
         raise ParamError(f"defect target must be nonnegative, got {d}")
-    for pp in range(1, Lambda + 1):
-        if 2 * (-(-Lambda // pp)) - 2 <= d:
-            return pp
-    return Lambda
+    return -(-Lambda // (d // 2 + 1))
 
 
 def _uniform_pprime(schedule: List[int], params: LegalParams) -> int:
@@ -162,7 +154,6 @@ class EdgeSlot:
         "phi",
         "lin_hist",
         "phi_bot",
-        "final",
         "color",
         "exch",
         "tele",
@@ -178,9 +169,9 @@ class EdgeSlot:
         self.level = 0
         self.stage = stage
         self.phi: Dict[int, int] = {}
-        self.lin_hist: List[int] = [rank]  # colors after each Linial iteration
+        # the edge's rank, then its colors after each Linial iteration
+        self.lin_hist: List[int] = [rank]
         self.phi_bot: Optional[int] = None
-        self.final: Optional[int] = None
         self.color: Optional[int] = None
         self.exch: Dict[Tuple[int, int, int], _Exchange] = {}
         self.tele: Dict[str, Any] = {"phi": {}, "psi": {}}
@@ -228,13 +219,11 @@ class EdgeColorProgram(VertexProgram):
         )
         # at least one value per chunk even if the budget can't cover it
         self.chunk_budget = max(ctx.budget_bits - header, 1)
-        self.ranks: Dict[int, int] = {
-            u: P["rank"][(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)]
-            for u in ctx.neighbors
-        }
+        rank = P["rank"]
         stage = "labels" if self.levels else "bot_wait"
         self.slots: Dict[int, EdgeSlot] = {
-            u: EdgeSlot(u, self.ranks[u], stage) for u in ctx.neighbors
+            u: EdgeSlot(u, rank[(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)], stage)
+            for u in ctx.neighbors
         }
         self.groups: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
         for s in self.slots.values():
@@ -530,7 +519,8 @@ class EdgeColorProgram(VertexProgram):
         return True
 
     def _bot_key(self, u: int) -> Tuple[int, int]:
-        return (self.slots[u].phi_bot, self.ranks[u])
+        s = self.slots[u]
+        return (s.phi_bot, s.lin_hist[0])
 
     def _slot_greedy(self, s: EdgeSlot) -> bool:
         """Send the bitmap of final colors on this side once every group edge
@@ -551,7 +541,6 @@ class EdgeColorProgram(VertexProgram):
         if not self._reached(s, due):
             return False
         k = _first_free(ex) + 1
-        s.final = k
         s.color = self.plan.color(k, s.hist)
         s.tele["final"] = [due, k, s.color]
         self.uncolored -= 1
@@ -570,10 +559,6 @@ class EdgeColorProgram(VertexProgram):
 # -- wrappers -----------------------------------------------------------------
 
 
-def _edge_rank(g: Graph) -> Dict[Tuple[int, int], int]:
-    return {e: i + 1 for i, e in enumerate(g.edges())}
-
-
 def edge_color_direct(
     g: Graph,
     params: LegalParams,
@@ -588,7 +573,7 @@ def edge_color_direct(
     # paced runs reserve one slot per phi value, so a level-independent phi
     # palette makes the per-level round cost uniform
     plan = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
-    run_params = {"plan": plan, "rank": _edge_rank(g), "paced": paced}
+    run_params = {"plan": plan, "rank": edge_ids(g), "paced": paced}
     report = run(
         g,
         EdgeColorProgram,
@@ -621,7 +606,7 @@ def edge_color_2delta_minus_1(g: Graph) -> Tuple[EdgeColoring, SimReport]:
     if g.m == 0:
         return EdgeColoring({}, 1, 0), SimReport(0, 0, 0, {})
     hat = max(2 * (g.delta - 1), 0)  # incident-degree bound of the edge set
-    run_params = {"plan": RecursionPlan((), bottom_plan(g.m, hat)), "rank": _edge_rank(g)}
+    run_params = {"plan": RecursionPlan((), bottom_plan(g.m, hat)), "rank": edge_ids(g)}
     report = run(g, EdgeColorProgram, params=run_params)
     return _merge_edge_outputs(g, report, hat + 1), report
 
@@ -636,15 +621,9 @@ def edge_color_via_line_graph(
     from .sim import run_on_line_graph
 
     lgm = build_line_graph(g)
-    lg = lgm.lg
-    Lambda0 = max(lg.delta, 1)
-    params.validate(Lambda0)
-    schedule = recursion_schedule(params, Lambda0)
-    plan = _level_plans(phi_mode, schedule, params, max(lg.id_bound, 1))
+    plan, schedule = legal_plan(lgm.lg, params, phi_mode)
     report = run_on_line_graph(g, RecursiveColorProgram, params={"plan": plan}, lgm=lgm)
     colors = {lgm.edge_of[v]: out["color"] for v, out in report.outputs.items()}
-    vartheta = vartheta_of_schedule(schedule, params.p)
-    col = EdgeColoring(colors, vartheta, 0)
-    report.extra["vartheta"] = vartheta
+    report.extra["vartheta"] = plan.suffix[0]
     report.extra["level_lambdas"] = list(schedule)
-    return col, report
+    return EdgeColoring(colors, plan.suffix[0], 0), report

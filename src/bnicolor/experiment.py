@@ -168,8 +168,8 @@ def _run_defective(spec: ExperimentSpec, g: Graph):
 
 def _run_legal(spec: ExperimentSpec, g: Graph):
     lp = _legal_params_for(spec, g, max(g.delta, 1))
-    result, report = legal_color(g, lp, phi_mode=spec.params.get("phi_mode", "fast"))
-    return result.phi, report, result.vartheta, _params_dict(lp), _c(spec)
+    col, report = legal_color(g, lp, phi_mode=spec.params.get("phi_mode", "fast"))
+    return col, report, report.extra["vartheta"], _params_dict(lp), _c(spec)
 
 
 def _run_edge_direct(spec: ExperimentSpec, g: Graph):

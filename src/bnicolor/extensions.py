@@ -27,7 +27,7 @@ from .legal import (
     bottom_plan,
     draw_classes,
 )
-from .numbers import kuhn_step_plan, linial_schedule
+from .numbers import linial_schedule, step_plan
 from .params import (
     ParamError,
     preset_improved_s42,
@@ -168,14 +168,14 @@ def tradeoff_color(
         from .legal import legal_color
 
         inner = preset_improved_s42(c, delta)
-        result, report = legal_color(g, inner, phi_mode="improved")
+        col, report = legal_color(g, inner, phi_mode="improved")
         report.extra["fallback"] = "legal_color"
-        return result.phi, report
+        return col, report
     d = max(delta // p_t, 1)
     n0 = max(g.id_bound, 1)
     plans = linial_schedule(n0, delta)
     rho_palette = plans[-1].palette if plans else n0
-    kuhn = kuhn_step_plan(rho_palette, delta, d)
+    kuhn = step_plan(rho_palette, delta, d)
     claimed = max(min(d, kuhn.k * delta // kuhn.q), 1)
     pre = LevelPlan(delta, kuhn.palette, kuhn.palette, tuple(plans), kuhn, kind="pre_kuhn")
     inner_params = preset_improved_s42(c, max(claimed, 2))

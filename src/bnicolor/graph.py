@@ -178,12 +178,17 @@ def ball(g: Graph, center: int, radius: int) -> Graph:
     return induced_subgraph(g, seen)
 
 
-class LineGraphMap:
-    """Line graph together with the edge <-> vertex correspondence.
+def edge_ids(g: Graph) -> Dict[Tuple[int, int], int]:
+    """The Id of every edge: its 1-based rank in `g.edges()` (lexicographic in
+    (min Id, max Id)), so the Ids form the dense range 1..|E| and the dict
+    lists the edges in Id order. Line-graph vertices, the direct edge routes
+    and the edge-coloring text format all number edges by it."""
+    return {e: i + 1 for i, e in enumerate(g.edges())}
 
-    Line-graph vertex Ids are the 1-based lexicographic ranks of the ordered
-    pairs (min Id, max Id), so they form the dense range 1..|E|.
-    """
+
+class LineGraphMap:
+    """Line graph together with the edge <-> vertex correspondence; a
+    line-graph vertex Id is the edge's `edge_ids` Id."""
 
     __slots__ = ("lg", "edge_of", "vertex_of")
 
@@ -194,16 +199,16 @@ class LineGraphMap:
 
 
 def build_line_graph(g: Graph) -> LineGraphMap:
-    edges = g.edges()
-    rank = {e: i + 1 for i, e in enumerate(edges)}
+    ids = edge_ids(g)
     lg_edges = []
     for v in g.vertices:
-        inc = sorted([rank[(v, w) if v < w else (w, v)] for w in g.adj[v]])
+        inc = sorted([ids[(v, w) if v < w else (w, v)] for w in g.adj[v]])
         lg_edges.extend(combinations(inc, 2))
     # Two edges sharing both endpoints are impossible in a simple graph, but
     # edges sharing one endpoint are enumerated once per shared endpoint; a
     # pair can share at most one endpoint, so no duplicates arise.
-    return LineGraphMap(Graph(range(1, len(edges) + 1), lg_edges), dict(enumerate(edges, 1)))
+    edge_of = {i: e for e, i in ids.items()}
+    return LineGraphMap(Graph(range(1, len(ids) + 1), lg_edges), edge_of)
 
 
 # -- neighborhood independence ------------------------------------------------

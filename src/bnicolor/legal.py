@@ -33,14 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .base import Outbox, choose_point, step_color
 from .coloring import VertexColoring
 from .graph import Graph
-from .numbers import PolyPlan, kuhn_step_plan, linial_schedule
+from .numbers import PolyPlan, linial_schedule, step_plan
 from .params import (
     DefectiveParams,
     LegalParams,
@@ -55,14 +55,6 @@ K_LIN, K_PHI, K_PSI, K_RED = 0, 1, 2, 3
 N_KINDS = 4
 
 PHI_MODES = ("fast", "simple", "improved")
-
-
-@dataclass
-class LegalResult:
-    phi: VertexColoring
-    vartheta: int
-    depth: int
-    level_lambdas: List[int]
 
 
 @dataclass(frozen=True)
@@ -207,10 +199,11 @@ def draw_classes(seed: int, vids: Sequence[int], p: int) -> List[int]:
 def _level_plans(
     mode: str,
     schedule: List[int],
-    params: LegalParams,
+    params: Union[DefectiveParams, LegalParams],
     n0: int,
 ) -> RecursionPlan:
-    """Pure arithmetic: per-level linial/defective-step plans plus the bottom."""
+    """Pure arithmetic: per-level linial/defective-step plans plus the bottom.
+    Of params only b and p are read."""
     levels: List[LevelPlan] = []
     rho_palette = None
     for i, Lam in enumerate(schedule[:-1]):
@@ -221,12 +214,12 @@ def _level_plans(
                 rho_palette = plans[-1].palette if plans else n0
             else:
                 plans = []
-            kuhn = kuhn_step_plan(rho_palette, Lam, d)
+            kuhn = step_plan(rho_palette, Lam, d)
         else:
             plans = linial_schedule(n0, max(Lam, 1))
             local_pal = plans[-1].palette if plans else n0
             # simple: the legal coloring itself serves as the 0-defective phi
-            kuhn = kuhn_step_plan(local_pal, Lam, d) if mode == "fast" else None
+            kuhn = step_plan(local_pal, Lam, d) if mode == "fast" else None
         phi_palette = kuhn.palette if kuhn else local_pal
         levels.append(
             LevelPlan(Lam, params.p, phi_palette, tuple(plans), kuhn, mode == "improved")
@@ -468,12 +461,7 @@ def defective_color(
     if phi_mode not in ("fast", "simple"):
         raise ParamError(f"phi_mode must be fast or simple, got {phi_mode!r}")
     params.validate(delta=g.delta)
-    levels = _level_plans(
-        phi_mode,
-        [params.Lambda, 0],
-        LegalParams(params.b, params.p, 1, params.c, preset="custom"),
-        max(g.id_bound, 1),
-    ).levels
+    levels = _level_plans(phi_mode, [params.Lambda, 0], params, max(g.id_bound, 1)).levels
     report = run(g, RecursiveColorProgram, params={"plan": RecursionPlan(levels, None)})
     level = levels[0]
     psi = VertexColoring(
@@ -494,33 +482,36 @@ def defective_color(
     return psi, report
 
 
-def legal_color(
-    g: Graph,
-    params: LegalParams,
-    phi_mode: str = "fast",
-) -> Tuple[LegalResult, SimReport]:
+def legal_plan(
+    g: Graph, params: LegalParams, phi_mode: str = "fast"
+) -> Tuple[RecursionPlan, List[int]]:
+    """The recursion plan of a legal coloring of g and its schedule of
+    per-level degree bounds; the plan's palette is vartheta of the schedule."""
     if phi_mode not in PHI_MODES:
         raise ParamError(f"unknown phi_mode {phi_mode!r}")
     Lambda0 = max(g.delta, 1)
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
     plan = _level_plans(phi_mode, schedule, params, max(g.id_bound, 1))
-    report = run(g, RecursiveColorProgram, params={"plan": plan})
-    colors = {v: out["color"] for v, out in report.outputs.items()}
     vartheta = vartheta_of_schedule(schedule, params.p)
     if plan.suffix[0] != vartheta:
         raise ParamError(
             f"palette accounting mismatch: suffix width {plan.suffix[0]} != vartheta {vartheta}"
         )
-    result = LegalResult(
-        phi=VertexColoring(colors, vartheta, 0),
-        vartheta=vartheta,
-        depth=len(schedule) - 1,
-        level_lambdas=list(schedule),
-    )
-    report.extra["vartheta"] = vartheta
+    return plan, schedule
+
+
+def legal_color(
+    g: Graph,
+    params: LegalParams,
+    phi_mode: str = "fast",
+) -> Tuple[VertexColoring, SimReport]:
+    """Legal coloring with palette <= vartheta (`report.extra["vartheta"]`)."""
+    plan, schedule = legal_plan(g, params, phi_mode)
+    report = run(g, RecursiveColorProgram, params={"plan": plan})
+    colors = {v: out["color"] for v, out in report.outputs.items()}
+    report.extra["vartheta"] = plan.suffix[0]
     report.extra["level_lambdas"] = list(schedule)
     if phi_mode == "improved" and plan.levels:
         report.extra["rho_rounds"] = len(plan.levels[0].lin_plans)
-    return result, report
-
+    return VertexColoring(colors, plan.suffix[0], 0), report

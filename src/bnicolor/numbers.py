@@ -1,8 +1,9 @@
 """Small number-theoretic helpers: primality, log*, and polynomial-family plans.
 
 The coloring subroutines map a K-coloring into (evaluation point, value) pairs of
-low-degree polynomials over a prime field. The plan functions below choose the
-field size q and the degree bound k; they are pure arithmetic, shared by the
+low-degree polynomials over a prime field. `step_plan` chooses the field size q
+and the degree bound k of one step, legal (d = 0) or d-defective, and
+`linial_schedule` iterates legal steps; both are pure arithmetic, shared by the
 algorithms and by the tests' independent oracles. `agreement_counts` is the one
 polynomial-agreement kernel behind the point choice of every reduction step.
 """
@@ -74,17 +75,22 @@ class PolyPlan:
         return self.q * self.q
 
 
-def linial_step_plan(n_colors: int, delta_bound: int) -> PolyPlan:
-    """Plan for one legal reduction step: q > k*delta so a conflict-free point exists.
+def step_plan(n_colors: int, delta_bound: int, d: int = 0) -> PolyPlan:
+    """Plan for one reduction step with at most d agreeing neighbors at the
+    chosen point: q > k*delta for a legal step (d = 0), else q >= ceil(k*delta/d),
+    which makes the agreement count floor(k*delta/q) <= d.
 
     Among degree bounds k >= 1, pick the one giving the smallest field, then the
     smallest such k.
     """
+    if d < 0:
+        raise ValueError("defect target must be non-negative")
     if n_colors < 2:
         return PolyPlan(1, 2, n_colors)
     best = None
     for k in range(1, 64):
-        q = next_prime(max(k * delta_bound + 1, _root_bound(n_colors, k + 1), 2))
+        low = k * delta_bound + 1 if d == 0 else -(-k * delta_bound // d)
+        q = next_prime(max(low, _root_bound(n_colors, k + 1), 2))
         if best is None or q < best.q:
             best = PolyPlan(k, q, n_colors)
         if q == 2:
@@ -97,35 +103,12 @@ def linial_schedule(n_colors: int, delta_bound: int) -> List[PolyPlan]:
     plans: List[PolyPlan] = []
     current = n_colors
     while True:
-        plan = linial_step_plan(current, delta_bound)
+        plan = step_plan(current, delta_bound)
         if plan.palette >= current:
             break
         plans.append(plan)
         current = plan.palette
     return plans
-
-
-def kuhn_step_plan(n_colors: int, delta_bound: int, d: int) -> PolyPlan:
-    """Plan for one defective step: agreement count <= floor(k*delta/q) <= d.
-
-    d = 0 degenerates to the legal step plan. Minimizes the output palette q^2
-    over the degree bound k, then prefers the smallest k.
-    """
-    if d < 0:
-        raise ValueError("defect target must be non-negative")
-    if d == 0:
-        return linial_step_plan(n_colors, delta_bound)
-    if n_colors < 2:
-        return PolyPlan(1, 2, n_colors)
-    best = None
-    for k in range(1, 64):
-        # q >= ceil(k*delta/d) makes floor(k*delta/q) <= d
-        q = next_prime(max(-(-k * delta_bound // d), _root_bound(n_colors, k + 1), 2))
-        if best is None or q < best.q:
-            best = PolyPlan(k, q, n_colors)
-        if q == 2:
-            break
-    return best
 
 
 def _root_bound(n_colors: int, power: int) -> int:

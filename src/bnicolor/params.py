@@ -58,7 +58,6 @@ class LegalParams:
     c: int
     preset: str = "custom"
     eps: Optional[Fraction] = None  # exponent for thm45 / thm48_3
-    t: Optional[int] = None  # exponent for thm46
     clamped: bool = False
 
     def validate(self, Lambda: int):
@@ -132,7 +131,7 @@ def preset_thm46(t: int, c: int, delta: int, strict: bool = True) -> LegalParams
             f"thm46(t={t}) infeasible for c={c}, delta={delta}: needs p > 4c and "
             f"b*p = {b * p} <= delta (first feasible delta ~ {first})"
         )
-    return _clamp(b, p, lam, c, delta, strict, f"thm46({t})", t=t)
+    return _clamp(b, p, lam, c, delta, strict, f"thm46({t})")
 
 
 def smallest_feasible_thm46_t(c: int, delta: int) -> Optional[int]:

@@ -81,7 +81,6 @@ class Context:
     vid: int
     neighbors: Tuple[int, ...]
     n: int  # Id-space bound (= n for freshly built graphs)
-    delta: int
     params: Dict[str, Any] = field(default_factory=dict)
     # set by `run`: its message mode and short-mode bit budget per message
     msg_mode: str = "wide"
@@ -159,7 +158,7 @@ def run(
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     insts: Dict[int, VertexProgram] = {}
     for v in g.vertices:
-        ctx = Context(v, g.adj[v], g.id_bound, g.delta, params, msg_mode, budget)
+        ctx = Context(v, g.adj[v], g.id_bound, params, msg_mode, budget)
         insts[v] = program(ctx)
 
     adjset = g._adjset

@@ -175,12 +175,12 @@ class TestAcceptance:
                 params.validate(g.delta)
             except ParamError:
                 continue
-            result, report = legal_color(g, params)
-            assert check_vertex_coloring(g, result.phi).legal
-            assert max(result.phi.colors.values()) <= result.vartheta
+            col, report = legal_color(g, params)
+            assert check_vertex_coloring(g, col).legal
+            assert max(col.colors.values()) <= col.palette == report.extra["vartheta"]
             # independent recursion product
             sched = recursion_schedule(params, g.delta)
-            assert result.vartheta == vartheta_of_schedule(sched, p)
+            assert col.palette == vartheta_of_schedule(sched, p)
             # sibling accounting: every vertex's color decomposes into the
             # same per-level block widths (suffix), so sibling subgraphs use
             # identical vartheta at every level
@@ -194,7 +194,7 @@ class TestAcceptance:
                 for i, psi in enumerate(out["psi_hist"]):
                     assert 1 <= psi <= p
                     color += (psi - 1) * suffix[i + 1]
-                assert color == out["color"] <= result.vartheta
+                assert color == out["color"] <= col.palette
             checked += 1
         _line(
             4,
@@ -212,9 +212,9 @@ class TestAcceptance:
             g = build_line_graph(complete_bipartite(1, D + 1)).lg  # K_{D+1}
             assert g.delta == D and independence_at_most(g, 2)
             params = make_preset("thm45", 2, g.delta, eps=Fraction(3, 4))
-            result, report = legal_color(g, params)
-            assert check_vertex_coloring(g, result.phi).legal
-            ks.append(result.phi.colors_used() / D)
+            col, report = legal_color(g, params)
+            assert check_vertex_coloring(g, col).legal
+            ks.append(col.colors_used() / D)
             rounds[D] = report.rounds
         elapsed = time.time() - t0
         stable = all(

@@ -13,11 +13,10 @@ from bnicolor.edgecolor import conflict_bitmap
 from bnicolor.generators import path_graph, random_gnd
 from bnicolor.numbers import (
     PolyPlan,
-    kuhn_step_plan,
-    linial_step_plan,
     log_star,
     poly_coeffs,
     poly_eval,
+    step_plan,
 )
 from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
@@ -61,9 +60,9 @@ def kernel_cases(draw):
     n_colors = draw(st.integers(2, 5000))
     delta = draw(st.integers(1, 40))
     if draw(st.booleans()):
-        plan = linial_step_plan(n_colors, delta)
+        plan = step_plan(n_colors, delta)
     else:
-        plan = kuhn_step_plan(n_colors, delta, draw(st.integers(1, 6)))
+        plan = step_plan(n_colors, delta, draw(st.integers(1, 6)))
     color = st.integers(1, plan.q ** (plan.k + 1))
     own = draw(color)
     pool = draw(st.lists(color, min_size=1, max_size=4)) + [own]
@@ -82,12 +81,12 @@ class TestAgreementKernel:
         assert conflict_bitmap(own, nbrs, plan) == sum(1 << x for x, c in enumerate(counts) if c)
 
     def test_no_neighbors(self):
-        plan = linial_step_plan(200, 5)
+        plan = step_plan(200, 5)
         assert choose_point(17, [], plan) == (0, 0)
         assert conflict_bitmap(17, [], plan) == 0
 
     def test_identical_and_repeated_colors(self):
-        plan = linial_step_plan(200, 5)
+        plan = step_plan(200, 5)
         nbrs = [17, 17, 18, 18]
         counts = brute_force_counts(17, nbrs, plan)
         # each copy of the own color agrees at every point
@@ -95,7 +94,7 @@ class TestAgreementKernel:
         assert choose_point(17, nbrs, plan) == (counts.index(min(counts)), min(counts))
         assert conflict_bitmap(17, [17], plan) == (1 << plan.q) - 1
 
-    @pytest.mark.parametrize("plan", [linial_step_plan(200, 5), kuhn_step_plan(900, 12, 2)])
+    @pytest.mark.parametrize("plan", [step_plan(200, 5), step_plan(900, 12, 2)])
     def test_out_of_range_color_raises(self, plan):
         top = plan.q ** (plan.k + 1)
         for bad in (0, -3, top + 1):

@@ -92,6 +92,17 @@ class TestMalformedParameters:
                 ["run", *_GND, "--gen-param", "d=12", "--algorithm", "randomized", "--seed", str(2**64)],
                 f"seed must be in [-2**63, 2**63), got {2**64}",
             ),
+            (
+                ["run", *_GND_D3, "--preset", "thm45", "--param", "phi_mode=warp"],
+                "unknown phi_mode 'warp'",
+            ),
+            (
+                [
+                    "run", *_GND_D3, "--algorithm", "edge_line",
+                    "--preset", "thm45", "--param", "phi_mode=warp",
+                ],
+                "unknown phi_mode 'warp'",
+            ),
             (["gen", "--kind", "random_gnd", "--gen-param", "n=20"], "random_gnd needs parameter 'd'"),
             (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be an integer, got 'x'"),
             (
@@ -101,7 +112,8 @@ class TestMalformedParameters:
         ],
         ids=[
             "prob-not-a-number", "prob-above-1", "prob-negative", "prob-nan", "missing-d",
-            "custom-missing-b", "seed-2**64", "gen-missing-d", "gen-non-integer", "bench-non-integer",
+            "custom-missing-b", "seed-2**64", "legal-phi-mode", "edge-line-phi-mode",
+            "gen-missing-d", "gen-non-integer", "bench-non-integer",
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):

@@ -57,6 +57,19 @@ class TestSmallestPprime:
         with pytest.raises(ParamError):
             smallest_pprime(10, -1)
 
+    def test_formula_matches_frozen_search(self):
+        """The closed form against the linear search it replaced, verbatim."""
+
+        def frozen(Lambda, d):
+            for pp in range(1, Lambda + 1):
+                if 2 * (-(-Lambda // pp)) - 2 <= d:
+                    return pp
+            return Lambda
+
+        for Lambda in range(600):
+            for d in range(1300):
+                assert smallest_pprime(Lambda, d) == frozen(Lambda, d), (Lambda, d)
+
 
 class TestBottomOnly:
     @pytest.mark.parametrize(
@@ -159,6 +172,11 @@ class TestEdgeViaLineGraph:
         col, report = edge_color_via_line_graph(g, params)
         assert max(col.colors.values()) <= report.extra["vartheta"]
 
+    def test_unknown_phi_mode(self):
+        # the route builds its plan with legal_color's checks, phi_mode included
+        with pytest.raises(ParamError, match="unknown phi_mode 'warp'"):
+            edge_color_via_line_graph(random_gnd(12, 4, seed=1), SMALL_EDGE, phi_mode="warp")
+
 
 def _endpoints_agree(g, report):
     for u, w in g.edges():
@@ -220,7 +238,7 @@ def _check_tallies(prog):
         if s.stage == "greedy" and s.grp.ready == len(members):
             key = prog._bot_key(s.nbr)
             assert s.wait == sum(
-                prog._bot_key(w.nbr) < key and w.final is None for w in members
+                prog._bot_key(w.nbr) < key and w.color is None for w in members
             )
 
 
@@ -291,7 +309,7 @@ for key in ("phi", "psi", "final"):
 report.outputs[u][w] += 1
 print("outputs", raises(_merge_edge_outputs, g, report, col.palette))
 params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
-prog = EdgeColorProgram(Context(1, (2,), 2, 1, params))
+prog = EdgeColorProgram(Context(1, (2,), 2, params))
 prog._submit(2, K_RDY2, 0, 0, [(1, 2)])
 print("sequential", raises(prog._submit, 2, K_RDY2, 0, 0, [(1, 2)]))
 """
@@ -352,7 +370,7 @@ class TestExchangeLength:
     def test_overlong_payload_raises(self, submit_first):
         """The other side may not send more values than this side did."""
         params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
-        prog = EdgeColorProgram(Context(1, (2,), 2, 1, params))
+        prog = EdgeColorProgram(Context(1, (2,), 2, params))
         header = ((K_RDY2, N_KINDS), (0, prog.lvl_dom), (0, prog.it_dom), (0, prog.idx_dom))
         steps = [
             lambda: prog._submit(2, K_RDY2, 0, 0, [(1, 2)]),

@@ -1,11 +1,13 @@
 import importlib
+import inspect
 import json
 import pkgutil
 
 import pytest
 
 import bnicolor
-from bnicolor import base, edgecolor, extensions, legal, sim
+from bnicolor import base, edgecolor, experiment, extensions, legal, sim
+from bnicolor.coloring import EdgeColoring, VertexColoring
 from bnicolor.experiment import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -18,12 +20,15 @@ from bnicolor.experiment import (
     sweep_csv,
     sweep_reports,
 )
-from bnicolor.generators import random_gnd
+from bnicolor.generators import generate, random_gnd
 from bnicolor.graph import build_line_graph, neighborhood_independence
 from bnicolor.params import ParamError
-from bnicolor.sim import VertexProgram
+from bnicolor.sim import SimReport, VertexProgram
 
 from conftest import spread_ids
+
+# the modules whose functions the runners call as routes
+ROUTE_MODULES = {m.__name__ for m in (base, edgecolor, extensions, legal)}
 
 REQUIRED_KEYS = {
     "schema",
@@ -185,6 +190,21 @@ def _program_classes():
     return classes
 
 
+def _small_spec(algorithm):
+    """One small spec of an algorithm on random_gnd(20, 5)."""
+    spec_args = {
+        "defective": dict(params={"b": 1, "p": 4, "c": 2}),
+        "legal": dict(preset="thm45", params={"c": 2}),
+        "edge_direct": dict(preset="thm45", params={"c": 2}),
+        "edge_line": dict(preset="thm45", params={"c": 2}),
+        "kuhn_edge": dict(params={"p_prime": 2}),
+        "tradeoff": dict(params={"c": 2}),
+    }
+    return ExperimentSpec(
+        "random_gnd", {"n": 20, "d": 5}, algorithm=algorithm, **spec_args.get(algorithm, {})
+    )
+
+
 def test_every_program_runs_on_some_route(monkeypatch):
     """A vertex program that no route runs is dead code: one small spec per
     route, with `run` patched wherever it is called, must reach every one."""
@@ -197,19 +217,43 @@ def test_every_program_runs_on_some_route(monkeypatch):
 
     for module in (base, legal, edgecolor, extensions, sim):
         monkeypatch.setattr(module, "run", recording_run)
-    spec_args = {
-        "defective": dict(params={"b": 1, "p": 4, "c": 2}),
-        "legal": dict(preset="thm45", params={"c": 2}),
-        "edge_direct": dict(preset="thm45", params={"c": 2}),
-        "edge_line": dict(preset="thm45", params={"c": 2}),
-        "kuhn_edge": dict(params={"p_prime": 2}),
-        "tradeoff": dict(params={"c": 2}),
-    }
     for algorithm in RUNNERS:
-        spec = ExperimentSpec(
-            "random_gnd", {"n": 20, "d": 5}, algorithm=algorithm, **spec_args.get(algorithm, {})
-        )
-        assert not run_experiment(spec)["verification"]["violated"], algorithm
+        assert not run_experiment(_small_spec(algorithm))["verification"]["violated"], algorithm
     programs = _program_classes()
     assert programs, "no VertexProgram subclass found"
     assert programs <= ran, sorted(p.__name__ for p in programs - ran)
+
+
+def test_every_simulated_route_returns_coloring_and_report(monkeypatch):
+    """Each route function a runner calls returns (coloring, SimReport), the
+    one shape every route shares; only `randomized_defective`, which draws its
+    colors without a simulation, returns the coloring alone."""
+    returned = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            returned.append((fn.__name__, result))
+            return result
+
+        return wrapper
+
+    routes = [
+        name
+        for name, obj in vars(experiment).items()
+        if inspect.isfunction(obj) and obj.__module__ in ROUTE_MODULES
+    ]
+    for name in routes:
+        monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
+    for algorithm in RUNNERS:
+        returned.clear()
+        RUNNERS[algorithm](_small_spec(algorithm), generate("random_gnd", {"n": 20, "d": 5}))
+        assert len(returned) == 1, (algorithm, returned)
+        name, result = returned[0]
+        if name == "randomized_defective":
+            assert isinstance(result, VertexColoring)
+            continue
+        assert isinstance(result, tuple) and len(result) == 2, (algorithm, type(result))
+        col, report = result
+        assert isinstance(col, (VertexColoring, EdgeColoring)), (algorithm, type(col))
+        assert isinstance(report, SimReport), (algorithm, type(report))

@@ -25,6 +25,7 @@ from bnicolor.legal import (
     _level_plans,
     defective_color,
     legal_color,
+    legal_plan,
 )
 from bnicolor.params import (
     DefectiveParams,
@@ -72,8 +73,9 @@ class TestDefectiveColor:
         floor(k * Lambda / q) <= Lambda // (b * p), colors within its palette."""
         g = random_gnd(60, 10, seed=seed)
         Lam = g.delta
-        _, report = defective_color(g, DefectiveParams(b, p, Lam, 2))
-        level = _level_plans("fast", [Lam, 0], LegalParams(b, p, 1, 2), g.id_bound).levels[0]
+        params = DefectiveParams(b, p, Lam, 2)
+        _, report = defective_color(g, params)
+        level = _level_plans("fast", [Lam, 0], params, g.id_bound).levels[0]
         plan = level.kuhn_plan
         bound = plan.k * Lam // plan.q
         assert bound <= Lam // (b * p)
@@ -114,30 +116,30 @@ class TestLegalColor:
     def test_legal_and_within_vartheta(self, phi_mode):
         g = line_graph_of_random(24, 8, seed=1)
         params = LegalParams(1, 9, 12, 2)
-        result, report = legal_color(g, params, phi_mode=phi_mode)
-        assert check_vertex_coloring(g, result.phi).legal
-        assert max(result.phi.colors.values()) <= result.vartheta
+        col, report = legal_color(g, params, phi_mode=phi_mode)
+        assert check_vertex_coloring(g, col).legal
+        assert max(col.colors.values()) <= col.palette == report.extra["vartheta"]
 
     def test_vartheta_matches_independent_recursion(self):
         g = line_graph_of_random(24, 8, seed=1)
         params = LegalParams(1, 9, 12, 2)
-        result, _ = legal_color(g, params)
+        col, report = legal_color(g, params)
         sched = recursion_schedule(params, g.delta)
-        assert result.vartheta == vartheta_of_schedule(sched, params.p)
-        assert result.level_lambdas == sched
+        assert col.palette == report.extra["vartheta"] == vartheta_of_schedule(sched, params.p)
+        assert report.extra["level_lambdas"] == sched
 
     def test_trivial_degree_runs_bottom_only(self):
         g = random_gnd(20, 3, seed=0)
         params = LegalParams(1, 9, 36, 2)
-        result, _ = legal_color(g, params)
-        assert result.depth == 0
-        assert check_vertex_coloring(g, result.phi).legal
+        col, report = legal_color(g, params)
+        assert len(report.extra["level_lambdas"]) == 1  # no defective level
+        assert check_vertex_coloring(g, col).legal
 
     def test_clique_pendant_family(self):
         g = clique_pendant(24)
         params = LegalParams(1, 9, 12, 2)
-        result, _ = legal_color(g, params)
-        assert check_vertex_coloring(g, result.phi).legal
+        col, _ = legal_color(g, params)
+        assert check_vertex_coloring(g, col).legal
 
     def test_unknown_phi_mode(self):
         with pytest.raises(ParamError):
@@ -178,8 +180,7 @@ class TestReadinessCursors:
 
     @staticmethod
     def _recorded_run(g, phi_mode):
-        schedule = recursion_schedule(TWO_LEVELS, g.delta)
-        params = {"plan": _level_plans(phi_mode, schedule, TWO_LEVELS, g.id_bound)}
+        params = {"plan": legal_plan(g, TWO_LEVELS, phi_mode)[0]}
         received = {v: [] for v in g.vertices}
 
         class Recording(RecursiveColorProgram):
@@ -191,7 +192,7 @@ class TestReadinessCursors:
 
     @staticmethod
     def _replay(g, v, params, batches):
-        prog = RecursiveColorProgram(Context(v, g.adj[v], g.id_bound, g.delta, params))
+        prog = RecursiveColorProgram(Context(v, g.adj[v], g.id_bound, params))
         for round_no, inbox in enumerate(batches, 1):
             prog.step(round_no, inbox)
         return prog
@@ -249,8 +250,7 @@ class TestBroadcastOutbox:
                 return out
 
         g = line_graph_of_random(24, 8, seed=1)
-        schedule = recursion_schedule(TWO_LEVELS, g.delta)
-        params = {"plan": _level_plans(phi_mode, schedule, TWO_LEVELS, g.id_bound)}
+        params = {"plan": legal_plan(g, TWO_LEVELS, phi_mode)[0]}
         plain = run(g, RecursiveColorProgram, params=params, record_transcript=True)
         monkeypatch.setattr(legal, "Outbox", Recording)
         checked = run(g, Checked, params=params, record_transcript=True)
@@ -265,13 +265,13 @@ class TestLineGraphRoutes:
     def test_edge_route_equals_legal_on_line_graph(self, g):
         edge_col, edge_report = edge_color_via_line_graph(g, TWO_LEVELS)
         lgm = build_line_graph(g)
-        result, _ = legal_color(lgm.lg, TWO_LEVELS)
+        vertex_col, _ = legal_color(lgm.lg, TWO_LEVELS)
         assert check_edge_coloring(g, edge_col).legal
-        assert check_vertex_coloring(lgm.lg, result.phi).legal
+        assert check_vertex_coloring(lgm.lg, vertex_col).legal
         assert max(edge_col.colors.values()) <= edge_report.extra["vartheta"]
-        assert max(result.phi.colors.values()) <= result.vartheta
+        assert max(vertex_col.colors.values()) <= vertex_col.palette
         assert edge_col.colors == {
-            lgm.edge_of[v]: col for v, col in result.phi.colors.items()
+            lgm.edge_of[v]: col for v, col in vertex_col.colors.items()
         }
 
 

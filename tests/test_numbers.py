@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from bnicolor.numbers import (
     PolyPlan,
+    _root_bound,
     ceil_log2,
     is_prime,
-    kuhn_step_plan,
     linial_schedule,
-    linial_step_plan,
     log_star,
     next_prime,
     poly_coeffs,
     poly_eval,
+    step_plan,
 )
 
 
@@ -61,7 +61,7 @@ class TestPlans:
     @given(st.integers(2, 100_000), st.integers(1, 64))
     @settings(max_examples=60, deadline=None)
     def test_step_plan_soundness(self, n_colors, delta):
-        plan = linial_step_plan(n_colors, delta)
+        plan = step_plan(n_colors, delta)
         # q > k*delta guarantees a conflict-free evaluation point exists
         assert plan.q > plan.k * delta
         # every color in 1..n_colors encodes as a degree-<=k polynomial
@@ -88,16 +88,75 @@ class TestPlans:
     @given(st.integers(2, 50_000), st.integers(2, 64), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_kuhn_plan_defect_target(self, n_colors, delta, d):
-        plan = kuhn_step_plan(n_colors, delta, d)
+        plan = step_plan(n_colors, delta, d)
         assert plan.k * delta // plan.q <= d
         assert plan.q ** (plan.k + 1) >= n_colors
 
     def test_kuhn_zero_defect_is_legal_plan(self):
-        assert kuhn_step_plan(100, 5, 0) == linial_step_plan(100, 5)
+        # d = 0 takes the legal bound q > k*delta: the field 11 at k = 1
+        assert step_plan(100, 5, 0) == step_plan(100, 5) == PolyPlan(1, 11, 100)
 
     def test_kuhn_rejects_negative(self):
         with pytest.raises(ValueError):
-            kuhn_step_plan(10, 3, -1)
+            step_plan(10, 3, -1)
+
+
+def _frozen_linial_step_plan(n_colors, delta_bound):
+    """The legal step plan as it was before `step_plan` merged it with the
+    defective one; kept verbatim as the differential oracle."""
+    if n_colors < 2:
+        return PolyPlan(1, 2, n_colors)
+    best = None
+    for k in range(1, 64):
+        q = next_prime(max(k * delta_bound + 1, _root_bound(n_colors, k + 1), 2))
+        if best is None or q < best.q:
+            best = PolyPlan(k, q, n_colors)
+        if q == 2:
+            break
+    return best
+
+
+def _frozen_kuhn_step_plan(n_colors, delta_bound, d):
+    """The defective step plan as it was before the merge, verbatim."""
+    if d < 0:
+        raise ValueError("defect target must be non-negative")
+    if d == 0:
+        return _frozen_linial_step_plan(n_colors, delta_bound)
+    if n_colors < 2:
+        return PolyPlan(1, 2, n_colors)
+    best = None
+    for k in range(1, 64):
+        q = next_prime(max(-(-k * delta_bound // d), _root_bound(n_colors, k + 1), 2))
+        if best is None or q < best.q:
+            best = PolyPlan(k, q, n_colors)
+        if q == 2:
+            break
+    return best
+
+
+# every n up to 40, the edges of small powers, and n up to 10**12 and 2**40
+GRID_COLORS = sorted(
+    set(range(41))
+    | {64, 99, 100, 101, 127, 128, 255, 256, 299, 300}
+    | {10**k + j for k in range(3, 13) for j in (-1, 0, 1)}
+    | {2**k for k in (16, 24, 32, 40)}
+)
+GRID_DELTAS = (0, 1, 2, 3, 4, 5, 7, 8, 13, 16, 24, 31, 39)
+
+
+class TestStepPlanMatchesFrozenPlans:
+    """`step_plan` is one formula for what were two functions, and every plan
+    it gives must be the one they gave, or report bytes move. The full grid
+    n <= 300 (and up to 10**12), delta < 40, d < 12 matched as well; it takes
+    about 80 s, so the test runs a sample of it."""
+
+    @pytest.mark.parametrize("d", range(12))
+    def test_grid(self, d):
+        for n in GRID_COLORS:
+            for delta in GRID_DELTAS:
+                assert step_plan(n, delta, d) == _frozen_kuhn_step_plan(n, delta, d), (n, delta)
+                if d == 0:
+                    assert step_plan(n, delta) == _frozen_linial_step_plan(n, delta), (n, delta)
 
 
 class TestPolynomials:

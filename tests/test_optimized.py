@@ -1,8 +1,9 @@
 """The core suite under `python -O`, which strips `assert` statements.
 
 Every guarantee the library relies on must be an explicit check, so the base,
-extensions, generator, graph, legal, numbers, simulator and verify tests must
-pass with optimization on as well. pytest still checks the tests' own asserts
+CLI, coloring, edge-coloring, experiment, extensions, generator, graph, legal,
+numbers, params, simulator and verify tests must pass with optimization on as
+well. pytest still checks the tests' own asserts
 there, because it rewrites them into explicit raises.
 """
 
@@ -14,11 +15,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CORE = (
     "tests/test_base.py",
+    "tests/test_cli.py",
+    "tests/test_coloring.py",
+    "tests/test_edgecolor.py",
+    "tests/test_experiment.py",
     "tests/test_extensions.py",
     "tests/test_generators.py",
     "tests/test_graph.py",
     "tests/test_legal.py",
     "tests/test_numbers.py",
+    "tests/test_params.py",
     "tests/test_sim.py",
     "tests/test_verify.py",
 )

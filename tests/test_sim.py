@@ -216,7 +216,7 @@ def _frozen_run(
     budget = budget_factor * ceil_log2(max(g.id_bound, 2))
     insts = {}
     for v in g.vertices:
-        insts[v] = program(Context(v, g.adj[v], g.id_bound, g.delta, params))
+        insts[v] = program(Context(v, g.adj[v], g.id_bound, params))
 
     inboxes = {v: [] for v in g.vertices}
     halted = {}
