@@ -123,14 +123,30 @@ class ExperimentSpec:
         return cls(**data)
 
 
+class _ReadParams(dict):
+    """An algorithm's parameters, remembering the keys `_param` looked up."""
+
+    def __init__(self, params: Dict):
+        super().__init__(params)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def _param(spec: ExperimentSpec, key: str, cast, default=None):
     """spec.params[key] (default when absent) through cast. A missing key
-    without a default, or a value cast refuses, raises ParamError naming it."""
+    without a default, or a value cast refuses, raises ParamError naming it;
+    an int parameter takes integral numbers and strings int() parses."""
     value = spec.params.get(key, default)
     if value is None:
         raise ParamError(f"{spec.algorithm} needs parameter {key!r}")
     try:
-        return cast(value)
+        result = cast(value)
+        if cast is int and not (isinstance(value, str) or result == value):
+            raise ValueError(value)
+        return result
     except (TypeError, ValueError, ArithmeticError):
         raise ParamError(
             f"{spec.algorithm} parameter {key} must be {cast.__name__}, got {value!r}"
@@ -269,10 +285,15 @@ def _verify(g: Graph, col) -> VerificationReport:
 
 
 def run_experiment(spec: ExperimentSpec) -> Dict:
-    """Execute generator -> algorithm -> checker; return the report dict."""
+    """Execute generator -> algorithm -> checker; return the report dict.
+    A spec parameter the algorithm never reads raises ParamError."""
     spec.validate()
     g = generate(spec.generator, spec.gen_params, seed=spec.seed)
-    col, report, params_used = RUNNERS[spec.algorithm](spec, g)
+    params = _ReadParams(spec.params)
+    col, report, params_used = RUNNERS[spec.algorithm](dataclasses.replace(spec, params=params), g)
+    unread = set(params) - params.read
+    if unread:
+        raise ParamError(f"unused {spec.algorithm} parameters: {sorted(unread, key=str)}")
     verification = _verify(g, col)
     out = {
         "schema": SCHEMA_VERSION,

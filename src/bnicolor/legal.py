@@ -265,15 +265,16 @@ class RecursiveColorProgram(VertexProgram):
         # Linial phase state; after the bottom's phase, the bottom color
         self.lin_iter = 0
         self.cur_lin = ctx.vid
-        # readiness cursors: wait key -> index of the first neighbor still missing
-        self.cursor: Dict[tuple, int] = {}
-        self.smaller: Dict[int, List[int]] = {}  # level -> same-neighbors with smaller phi
+        # the one wait the state machine is blocked on, or None: (nbrs, store, i)
+        # with nbrs[i] the first neighbor still missing from store
+        self.wait: Optional[Tuple[List[int], Dict[int, int], int]] = None
+        self.smaller: Optional[List[int]] = None  # same-neighbors with smaller phi
+        self.bigger: Optional[List[int]] = None  # bottom competitors to reduce first
         self.telemetry = {"r_phi": {}, "r_psi": {}}
 
     # -- message handling ----------------------------------------------------
 
     def step(self, round_no, inbox):
-        self.rnd = round_no
         for u, msg in inbox:
             f = msg.fields
             kind = f[0][0]
@@ -286,21 +287,28 @@ class RecursiveColorProgram(VertexProgram):
             else:
                 self.red_at[u] = f[1][0] + 1
         out = Outbox()
+        wait = self.wait
+        if wait is not None and wait[0][wait[2]] not in wait[1]:
+            return out  # the awaited neighbor has not reported: nothing can move
+        self.rnd = round_no
         if self.output is None:
             self._advance(out)
         return out
 
-    def _ready(self, key: tuple, nbrs: List[int], store: Dict[int, int]) -> bool:
-        """Whether store holds every u in nbrs.
+    def _ready(self, nbrs: List[int], store: Dict[int, int]) -> bool:
+        """Whether store holds every u in nbrs; on failure `wait` names the
+        first u still missing, on success it is cleared.
 
-        The stores only gain entries, so the scan resumes where the previous
-        call for the same key stopped.
+        A failed wait is asked again until it holds, and the stores only gain
+        entries, so the scan resumes where the previous call on the same nbrs
+        and store objects stopped.
         """
-        i = self.cursor.get(key, 0)
+        wait = self.wait
+        i = wait[2] if wait is not None and wait[0] is nbrs and wait[1] is store else 0
         n = len(nbrs)
         while i < n and nbrs[i] in store:
             i += 1
-        self.cursor[key] = i
+        self.wait = (nbrs, store, i) if i < n else None
         return i == n
 
     # -- the state machine ---------------------------------------------------
@@ -316,7 +324,7 @@ class RecursiveColorProgram(VertexProgram):
             self.same = list(self.ctx.neighbors)
         else:
             psis = self.psi_at[lvl]
-            if not self._ready(("enter", lvl), self.same, psis):
+            if not self._ready(self.same, psis):
                 return False
             self.same = [u for u in self.same if psis[u] == self.hist[lvl]]
         self.level = lvl = lvl + 1
@@ -336,7 +344,7 @@ class RecursiveColorProgram(VertexProgram):
         while self.lin_iter < len(plans):
             it = self.lin_iter
             colors = colors_at[it]
-            if not self._ready(("lin", lvl, it), self.same, colors):
+            if not self._ready(self.same, colors):
                 break
             cols = [colors[u] for u in self.same]
             plan = plans[it]
@@ -365,7 +373,7 @@ class RecursiveColorProgram(VertexProgram):
             phi = self.cur_lin
         else:
             colors = self.kuhn_at[lvl]
-            if not self._ready(("kuhn", lvl), self.same, colors):
+            if not self._ready(self.same, colors):
                 return False
             cols = [colors[u] for u in self.same]
             own = colors[self.ctx.vid]
@@ -387,19 +395,18 @@ class RecursiveColorProgram(VertexProgram):
 
     def _do_psi(self, out) -> bool:
         lvl = self.level
-        phis = self.phi_at[lvl]
-        if not self._ready(("phi", lvl), self.same, phis):
-            return False
-        smaller = self.smaller.get(lvl)
-        if smaller is None:
+        if self.smaller is None:
+            phis = self.phi_at[lvl]
+            if not self._ready(self.same, phis):
+                return False
             own_phi = self.phis[lvl]
-            smaller = self.smaller[lvl] = [u for u in self.same if phis[u] < own_phi]
+            self.smaller = [u for u in self.same if phis[u] < own_phi]
         psis = self.psi_at[lvl]
-        if not self._ready(("psi", lvl), smaller, psis):
+        if not self._ready(self.smaller, psis):
             return False
         p = self.levels[lvl].p
         counts = [0] * (p + 1)
-        for u in smaller:
+        for u in self.smaller:
             counts[psis[u]] += 1
         psi = min(range(1, p + 1), key=lambda k: (counts[k], k))
         self._decide_psi(out, psi)
@@ -407,6 +414,7 @@ class RecursiveColorProgram(VertexProgram):
 
     def _decide_psi(self, out, psi: int):
         lvl = self.level
+        self.smaller = None
         self.hist.append(psi)
         self.telemetry["r_psi"][lvl] = self.rnd
         msg = Message(
@@ -422,21 +430,27 @@ class RecursiveColorProgram(VertexProgram):
 
     def _do_bot_red(self, out) -> bool:
         """The greedy reduction of the bottom color to 1..target: neighbors'
-        current colors are their reduced ones, else their Linial finals."""
+        current colors are their reduced ones, else their Linial finals.
+
+        A neighbor sends its final before its reduced color, so the vertex first
+        waits for every final, then, above target, for the reduced color of each
+        bigger competitor: a final above target with (final, Id) above its own."""
         finals = self.lin_at[-1][-1]
-        cur: Dict[int, int] = {}
-        for u in self.same:
-            c = self.red_at.get(u) or finals.get(u)
-            if c is None:
-                return False
-            cur[u] = c
         target = self.bottom.target
-        if self.cur_lin <= target:
-            self._finalize()
-            return True
+        own = (self.cur_lin, self.ctx.vid)
+        if self.bigger is None:
+            if not self._ready(self.same, finals):
+                return False
+            if self.cur_lin <= target:
+                self._finalize()
+                return True
+            self.bigger = [u for u in self.same if finals[u] > target and (finals[u], u) > own]
+        if not self._ready(self.bigger, self.red_at):
+            return False
+        cur = {u: self.red_at.get(u) or finals[u] for u in self.same}
         for u, c in cur.items():
-            if c > target and (c, u) > (self.cur_lin, self.ctx.vid):
-                return False  # wait for a bigger competitor to recolor first
+            if c > target and (c, u) > own:
+                return False  # a bigger competitor's reduced color is still above target
         used = set(cur.values())
         k = 1
         while k in used:

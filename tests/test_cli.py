@@ -128,6 +128,25 @@ class TestMalformedParameters:
                 ],
                 "budget_factor must be at least 1, got 0",
             ),
+            (
+                ["run", *_GND_D3, "--algorithm", "kuhn_edge", "--param", "p_prime=2.9"],
+                "kuhn_edge parameter p_prime must be int, got 2.9",
+            ),
+            (
+                ["run", *_GND_D3, "--preset", "thm45", "--param", "c=2.5"],
+                "legal parameter c must be int, got 2.5",
+            ),
+            (
+                [
+                    "run", *_GND_D3, "--algorithm", "edge_direct", "--preset", "thm45",
+                    "--param", "pacde=true",
+                ],
+                "unused edge_direct parameters: ['pacde']",
+            ),
+            (
+                ["run", *_GND_D3, "--algorithm", "randomized", "--param", "seed=3"],
+                "unused randomized parameters: ['seed']",
+            ),
             (["gen", "--kind", "random_gnd", "--gen-param", "n=20"], "random_gnd needs parameter 'd'"),
             (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be an integer, got 'x'"),
             (
@@ -140,6 +159,8 @@ class TestMalformedParameters:
             "custom-missing-b", "seed-2**64", "legal-phi-mode", "edge-line-phi-mode",
             "kuhn-missing-p-prime", "kuhn-p-prime-0", "defective-missing-b", "defective-p-not-int",
             "kappa-not-a-number", "eps-not-a-fraction", "budget-factor-0",
+            "kuhn-p-prime-not-integral", "c-not-integral", "edge-direct-unread-key",
+            "randomized-unread-seed",
             "gen-missing-d", "gen-non-integer", "bench-non-integer",
         ],
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from bnicolor import extensions, legal, sim
 from bnicolor.base import Outbox
 from bnicolor.coloring import VertexColoring
 from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
+from bnicolor.experiment import ExperimentSpec, run_experiment
 from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
 from bnicolor.generators import (
     clique_pendant,
@@ -20,7 +22,11 @@ from bnicolor.generators import (
 )
 from bnicolor.graph import Graph, build_line_graph
 from bnicolor.legal import (
+    K_RED,
+    N_KINDS,
     PHI_MODES,
+    BottomPlan,
+    RecursionPlan,
     RecursiveColorProgram,
     _level_plans,
     defective_color,
@@ -37,7 +43,7 @@ from bnicolor.params import (
     smallest_feasible_thm46_t,
     vartheta_of_schedule,
 )
-from bnicolor.sim import Context, run
+from bnicolor.sim import Context, Message, run
 from bnicolor.verify import check_defect_pigeonhole, check_edge_coloring, check_vertex_coloring
 
 from conftest import canonical, connected_graphs
@@ -179,16 +185,25 @@ class TestReadinessCursors:
     """A vertex reaches the same decisions however its messages are batched."""
 
     @staticmethod
-    def _recorded_run(g, phi_mode):
-        params = {"plan": legal_plan(g, TWO_LEVELS, phi_mode)}
-        received = {v: [] for v in g.vertices}
+    def _recorded_run(monkeypatch, module, route):
+        """route's one RecursiveColorProgram run, which module starts: its
+        params, every message each vertex read before it halted, its report."""
+        received = defaultdict(list)
+        runs = []
 
         class Recording(RecursiveColorProgram):
             def step(self, round_no, inbox):
                 received[self.ctx.vid].extend(inbox)
                 return super().step(round_no, inbox)
 
-        return params, received, run(g, Recording, params=params)
+        def recording_run(g, program, params):
+            runs.append((params, run(g, Recording, params=params)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(module, "run", recording_run)
+        route()
+        ((params, report),) = runs
+        return params, received, report
 
     @staticmethod
     def _replay(g, v, params, batches):
@@ -197,15 +212,10 @@ class TestReadinessCursors:
             prog.step(round_no, inbox)
         return prog
 
-    @pytest.mark.parametrize("spacing", [1, 1009])
-    @pytest.mark.parametrize("phi_mode", ["fast", "simple", "improved"])
-    def test_one_message_per_step_in_scrambled_order(self, phi_mode, spacing):
-        # sparse Ids (spacing 1009) give every level two Linial iterations
-        g = _spaced(line_graph_of_random(24, 8, seed=1), spacing)
-        params, received, report = self._recorded_run(g, phi_mode)
-        rng = random.Random(f"{phi_mode}-{spacing}")
+    def _check_replays(self, g, params, received, report, rng):
+        """Replay every vertex's messages in one step, and one a step in
+        scrambled order; both reach the run's decisions."""
         for v in g.vertices:
-            # every message v read before it halted
             whole = self._replay(g, v, params, [received[v]])
             scrambled = received[v][:]
             rng.shuffle(scrambled)
@@ -213,8 +223,92 @@ class TestReadinessCursors:
             assert whole.output == report.outputs[v]
             assert single.output == whole.output
             assert single.phis == whole.phis
-            assert single.hist == whole.hist == report.outputs[v]["psi_hist"]
-            assert len(whole.hist) == 2
+            assert single.hist == whole.hist
+
+    @pytest.mark.parametrize("spacing", [1, 1009])
+    @pytest.mark.parametrize("phi_mode", ["fast", "simple", "improved"])
+    def test_one_message_per_step_in_scrambled_order(self, monkeypatch, phi_mode, spacing):
+        # sparse Ids (spacing 1009) give every level two Linial iterations
+        g = _spaced(line_graph_of_random(24, 8, seed=1), spacing)
+        params, received, report = self._recorded_run(
+            monkeypatch, legal, lambda: legal_color(g, TWO_LEVELS, phi_mode)
+        )
+        self._check_replays(g, params, received, report, random.Random(f"{phi_mode}-{spacing}"))
+        for v in g.vertices:
+            assert len(report.outputs[v]["psi_hist"]) == 2
+
+    @pytest.mark.parametrize(
+        "kind,module,graph,algorithm",
+        [
+            pytest.param(
+                "std", legal, lambda: line_graph_of_random(16, 5, seed=2),
+                lambda g: defective_color(g, DefectiveParams(1, 4, g.delta, 2)), id="defective",
+            ),
+            pytest.param(
+                "pre_random", extensions, lambda: random_gnd(40, 20, seed=3),
+                lambda g: randomized_color(g, RandomizedParams(seed=5)), id="randomized",
+            ),
+            pytest.param(
+                "pre_kuhn", extensions, lambda: build_line_graph(complete_bipartite(1, 33)).lg,
+                lambda g: tradeoff_color(g, TradeoffParams("power:0.5", eta=0.25), c=2),
+                id="tradeoff",
+            ),
+        ],
+    )
+    def test_other_plans_in_scrambled_order(self, monkeypatch, kind, module, graph, algorithm):
+        """A bottom-less plan, a pre_random first level and a pre_kuhn first
+        level; the last two also reduce bottom colors with K_RED messages."""
+        g = graph()
+        params, received, report = self._recorded_run(monkeypatch, module, lambda: algorithm(g))
+        plan = params["plan"]
+        assert plan.levels[0].kind == kind
+        kinds = {msg.fields[0][0] for inbox in received.values() for _, msg in inbox}
+        assert (K_RED in kinds) == (plan.bottom is not None) == (kind != "std")
+        self._check_replays(g, params, received, report, random.Random(kind))
+
+    def test_bigger_reduced_color_above_target_keeps_waiting(self):
+        """A bigger competitor whose reduced color is still above target (and,
+        with its Id, above the vertex's own color and Id) keeps the vertex
+        waiting; one at or below target lets it reduce."""
+        plan = RecursionPlan((), BottomPlan(target=2, lin_plans=(), start_palette=8))
+        outcomes = []
+        for red in (6, 1):
+            prog = RecursiveColorProgram(Context(5, [7], 8, {"plan": plan}))
+            assert not prog.step(1, []) and prog.output is None
+            assert prog.wait == ([7], prog.red_at, 0)  # on the competitor's reduced color
+            out = prog.step(2, [(7, Message((K_RED, N_KINDS), (red - 1, 10)))])
+            outcomes.append((list(out.items()), prog.output))
+        assert outcomes[0] == ([], None)
+        [(dst, [msg])], output = outcomes[1]
+        assert dst == 7 and msg.fields[0][0] == K_RED and msg.fields[1][0] + 1 == 2
+        assert output == {"color": 2, "psi_hist": []}
+
+
+class TestWorkCount:
+    def test_most_steps_of_a_waiting_vertex_skip_the_state_machine(self, monkeypatch):
+        """On the first input of the benchmark's line_legal workload (seed 1),
+        at most 30% of RecursiveColorProgram steps reach `_advance`: a step
+        whose awaited neighbor has not reported returns at once."""
+        counts = {"step": 0, "_advance": 0}
+        for name in counts:
+            real = getattr(RecursiveColorProgram, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(RecursiveColorProgram, name, counted)
+        spec = ExperimentSpec(
+            "line_of",
+            {"inner": {"kind": "random_gnd", "params": {"n": 40, "d": 24}}},
+            algorithm="legal",
+            preset="thm45",
+            params={"c": 2, "eps": "3/4"},
+            seed=12,
+        )
+        report = run_experiment(spec)
+        assert report["verification"]["legal"] and report["rounds"] == 68
+        assert counts["_advance"] <= 0.30 * counts["step"]
 
 
 class TestBroadcastOutbox:
