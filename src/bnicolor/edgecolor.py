@@ -22,7 +22,7 @@ instead of the dependency-chain depth.
 Bookkeeping: each payload on an edge (labels, readiness, psi counts, bottom
 Linial bitmaps, used-color bitmaps) is one `_Exchange` record: this side's
 values, the other side's values in chunk order, and the two arrival rounds.
-Both endpoints send the same kind of payload over the same domains, so the
+Both endpoints send the same kind of payload over the same domain, so the
 values a side sent fix its chunking and how many values to expect back.
 Each vertex also keeps a group index keyed by (level, psi-history prefix). An
 entry holds the group's edges and the count of those that have not decided
@@ -31,14 +31,18 @@ When a whole group holds its phi, each edge gets readiness tallies (group
 edges with a smaller phi still undecided, the psi counts of those decided,
 the final colors taken at the bottom), which every decision updates in place.
 A step advances a worklist of dirty edges to the same fixpoint a full rescan
-would reach: an edge is dirty when its channel delivered a chunk, a payload was
-queued on it, its group's tallies or barrier released it, or the round it
-waits for arrived.
+would reach: an edge is dirty when its channel completed the other side's
+payload of an exchange this side has sent, a payload was queued on it, its
+group's tallies or barrier released it, or the round it waits for arrived. A
+partial payload moves no handler, since each reads an exchange only once
+`ready_round` is known or while this side has not sent. A step sends one
+message from each channel whose queue is non-empty.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -173,7 +177,7 @@ class EdgeSlot:
         self.lin_hist: List[int] = [rank]
         self.phi_bot: Optional[int] = None
         self.color: Optional[int] = None
-        self.exch: Dict[Tuple[int, int, int], _Exchange] = {}
+        self.exch: Dict[Tuple[int, int, int], _Exchange] = defaultdict(_Exchange)
         self.tele: Dict[str, Any] = {"phi": {}, "psi": {}}
         self.grp: Optional[_Group] = None  # the group at the current level
         # readiness tallies, opened when the whole group holds its phi:
@@ -184,9 +188,9 @@ class EdgeSlot:
         self.used = 0
 
 
-def _bitmap(bits: int, width: int) -> List[Tuple[int, int]]:
-    """A width-bit set as little-endian byte fields."""
-    return [(b, 256) for b in bits.to_bytes((width + 7) // 8, "little")]
+def _bitmap(bits: int, width: int) -> List[int]:
+    """A width-bit set as little-endian bytes (domain 256)."""
+    return list(bits.to_bytes((width + 7) // 8, "little"))
 
 
 def _first_free(ex: _Exchange) -> int:
@@ -210,15 +214,18 @@ class EdgeColorProgram(VertexProgram):
         # count (and so the per-level round cost) uniform
         self.cnt_dom = (self.levels[0].Lambda + 2) if self.levels else 2
         self.it_dom = max(len(self.bottom.lin_plans) + 2, 2)
-        self.idx_dom = 64
-        header = (
-            ceil_log2(N_KINDS)
-            + ceil_log2(self.lvl_dom)
-            + ceil_log2(self.it_dom)
-            + ceil_log2(self.idx_dom)
-        )
-        # at least one value per chunk even if the budget can't cover it
-        self.chunk_budget = max(ctx.budget_bits - header, 1)
+        # the chunk index has 64 values unless the plan's longest payload (psi
+        # counts, bitmaps) needs more chunks under the header that implies
+        bitmaps = [lp.q for lp in self.bottom.lin_plans] + [self.bottom.target]
+        payloads = [(lv.p, self.cnt_dom) for lv in self.levels]
+        payloads += [((w + 7) // 8, 256) for w in bitmaps]
+        self.idx_dom, chunks = 0, 64
+        while chunks > self.idx_dom:
+            self.idx_dom = chunks
+            header = sum(map(ceil_log2, (N_KINDS, self.lvl_dom, self.it_dom, self.idx_dom)))
+            # at least one value per chunk even if the budget can't cover it
+            self.chunk_budget = max(ctx.budget_bits - header, 1)
+            chunks = max(-(-n // self._per_chunk(n, dom)) for n, dom in payloads)
         rank = P["rank"]
         stage = "labels" if self.levels else "bot_wait"
         self.slots: Dict[int, EdgeSlot] = {
@@ -233,54 +240,40 @@ class EdgeColorProgram(VertexProgram):
         self._dirty = set(ctx.neighbors)
         self._due: Dict[int, set] = {}
         self._due_rounds: List[int] = []
-        self.queues: Dict[int, List[Message]] = {u: [] for u in ctx.neighbors}
+        self.queues: Dict[int, List[Message]] = {}  # the non-empty outbound queues
         self.rnd = 0
         self.telemetry = {"edges": {u: s.tele for u, s in self.slots.items()}}
 
     # -- payload plumbing ----------------------------------------------------
 
-    def _submit(self, u: int, kind: int, lvl: int, it: int, values: List[Tuple[int, int]]):
-        """Queue a payload to u and record the self-delivery round: one message
-        in wide mode, in short mode as many values per chunk as fit the bit
-        budget."""
-        if self.queues[u]:
+    def _per_chunk(self, n: int, dom: int) -> int:
+        """Values per message of an n-value payload over dom: all of them in
+        wide mode, in short mode as many as fit the bit budget."""
+        return max(self.chunk_budget // ceil_log2(dom), 1) if self.short else max(n, 1)
+
+    def _submit(self, u: int, kind: int, lvl: int, it: int, values: List[int], dom: int):
+        """Queue a payload to u, cut into equal chunks, and record the
+        self-delivery round."""
+        if u in self.queues:
             raise SimError(
                 f"vertex {self.ctx.vid}: payload {kind} to {u} queued while an "
                 "earlier one is in flight; per-edge payloads are sequential"
             )
-        chunks = [values]
-        if self.short:
-            chunks, used = [[]], 0
-            for field in values:
-                b = ceil_log2(field[1])
-                if chunks[-1] and used + b > self.chunk_budget:
-                    chunks.append([])
-                    used = 0
-                chunks[-1].append(field)
-                used += b
+        k = self._per_chunk(len(values), dom)
         header = ((kind, N_KINDS), (lvl, self.lvl_dom), (it, self.it_dom))
-        for idx, chunk in enumerate(chunks):
-            self.queues[u].append(Message(*header, (idx, self.idx_dom), *chunk))
+        self.queues[u] = [
+            Message(*header, (i // k, self.idx_dom), *[(v, dom) for v in values[i : i + k]])
+            for i in range(0, len(values) or 1, k)
+        ]
         ex = self.exch_of(u, kind, lvl, it)
-        ex.mine = [value for value, _ in values]
-        ex.chunks = len(chunks)
-        ex.self_arr = self.rnd + len(chunks)
+        ex.mine = values
+        ex.chunks = len(self.queues[u])
+        ex.self_arr = self.rnd + ex.chunks
         self._check_length(u, ex)
         self._dirty.add(u)
 
     def exch_of(self, u, kind, lvl, it) -> _Exchange:
-        exch = self.slots[u].exch
-        key = (kind, lvl, it)
-        if key not in exch:
-            exch[key] = _Exchange()
-        return exch[key]
-
-    def _store(self, u: int, msg: Message):
-        f = msg.fields
-        ex = self.exch_of(u, f[0][0], f[1][0], f[2][0])
-        ex.other.extend(value for value, _ in f[4:])
-        ex.last = self.rnd
-        self._check_length(u, ex)
+        return self.slots[u].exch[kind, lvl, it]
 
     def _check_length(self, u: int, ex: _Exchange):
         if ex.mine is not None and len(ex.other) > len(ex.mine):
@@ -293,30 +286,34 @@ class EdgeColorProgram(VertexProgram):
 
     def step(self, round_no, inbox):
         self.rnd = round_no
+        dirty = self._dirty
         for u, msg in inbox:
-            self._store(u, msg)
-            self._dirty.add(u)
+            f = msg.fields
+            ex = self.exch_of(u, f[0][0], f[1][0], f[2][0])
+            ex.other += [value for value, _ in f[4:]]
+            ex.last = round_no
+            if ex.mine is not None and len(ex.other) >= len(ex.mine):
+                self._check_length(u, ex)
+                dirty.add(u)
         due = self._due_rounds
         while due and due[0] <= round_no:
-            self._dirty.update(self._due.pop(heappop(due)))
+            dirty.update(self._due.pop(heappop(due)))
         if round_no == 1 and self.levels and self.slots:
             self._start_group(self.groups[(0, ())], 0)
-        self._advance()
+        if dirty:
+            self._advance()
+        # one message per busy channel (a wide payload is one message), in
+        # ascending neighbor order: the report's budget flags follow it
         out: Dict[int, List[Message]] = {}
-        pending = False
-        for u, q in self.queues.items():
+        queues = self.queues
+        for u in sorted(queues):
+            q = queues[u]
+            out[u] = [q.pop(0)]
             if not q:
-                continue
-            if self.short:
-                out[u] = [q.pop(0)]
-            else:
-                out[u] = list(q)
-                q.clear()
-            if q:
-                pending = True
+                del queues[u]
         # every registered wake-up lies after this round
-        self.wake = round_no + 1 if pending else (due[0] if due else None)
-        if not self.uncolored and not pending:
+        self.wake = round_no + 1 if queues else (due[0] if due else None)
+        if not self.uncolored and not queues:
             self.output = {u: s.color for u, s in self.slots.items()}
         return out
 
@@ -337,7 +334,7 @@ class EdgeColorProgram(VertexProgram):
         pp = self.levels[lvl].p_prime
         for i, w in enumerate(sorted(g.members)):
             self.slots[w].stage = "phi"
-            self._submit(w, K_LAB, lvl, 0, [(i % pp, pp)])
+            self._submit(w, K_LAB, lvl, 0, [i % pp], pp)
 
     def _hold(self, s: EdgeSlot):
         """s now holds its phi (phi_bot at the bottom). Once the whole group
@@ -355,7 +352,7 @@ class EdgeColorProgram(VertexProgram):
             sw = self.slots[w]
             sw.wait = bisect_left(keys, key(w))
             sw.psi_counts = [0] * p
-            self._submit(w, kind, lvl, 0, [(1, 2)])
+            self._submit(w, kind, lvl, 0, [1], 2)
 
     def _release(self, s: EdgeSlot):
         """One fewer group edge ahead of s is undecided."""
@@ -452,8 +449,8 @@ class EdgeColorProgram(VertexProgram):
         if ex.mine is None:
             if s.wait:
                 return False
-            vals = [(min(c, self.cnt_dom - 1), self.cnt_dom) for c in s.psi_counts]
-            self._submit(s.nbr, K_CNT, lvl, 0, vals)
+            vals = [min(c, self.cnt_dom - 1) for c in s.psi_counts]
+            self._submit(s.nbr, K_CNT, lvl, 0, vals, self.cnt_dom)
             return True
         start = self.exch_of(s.nbr, K_RDY, lvl, 0).ready_round()
         due = self._paced_due(ex, start, s.phi[lvl])
@@ -503,7 +500,7 @@ class EdgeColorProgram(VertexProgram):
                 return False
             cols = [self.slots[w].lin_hist[it] for w in g.members if w != s.nbr]
             bits = conflict_bitmap(cur, cols, plan)
-            self._submit(s.nbr, K_BLIN, lvl, it, _bitmap(bits, plan.q))
+            self._submit(s.nbr, K_BLIN, lvl, it, _bitmap(bits, plan.q), 256)
             return True
         if not self._reached(s, ex.ready_round()):
             return False
@@ -535,7 +532,7 @@ class EdgeColorProgram(VertexProgram):
         if ex.mine is None:
             if s.wait:
                 return False
-            self._submit(s.nbr, K_USED, lvl, 0, _bitmap(s.used, W))
+            self._submit(s.nbr, K_USED, lvl, 0, _bitmap(s.used, W), 256)
             return True
         due = self._paced_due(ex, start, s.phi_bot)
         if not self._reached(s, due):

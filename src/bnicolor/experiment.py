@@ -138,13 +138,16 @@ class _ReadParams(dict):
 def _param(spec: ExperimentSpec, key: str, cast, default=None):
     """spec.params[key] (default when absent) through cast. A missing key
     without a default, or a value cast refuses, raises ParamError naming it;
-    an int parameter takes integral numbers and strings int() parses."""
+    an int parameter takes integral numbers and strings int() parses, a bool
+    parameter only true or false."""
     value = spec.params.get(key, default)
     if value is None:
         raise ParamError(f"{spec.algorithm} needs parameter {key!r}")
     try:
         result = cast(value)
         if cast is int and not (isinstance(value, str) or result == value):
+            raise ValueError(value)
+        if cast is bool and not isinstance(value, bool):
             raise ValueError(value)
         return result
     except (TypeError, ValueError, ArithmeticError):

@@ -54,6 +54,17 @@ class TestRun:
         f.write_text(json.dumps(spec))
         assert main(["run", "--spec", str(f)]) == 0
 
+    def test_paced_false_runs_unpaced(self, capsys):
+        """The JSON literal false turns pacing off: the same report as no
+        paced parameter, and fewer rounds than paced=true."""
+        argv = ["run", *_GND, "--gen-param", "d=5", "--algorithm", "edge_direct", "--preset", "thm45"]
+        rounds = {}
+        for extra in ([], ["--param", "paced=false"], ["--param", "paced=true"]):
+            assert main(argv + extra) == 0
+            rounds[tuple(extra)] = json.loads(capsys.readouterr().out)["rounds"]
+        default, unpaced, paced = rounds.values()
+        assert unpaced == default < paced
+
     def test_missing_generator_errors(self):
         with pytest.raises(SystemExit):
             main(["run", "--algorithm", "linial"])
@@ -147,6 +158,17 @@ class TestMalformedParameters:
                 ["run", *_GND_D3, "--algorithm", "randomized", "--param", "seed=3"],
                 "unused randomized parameters: ['seed']",
             ),
+            (
+                [
+                    "run", *_GND_D3, "--algorithm", "edge_direct", "--preset", "thm45",
+                    "--param", "paced=False",
+                ],
+                "edge_direct parameter paced must be bool, got 'False'",
+            ),
+            (
+                ["run", *_GND_D3, "--preset", "thm45", "--param", "strict=1"],
+                "legal parameter strict must be bool, got 1",
+            ),
             (["gen", "--kind", "random_gnd", "--gen-param", "n=20"], "random_gnd needs parameter 'd'"),
             (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be an integer, got 'x'"),
             (
@@ -160,7 +182,7 @@ class TestMalformedParameters:
             "kuhn-missing-p-prime", "kuhn-p-prime-0", "defective-missing-b", "defective-p-not-int",
             "kappa-not-a-number", "eps-not-a-fraction", "budget-factor-0",
             "kuhn-p-prime-not-integral", "c-not-integral", "edge-direct-unread-key",
-            "randomized-unread-seed",
+            "randomized-unread-seed", "paced-string-False", "strict-int-1",
             "gen-missing-d", "gen-non-integer", "bench-non-integer",
         ],
     )

@@ -14,11 +14,13 @@ from bnicolor.edgecolor import (
     K_RDY2,
     N_KINDS,
     EdgeColorProgram,
+    _merge_edge_outputs,
     edge_color_2delta_minus_1,
     edge_color_direct,
     edge_color_via_line_graph,
     smallest_pprime,
 )
+from bnicolor.experiment import ExperimentSpec, run_experiment
 from bnicolor.generators import (
     complete_bipartite,
     complete_graph,
@@ -26,10 +28,10 @@ from bnicolor.generators import (
     path_graph,
     random_gnd,
 )
-from bnicolor.graph import graph_from_edges
+from bnicolor.graph import edge_ids, graph_from_edges
 from bnicolor.legal import RecursionPlan, bottom_plan
 from bnicolor.params import LegalParams, ParamError
-from bnicolor.sim import Context, Message, SimError
+from bnicolor.sim import Context, Message, SimError, run
 from bnicolor.verify import check_edge_coloring
 
 from conftest import canonical, connected_graphs, small_graphs
@@ -97,6 +99,16 @@ class TestBottomOnly:
     def test_empty_graph(self):
         col, report = edge_color_2delta_minus_1(path_graph(1))
         assert col.colors == {} and report.rounds == 0
+
+    def test_short_payload_over_64_chunks(self):
+        """At the center of a 300-leaf star the used-color bitmap of 599 bits
+        is 75 one-byte chunks in short mode; the chunk index widens for it."""
+        g = complete_bipartite(1, 300)
+        hat = 2 * (g.delta - 1)
+        params = {"plan": RecursionPlan((), bottom_plan(g.m, hat)), "rank": edge_ids(g)}
+        report = run(g, EdgeColorProgram, msg_mode="short", params=params)
+        col = _merge_edge_outputs(g, report, hat + 1)
+        assert check_edge_coloring(g, col).legal and col.colors_used() == 300
 
     @given(small_graphs(max_n=9))
     @settings(max_examples=20, deadline=None)
@@ -310,8 +322,8 @@ report.outputs[u][w] += 1
 print("outputs", raises(_merge_edge_outputs, g, report, col.palette))
 params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
 prog = EdgeColorProgram(Context(1, (2,), 2, params))
-prog._submit(2, K_RDY2, 0, 0, [(1, 2)])
-print("sequential", raises(prog._submit, 2, K_RDY2, 0, 0, [(1, 2)]))
+prog._submit(2, K_RDY2, 0, 0, [1], 2)
+print("sequential", raises(prog._submit, 2, K_RDY2, 0, 0, [1], 2))
 """
 
 
@@ -365,19 +377,88 @@ class TestTranscriptGuard:
         assert _transcript_digest(monkeypatch) == self.DIGEST
 
 
+def _every_chunk_wakes(step):
+    """The step as it was before slots woke on completed payloads only: every
+    received chunk marks its slot dirty."""
+
+    def frozen(self, round_no, inbox):
+        self._dirty.update(u for u, _ in inbox)
+        return step(self, round_no, inbox)
+
+    return frozen
+
+
+class TestWakeRule:
+    @staticmethod
+    def _runs(g):
+        runs = [edge_color_2delta_minus_1(g)]
+        for mode in ("wide", "short"):
+            for paced in (False, True):
+                runs.append(edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced))
+        return [canonical([r.extra["transcript"], r.telemetry, r.outputs]) for _, r in runs]
+
+    @given(connected_graphs(max_n=9), st.integers(0, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_waking_on_every_chunk(self, g, isolated):
+        """Waking a slot only when a payload completes reaches the fixpoint
+        that waking it on every chunk reaches: the same transcripts,
+        telemetry and outputs on every direct mode and the 2Δ-1 route."""
+        g = graph_from_edges(g.n + isolated, g.edges())
+        real_run = edgecolor.run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edgecolor, "run", lambda *a, **kw: real_run(*a, record_transcript=True, **kw))
+            new = self._runs(g)
+            mp.setattr(EdgeColorProgram, "step", _every_chunk_wakes(EdgeColorProgram.step))
+            assert self._runs(g) == new
+
+
+class TestWorkCount:
+    def test_slot_handlers_run_on_completed_payloads(self, monkeypatch):
+        """On the first input of the benchmark's edge_short workload (seed 1),
+        the slot handlers run at most 7,500 times (6,750 now, 11,176 when
+        every received chunk woke its slot)."""
+        calls = [0]
+        for name in [n for n in vars(EdgeColorProgram) if n.startswith("_slot_")]:
+
+            def counted(self, s, _real=getattr(EdgeColorProgram, name)):
+                calls[0] += 1
+                return _real(self, s)
+
+            monkeypatch.setattr(EdgeColorProgram, name, counted)
+        spec = ExperimentSpec(
+            "random_gnd",
+            {"n": 30, "d": 16},
+            algorithm="edge_direct",
+            preset="custom",
+            params={"b": 1, "p": 9, "lam": 16, "c": 2},
+            msg_mode="short",
+            seed=12,
+        )
+        report = run_experiment(spec)
+        assert report["verification"]["legal"] and report["rounds"] == 416
+        assert calls[0] <= 7500
+
+
 class TestExchangeLength:
     @pytest.mark.parametrize("submit_first", [True, False])
     def test_overlong_payload_raises(self, submit_first):
-        """The other side may not send more values than this side did."""
+        """The other side may not send more values than this side did. Round
+        1 of this bottom-only program sends its one-value K_RDY2 payload, so
+        without an earlier submit the overlong chunk arrives first."""
         params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
         prog = EdgeColorProgram(Context(1, (2,), 2, params))
         header = ((K_RDY2, N_KINDS), (0, prog.lvl_dom), (0, prog.it_dom), (0, prog.idx_dom))
-        steps = [
-            lambda: prog._submit(2, K_RDY2, 0, 0, [(1, 2)]),
-            lambda: prog._store(2, Message(*header, (1, 2), (1, 2))),
-        ]
-        if not submit_first:
-            steps.reverse()
-        steps[0]()
+        if submit_first:
+            prog._submit(2, K_RDY2, 0, 0, [1], 2)
         with pytest.raises(SimError, match="more than the 1 sent"):
-            steps[1]()
+            prog.step(1, [(2, Message(*header, (1, 2), (1, 2)))])
+
+    def test_raises_at_the_overflowing_chunk(self):
+        """A payload split over chunks is refused at the chunk that makes it
+        longer than this side's, not after the whole inbox is read."""
+        params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {(1, 2): 1}}
+        prog = EdgeColorProgram(Context(1, (2,), 2, params))
+        prog._submit(2, K_RDY2, 0, 0, [1, 1], 2)
+        chunk = Message((K_RDY2, N_KINDS), (0, prog.lvl_dom), (0, prog.it_dom), (0, prog.idx_dom), (1, 2))
+        with pytest.raises(SimError, match="has 3 values, more than the 2 sent"):
+            prog.step(1, [(2, chunk)] * 4)
