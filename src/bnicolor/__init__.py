@@ -3,7 +3,7 @@ independence: a synchronous message-passing simulator, defective/legal vertex
 coloring, direct and line-graph edge coloring, randomized and tradeoff
 variants, exact verification oracles, and an experiment harness."""
 
-from .base import kuhn_defective_edge, linial_coloring
+from .base import kuhn_defective_edge
 from .coloring import EdgeColoring, VertexColoring
 from .edgecolor import (
     edge_color_2delta_minus_1,
@@ -26,7 +26,7 @@ from .graph import (
     graph_from_edges,
     neighborhood_independence,
 )
-from .legal import defective_color, legal_color
+from .legal import defective_color, legal_color, linial_coloring
 from .params import (
     DefectiveParams,
     LegalParams,

@@ -1,11 +1,12 @@
-"""Base coloring subroutines as vertex programs.
+"""The polynomial step and the two-round defective edge labeling.
 
-These implement the prior-work contracts the recursive algorithms build on:
-an iterated polynomial log*-time coloring and the two-round defective edge
-labeling, plus the polynomial step (`choose_point`, `step_color`) that the
-Linial iterations and the single-shot defective recoloring share. The
+`choose_point` and `step_color` are the polynomial step that every Linial
+iteration and the single-shot defective recoloring share; `Outbox` is the
+broadcast outbox of the recursion program. The Linial coloring, the
 recoloring and the palette reduction run as phases of
-`legal.RecursiveColorProgram`.
+`legal.RecursiveColorProgram`, which `legal.linial_coloring` also runs; only
+the two-round defective edge labeling (`KuhnEdgeProgram`) stays a program of
+its own here.
 """
 
 from __future__ import annotations
@@ -14,20 +15,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .coloring import EdgeColoring, VertexColoring
+from .coloring import EdgeColoring
 from .graph import Graph
-from .numbers import (
-    PolyPlan,
-    agreement_counts,
-    linial_schedule,
-    poly_coeffs,
-    poly_eval,
-)
+from .numbers import PolyPlan, agreement_counts, poly_coeffs, poly_eval
 from .params import ParamError
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
-
-# recorded implementation constants (measured; asserted stable by the tests)
-C_LIN = 9  # linial palette <= C_LIN * delta^2 (delta >= 1)
 
 
 def choose_point(
@@ -49,7 +41,8 @@ def step_color(own_color: int, x: int, plan: PolyPlan) -> int:
 
 
 class Outbox(dict):
-    """One step's outbox, neighbor Id -> list of Messages, filled by broadcasts.
+    """One step's outbox of `legal.RecursiveColorProgram`, neighbor Id -> list
+    of Messages, filled by broadcasts.
 
     The first broadcast puts one shared batch under every target, and later
     broadcasts to the same target sequence (the same object, not mutated in
@@ -77,47 +70,6 @@ class Outbox(dict):
                 self._targets = None
             for u in targets:
                 self.setdefault(u, []).append(msg)
-
-
-class LinialProgram(VertexProgram):
-    """Iterated polynomial palette reduction; one round per iteration."""
-
-    def __init__(self, ctx: Context):
-        super().__init__(ctx)
-        self.plans: List[PolyPlan] = ctx.params["plans"]
-        self.cur = ctx.vid
-        self.j = 0  # completed iterations
-        self.nbr: Dict[int, Dict[int, int]] = {u: {0: u} for u in ctx.neighbors}
-
-    def step(self, round_no, inbox):
-        for u, msg in inbox:
-            it, col = msg.fields[0][0], msg.fields[1][0]
-            self.nbr[u][it] = col + 1
-        out = Outbox()
-        while self.j < len(self.plans) and all(
-            self.j in self.nbr[u] for u in self.ctx.neighbors
-        ):
-            plan = self.plans[self.j]
-            x, _ = choose_point(
-                self.cur, [self.nbr[u][self.j] for u in self.ctx.neighbors], plan
-            )
-            self.cur = step_color(self.cur, x, plan)
-            self.j += 1
-            msg = Message((self.j, len(self.plans) + 1), (self.cur - 1, plan.palette))
-            out.broadcast(self.ctx.neighbors, msg)
-        if self.j == len(self.plans):
-            self.output = self.cur
-        return out
-
-
-def linial_coloring(g: Graph) -> Tuple[VertexColoring, SimReport]:
-    """Legal coloring with palette <= C_LIN * delta^2, in O(log* n) rounds."""
-    plans = linial_schedule(g.id_bound, max(g.delta, 1))
-    palette = plans[-1].palette if plans else g.id_bound
-    report = run(g, LinialProgram, msg_mode="wide", params={"plans": plans})
-    col = VertexColoring(dict(report.outputs), max(palette, 1), 0)
-    report.extra["palette"] = col.palette
-    return col, report
 
 
 class KuhnEdgeProgram(VertexProgram):

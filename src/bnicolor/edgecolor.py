@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .base import _merge_edge_outputs
+from .base import _merge_edge_outputs, step_color
 from .coloring import EdgeColoring
 from .graph import Graph, build_line_graph, edge_ids
 from .legal import LevelPlan, RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
@@ -56,7 +56,6 @@ from .numbers import (
     PolyPlan,
     agreement_counts,
     ceil_log2,
-    poly_coeffs,
     poly_eval,
 )
 from .params import LegalParams, ParamError, recursion_schedule
@@ -510,8 +509,7 @@ class EdgeColorProgram(VertexProgram):
                 f"vertex {self.ctx.vid}: no conflict-free Linial point for the edge "
                 f"to {s.nbr} in iteration {it} (incident-degree bound violated)"
             )
-        val = poly_eval(poly_coeffs(cur, plan.k, plan.q), x, plan.q)
-        s.lin_hist.append(x * plan.q + val + 1)
+        s.lin_hist.append(step_color(cur, x, plan))
         self._lin_reached(g, it + 1)
         return True
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .base import kuhn_defective_edge, linial_coloring
+from .base import kuhn_defective_edge
 from .coloring import EdgeColoring
 from .edgecolor import (
     edge_color_2delta_minus_1,
@@ -34,13 +34,12 @@ from .extensions import (
 )
 from .generators import generate
 from .graph import Graph
-from .legal import defective_color, legal_color
+from .legal import defective_color, legal_color, linial_coloring
 from .params import (
     DefectiveParams,
     LegalParams,
     ParamError,
     make_preset,
-    smallest_feasible_thm46_t,
 )
 from .sim import SimReport
 from .verify import (
@@ -166,12 +165,6 @@ def _legal_params_for(spec: ExperimentSpec, g: Graph, delta: int) -> LegalParams
     if spec.preset and spec.preset != "custom":
         eps = _param(spec, "eps", Fraction) if "eps" in spec.params else None
         t = _param(spec, "t", int) if "t" in spec.params else None
-        if spec.preset == "thm46" and t is None:
-            t = smallest_feasible_thm46_t(c, delta)
-            if t is None:
-                raise ParamError(
-                    f"no feasible thm46 exponent for c={c}, delta={delta}"
-                )
         return make_preset(
             spec.preset, c, delta, eps=eps, t=t, strict=_param(spec, "strict", bool, False)
         )

@@ -1,4 +1,5 @@
-"""Recursive legal coloring and its single-level defective core.
+"""Recursive legal coloring, its single-level defective core, and Linial's
+coloring.
 
 One vertex program drives everything. A run is a sequence of levels: each
 defective level computes an auxiliary coloring phi of the current subgraph and
@@ -6,6 +7,8 @@ then the recolor loop turns it into a psi-color in 1..p, which names the
 subgraph the vertex joins at the next level. The final level legally colors the
 remaining bounded-degree subgraph and every vertex merges its psi-history into
 a globally unique palette slot by pure arithmetic (`RecursionPlan.color`).
+`linial_coloring` is a plan with no levels and a bottom target that no Linial
+final exceeds, so it runs the bottom Linial phase alone.
 
 The recursion is realized as phases of one program: all sibling subgraphs
 advance in the same global rounds, and a vertex knows its subgraph from its own
@@ -53,6 +56,9 @@ from .sim import Context, Message, SimReport, VertexProgram, run
 
 K_LIN, K_PHI, K_PSI, K_RED = 0, 1, 2, 3
 N_KINDS = 4
+
+# recorded implementation constants (measured; asserted stable by the tests)
+C_LIN = 9  # linial palette <= C_LIN * delta^2 (delta >= 1)
 
 PHI_MODES = ("fast", "simple", "improved")
 
@@ -434,24 +440,23 @@ class RecursiveColorProgram(VertexProgram):
 
         A neighbor sends its final before its reduced color, so the vertex first
         waits for every final, then, above target, for the reduced color of each
-        bigger competitor: a final above target with (final, Id) above its own."""
+        bigger competitor: a final above target with (final, Id) above its own.
+        In a legal run every reduced color is at most deg + 1 <= target; a
+        degraded class (a degree above target - 1) may reduce above target,
+        which the caller flags from `telemetry["bot_color"]`."""
         finals = self.lin_at[-1][-1]
         target = self.bottom.target
-        own = (self.cur_lin, self.ctx.vid)
         if self.bigger is None:
             if not self._ready(self.same, finals):
                 return False
             if self.cur_lin <= target:
                 self._finalize()
                 return True
+            own = (self.cur_lin, self.ctx.vid)
             self.bigger = [u for u in self.same if finals[u] > target and (finals[u], u) > own]
         if not self._ready(self.bigger, self.red_at):
             return False
-        cur = {u: self.red_at.get(u) or finals[u] for u in self.same}
-        for u, c in cur.items():
-            if c > target and (c, u) > own:
-                return False  # a bigger competitor's reduced color is still above target
-        used = set(cur.values())
+        used = {self.red_at.get(u) or finals[u] for u in self.same}
         k = 1
         while k in used:
             k += 1
@@ -471,6 +476,19 @@ class RecursiveColorProgram(VertexProgram):
 
 
 # -- wrappers -----------------------------------------------------------------
+
+
+def linial_coloring(g: Graph) -> Tuple[VertexColoring, SimReport]:
+    """Legal coloring with palette <= C_LIN * delta^2, in O(log* n) rounds:
+    the bottom Linial phase alone, with a target no final color exceeds."""
+    n0 = max(g.id_bound, 1)
+    plans = tuple(linial_schedule(n0, max(g.delta, 1)))
+    palette = plans[-1].palette if plans else n0
+    plan = RecursionPlan((), BottomPlan(palette, plans, n0))
+    report = run(g, RecursiveColorProgram, params={"plan": plan})
+    col = VertexColoring({v: out["color"] for v, out in report.outputs.items()}, palette, 0)
+    report.extra["palette"] = palette
+    return col, report
 
 
 def defective_color(

@@ -116,9 +116,10 @@ def preset_thm45(eps: Fraction, c: int, delta: int, strict: bool = False) -> Leg
     return _clamp(b, p, lam, c, delta, strict, f"thm45({eps})", eps=eps)
 
 
-def preset_thm46(t: int, c: int, delta: int, strict: bool = True) -> LegalParams:
+def preset_thm46(t: int, c: int, delta: int) -> LegalParams:
     """lambda = (3c+1)^(6t), b = lambda^(1/3), p = lambda^(1/6); errors when
-    infeasible at this degree, reporting the first feasible delta."""
+    infeasible at this degree, reporting the first feasible delta. Never
+    clamps: the literal values are used or refused."""
     if t < 1:
         raise ParamError("thm46 needs t >= 1")
     base = 3 * c + 1
@@ -131,7 +132,7 @@ def preset_thm46(t: int, c: int, delta: int, strict: bool = True) -> LegalParams
             f"thm46(t={t}) infeasible for c={c}, delta={delta}: needs p > 4c and "
             f"b*p = {b * p} <= delta (first feasible delta ~ {first})"
         )
-    return _clamp(b, p, lam, c, delta, strict, f"thm46({t})")
+    return _clamp(b, p, lam, c, delta, True, f"thm46({t})")
 
 
 def smallest_feasible_thm46_t(c: int, delta: int) -> Optional[int]:
@@ -175,10 +176,15 @@ def make_preset(
     t: Optional[int] = None,
     strict: bool = False,
 ) -> LegalParams:
+    """The named preset; thm46 without t takes the smallest feasible t."""
     if name == "thm45":
         return preset_thm45(eps if eps is not None else Fraction(3, 4), c, delta, strict)
     if name == "thm46":
-        return preset_thm46(t if t is not None else 1, c, delta, strict=True)
+        if t is None:
+            t = smallest_feasible_thm46_t(c, delta)
+            if t is None:
+                raise ParamError(f"no feasible thm46 exponent for c={c}, delta={delta}")
+        return preset_thm46(t, c, delta)
     if name == "thm48_3":
         return preset_thm48_3(eps if eps is not None else Fraction(1, 2), c, delta, strict)
     if name == "improved_s42":

@@ -2,17 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnicolor.base import (
-    C_LIN,
-    choose_point,
-    kuhn_defective_edge,
-    linial_coloring,
-    step_color,
-)
+from bnicolor.base import choose_point, kuhn_defective_edge, step_color
 from bnicolor.edgecolor import conflict_bitmap
 from bnicolor.generators import path_graph, random_gnd
+from bnicolor.legal import C_LIN, linial_coloring
 from bnicolor.numbers import (
     PolyPlan,
+    ceil_log2,
+    linial_schedule,
     log_star,
     poly_coeffs,
     poly_eval,
@@ -115,21 +112,46 @@ class TestLinial:
         assert check_vertex_coloring(g, col).legal
         assert col.palette <= max(C_LIN * max(g.delta, 1) ** 2, g.id_bound)
 
-    @pytest.mark.parametrize(
+    LATER_ITERATIONS = pytest.mark.parametrize(
         "n, d, seed, spread",
         [(200, 2, 1, False), (1000, 3, 1, False), (5000, 4, 1, False), (40, 12, 0, True), (40, 12, 1, True)],
     )
+
+    @staticmethod
+    def _graph(n, d, seed, spread):
+        g = random_gnd(n, d, seed=seed)
+        return spread_ids(g, seed) if spread else g
+
+    @LATER_ITERATIONS
     def test_later_iterations(self, n, d, seed, spread):
         """These graphs take two or more iterations, and from the second on each
         vertex must read its neighbors' colors as sent (wire value plus 1);
         spread Ids reach 2**40."""
-        g = random_gnd(n, d, seed=seed)
-        if spread:
-            g = spread_ids(g, seed)
+        g = self._graph(n, d, seed, spread)
         col, report = linial_coloring(g)
         assert report.rounds >= 2
         verification = check_vertex_coloring(g, col)
         assert verification.legal and verification.ok
+
+    @LATER_ITERATIONS
+    def test_matches_synchronous_reference(self, n, d, seed, spread):
+        """The event-driven run equals all vertices stepping together from
+        their Ids, one round per iteration; each message is the K_LIN header
+        (kind, level of 1, iteration) plus the color in the plan's palette."""
+        g = self._graph(n, d, seed, spread)
+        plans = linial_schedule(max(g.id_bound, 1), max(g.delta, 1))
+        cur = {v: v for v in g.vertices}
+        for plan in plans:
+            cur = {
+                v: step_color(cur[v], choose_point(cur[v], [cur[u] for u in g.adj[v]], plan)[0], plan)
+                for v in g.vertices
+            }
+        col, report = linial_coloring(g)
+        assert col.colors == cur
+        assert report.rounds == len(plans)
+        L = len(plans)
+        palette = max(plan.palette for plan in plans)
+        assert report.max_msg_bits == 2 + 1 + ceil_log2(L + 1) + ceil_log2(palette)
 
     def test_round_count_logstar(self):
         g = random_gnd(400, 6, seed=1)

@@ -65,6 +65,16 @@ class TestRun:
         default, unpaced, paced = rounds.values()
         assert unpaced == default < paced
 
+    def test_repetitions_emit_a_list(self, capsys):
+        """Two repetitions emit a JSON list of two reports, repetition i with
+        seed --seed + i."""
+        argv = ["run", *_GND, "--gen-param", "d=5", "--algorithm", "linial", "--seed", "3"]
+        assert main(argv + ["--repetitions", "2"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["seed"] for r in reports] == [3, 4]
+        assert main(argv) == 0
+        assert reports[0] == json.loads(capsys.readouterr().out)
+
     def test_missing_generator_errors(self):
         with pytest.raises(SystemExit):
             main(["run", "--algorithm", "linial"])
@@ -169,6 +179,10 @@ class TestMalformedParameters:
                 ["run", *_GND_D3, "--preset", "thm45", "--param", "strict=1"],
                 "legal parameter strict must be bool, got 1",
             ),
+            (
+                ["run", *_GND, "--gen-param", "d=5", "--preset", "thm46", "--param", "c=1"],
+                "no feasible thm46 exponent for c=1, delta=5",
+            ),
             (["gen", "--kind", "random_gnd", "--gen-param", "n=20"], "random_gnd needs parameter 'd'"),
             (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be an integer, got 'x'"),
             (
@@ -182,7 +196,7 @@ class TestMalformedParameters:
             "kuhn-missing-p-prime", "kuhn-p-prime-0", "defective-missing-b", "defective-p-not-int",
             "kappa-not-a-number", "eps-not-a-fraction", "budget-factor-0",
             "kuhn-p-prime-not-integral", "c-not-integral", "edge-direct-unread-key",
-            "randomized-unread-seed", "paced-string-False", "strict-int-1",
+            "randomized-unread-seed", "paced-string-False", "strict-int-1", "thm46-no-feasible-t",
             "gen-missing-d", "gen-non-integer", "bench-non-integer",
         ],
     )

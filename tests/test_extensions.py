@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnicolor import extensions
 from bnicolor.extensions import (
     RandomizedParams,
     TradeoffParams,
@@ -247,6 +248,21 @@ class TestRandomizedColor:
         a, _ = randomized_color(g, RandomizedParams(seed=5))
         b, _ = randomized_color(g, RandomizedParams(seed=6))
         assert a != b
+
+    def test_degraded_class_is_flagged_not_deadlocked(self, monkeypatch):
+        """All of K_40 in one class: degree 39 against a bound of 21. The
+        bottom reduction still ends in a legal coloring, with colors above
+        the class palette, and the run carries both flags."""
+        monkeypatch.setattr(extensions, "draw_classes", lambda seed, vids, p: [1] * len(vids))
+        g = complete_graph(40)
+        col, report = randomized_color(g, RandomizedParams())
+        verification = check_vertex_coloring(g, col)
+        assert verification.legal and verification.ok
+        assert len(set(col.colors.values())) == 40
+        assert report.flags == [
+            "class degree 39 exceeds the probabilistic bound 21; re-seed",
+            "class palette overflow: bottom color 40 > 22",
+        ]
 
 
 class TestTradeoff:

@@ -37,6 +37,7 @@ CUSTOM = {"b": 1, "p": 9, "lam": 12, "c": 2}
 
 # one small spec per route, with the driver span its algorithm function reports
 ROUTES = [
+    ("legal.driver", dict(generator="random_gnd", gen_params={"n": 200, "d": 2}, algorithm="linial", seed=1)),
     ("legal.driver", dict(generator="random_gnd", gen_params={"n": 30, "d": 8}, algorithm="legal", preset="thm45", params={"c": 2, "eps": "3/4"})),
     ("legal.driver", dict(generator="random_gnd", gen_params={"n": 30, "d": 8}, algorithm="defective", params={"b": 1, "p": 4, "c": 2})),
     ("edgecolor.driver", dict(generator="random_gnd", gen_params={"n": 16, "d": 5}, algorithm="edge_direct", preset="custom", params=CUSTOM, msg_mode="short")),

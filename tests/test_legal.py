@@ -266,10 +266,10 @@ class TestReadinessCursors:
         assert (K_RED in kinds) == (plan.bottom is not None) == (kind != "std")
         self._check_replays(g, params, received, report, random.Random(kind))
 
-    def test_bigger_reduced_color_above_target_keeps_waiting(self):
-        """A bigger competitor whose reduced color is still above target (and,
-        with its Id, above the vertex's own color and Id) keeps the vertex
-        waiting; one at or below target lets it reduce."""
+    def test_bigger_reduced_color_above_target_does_not_block(self):
+        """The vertex waits for each bigger competitor's reduced color, then
+        takes the least color none of its neighbors holds, whether or not the
+        competitor's color is above target."""
         plan = RecursionPlan((), BottomPlan(target=2, lin_plans=(), start_palette=8))
         outcomes = []
         for red in (6, 1):
@@ -277,11 +277,13 @@ class TestReadinessCursors:
             assert not prog.step(1, []) and prog.output is None
             assert prog.wait == ([7], prog.red_at, 0)  # on the competitor's reduced color
             out = prog.step(2, [(7, Message((K_RED, N_KINDS), (red - 1, 10)))])
-            outcomes.append((list(out.items()), prog.output))
-        assert outcomes[0] == ([], None)
-        [(dst, [msg])], output = outcomes[1]
-        assert dst == 7 and msg.fields[0][0] == K_RED and msg.fields[1][0] + 1 == 2
-        assert output == {"color": 2, "psi_hist": []}
+            [(dst, [msg])] = out.items()
+            assert dst == 7 and msg.fields[0][0] == K_RED
+            outcomes.append((msg.fields[1][0] + 1, prog.output))
+        assert outcomes == [
+            (1, {"color": 1, "psi_hist": []}),
+            (2, {"color": 2, "psi_hist": []}),
+        ]
 
 
 class TestWorkCount:

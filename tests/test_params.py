@@ -98,6 +98,13 @@ class TestPresets:
         t = smallest_feasible_thm46_t(1, 4**6)
         assert t is None or preset_thm46(t, 1, 4**6).p > 4
 
+    def test_make_preset_thm46_defaults_to_the_smallest_feasible_t(self):
+        # t = 1 is never feasible: p = 3c + 1 <= 4c
+        lp = make_preset("thm46", 1, 4096)
+        assert lp.preset == "thm46(2)" and not lp.clamped
+        with pytest.raises(ParamError, match=r"^no feasible thm46 exponent for c=2, delta=256$"):
+            make_preset("thm46", 2, 256)
+
     def test_thm48_3_and_improved(self):
         for lp in (preset_thm48_3(Fraction(1, 2), 2, 1024), preset_improved_s42(2, 1024)):
             lp.validate(1024)
