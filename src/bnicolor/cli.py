@@ -8,8 +8,8 @@ Subcommands:
 
 Each exits 2 with one `bnicolor <command>: ...` line on stderr when a
 generator or algorithm parameter is missing, out of range, of the wrong type
-(a boolean takes only the JSON literals true and false) or never read by its
-algorithm, or when a --spec file cannot be read or does not hold a JSON object.
+(a boolean takes only the JSON literals true and false) or never read, or
+when a --spec file cannot be read or does not hold a JSON object.
 
 Reports land next to stdout unless --out is given; a bare filename is placed
 in $BNICOLOR_OUT_DIR when that variable is set.

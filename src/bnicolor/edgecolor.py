@@ -30,6 +30,9 @@ psi at that level, so "is the parent group done" is one count lookup.
 When a whole group holds its phi, each edge gets readiness tallies (group
 edges with a smaller phi still undecided, the psi counts of those decided,
 the final colors taken at the bottom), which every decision updates in place.
+An edge moves through the stages phi and loop at each level, then bot_wait,
+bot_lin and greedy; each stage is one `_slot_*` handler, which waits on the
+ready round of the exchange it reads.
 A step advances a worklist of dirty edges to the same fixpoint a full rescan
 would reach: an edge is dirty when its channel completed the other side's
 payload of an exchange this side has sent, a payload was queued on it, its
@@ -61,8 +64,8 @@ from .numbers import (
 from .params import LegalParams, ParamError, recursion_schedule
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
-K_LAB, K_RDY, K_CNT, K_BLIN, K_USED, K_RDY2 = range(6)
-N_KINDS = 6
+K_LAB, K_RDY, K_CNT, K_BLIN, K_USED = range(5)
+N_KINDS = 5
 DIRECT_ROUND_CAP = 200_000  # round cap of `edge_color_direct`'s run
 
 
@@ -85,25 +88,19 @@ def smallest_pprime(Lambda: int, d: int) -> int:
     return -(-Lambda // (d // 2 + 1))
 
 
-def _uniform_pprime(schedule: List[int], params: LegalParams) -> int:
-    """One p' valid for every level: at least 2bp+1 (enough for Lambda >> bp)
-    and at least each level's minimal feasible value."""
-    bp = params.b * params.p
-    return max([2 * bp + 1] + [smallest_pprime(Lam, Lam // bp) for Lam in schedule[:-1]])
-
-
 def edge_level_plans(
     schedule: List[int],
     params: LegalParams,
     m_total: int,
     uniform_pprime: bool = False,
 ) -> RecursionPlan:
-    fixed_pp = _uniform_pprime(schedule, params) if uniform_pprime else None
-    levels = []
-    for Lam in schedule[:-1]:
-        d = Lam // (params.b * params.p)
-        pp = fixed_pp if fixed_pp is not None else smallest_pprime(Lam, d)
-        levels.append(LevelPlan(Lam, params.p, pp * pp, p_prime=pp))
+    bp = params.b * params.p
+    pps = [smallest_pprime(Lam, Lam // bp) for Lam in schedule[:-1]]
+    if uniform_pprime:
+        # one p' valid for every level: at least 2bp+1 (enough for Lambda >> bp)
+        # and at least each level's minimal feasible value
+        pps = [max([2 * bp + 1] + pps)] * len(pps)
+    levels = [LevelPlan(Lam, params.p, pp * pp, p_prime=pp) for Lam, pp in zip(schedule, pps)]
     # schedule entries bound the INCIDENT degree (line-graph degree), so the
     # bottom greedy needs hat+1 colors; for the whole graph hat = 2*(delta-1)
     # recovers the classical 2*delta-1.
@@ -140,7 +137,7 @@ class _Group:
     def __init__(self, parent: Optional["_Group"]):
         self.members: List[int] = []  # neighbor Ids
         self.undecided = 0  # members that have not decided psi at this level
-        self.ready = 0  # members holding this level's phi (phi_bot at the bottom)
+        self.ready = 0  # members holding this level's phi
         self.lin: List[int] = []  # lin[j]: members whose Linial iteration reached j
         self.parent = parent
         self.children: List[_Group] = []
@@ -156,7 +153,6 @@ class EdgeSlot:
         "stage",
         "phi",
         "lin_hist",
-        "phi_bot",
         "color",
         "exch",
         "tele",
@@ -171,16 +167,16 @@ class EdgeSlot:
         self.hist: List[int] = []
         self.level = 0
         self.stage = stage
-        self.phi: Dict[int, int] = {}
+        # the phi of the current level; at the bottom, the last Linial color
+        self.phi: Optional[int] = None
         # the edge's rank, then its colors after each Linial iteration
         self.lin_hist: List[int] = [rank]
-        self.phi_bot: Optional[int] = None
         self.color: Optional[int] = None
         self.exch: Dict[Tuple[int, int, int], _Exchange] = defaultdict(_Exchange)
         self.tele: Dict[str, Any] = {"phi": {}, "psi": {}}
         self.grp: Optional[_Group] = None  # the group at the current level
         # readiness tallies, opened when the whole group holds its phi:
-        # group edges with a smaller phi (phi_bot, rank at the bottom) still
+        # group edges with a smaller phi ((phi, rank) at the bottom) still
         # undecided, their psi counts, and the bitmap of final colors taken
         self.wait = 0
         self.psi_counts: List[int] = []
@@ -226,7 +222,7 @@ class EdgeColorProgram(VertexProgram):
             self.chunk_budget = max(ctx.budget_bits - header, 1)
             chunks = max(-(-n // self._per_chunk(n, dom)) for n, dom in payloads)
         rank = P["rank"]
-        stage = "labels" if self.levels else "bot_wait"
+        stage = "phi" if self.levels else "bot_wait"
         self.slots: Dict[int, EdgeSlot] = {
             u: EdgeSlot(u, rank[(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)], stage)
             for u in ctx.neighbors
@@ -264,15 +260,12 @@ class EdgeColorProgram(VertexProgram):
             Message(*header, (i // k, self.idx_dom), *[(v, dom) for v in values[i : i + k]])
             for i in range(0, len(values) or 1, k)
         ]
-        ex = self.exch_of(u, kind, lvl, it)
+        ex = self.slots[u].exch[kind, lvl, it]
         ex.mine = values
         ex.chunks = len(self.queues[u])
         ex.self_arr = self.rnd + ex.chunks
         self._check_length(u, ex)
         self._dirty.add(u)
-
-    def exch_of(self, u, kind, lvl, it) -> _Exchange:
-        return self.slots[u].exch[kind, lvl, it]
 
     def _check_length(self, u: int, ex: _Exchange):
         if ex.mine is not None and len(ex.other) > len(ex.mine):
@@ -288,7 +281,7 @@ class EdgeColorProgram(VertexProgram):
         dirty = self._dirty
         for u, msg in inbox:
             f = msg.fields
-            ex = self.exch_of(u, f[0][0], f[1][0], f[2][0])
+            ex = self.slots[u].exch[f[0][0], f[1][0], f[2][0]]
             ex.other += [value for value, _ in f[4:]]
             ex.last = round_no
             if ex.mine is not None and len(ex.other) >= len(ex.mine):
@@ -332,26 +325,25 @@ class EdgeColorProgram(VertexProgram):
         """Assign round-robin labels in a group whose membership is final."""
         pp = self.levels[lvl].p_prime
         for i, w in enumerate(sorted(g.members)):
-            self.slots[w].stage = "phi"
             self._submit(w, K_LAB, lvl, 0, [i % pp], pp)
 
     def _hold(self, s: EdgeSlot):
-        """s now holds its phi (phi_bot at the bottom). Once the whole group
-        does, open each member's tallies and signal readiness on its channel."""
+        """s now holds its phi. Once the whole group does, open each member's
+        tallies and signal readiness on its channel."""
         g, lvl = s.grp, s.level
         g.ready += 1
         if g.ready < len(g.members):
             return
         if lvl < len(self.levels):
-            kind, key, p = K_RDY, (lambda w: self.slots[w].phi[lvl]), self.levels[lvl].p
+            key, p = (lambda w: self.slots[w].phi), self.levels[lvl].p
         else:
-            kind, key, p = K_RDY2, self._bot_key, 0
+            key, p = self._bot_key, 0
         keys = sorted(map(key, g.members))
         for w in g.members:
             sw = self.slots[w]
             sw.wait = bisect_left(keys, key(w))
             sw.psi_counts = [0] * p
-            self._submit(w, kind, lvl, 0, [1], 2)
+            self._submit(w, K_RDY, lvl, 0, [1], 2)
 
     def _release(self, s: EdgeSlot):
         """One fewer group edge ahead of s is undecided."""
@@ -365,14 +357,14 @@ class EdgeColorProgram(VertexProgram):
         lvl, g = s.level, s.grp
         s.hist.append(psi)
         g.undecided -= 1
-        mine = s.phi[lvl]
+        # no member holds the next level's phi until every member has decided
         for w in g.members:
             sw = self.slots[w]
-            if sw.phi[lvl] > mine:
+            if sw.phi > s.phi:
                 sw.psi_counts[psi - 1] += 1
                 self._release(sw)
         s.level += 1
-        s.stage = "labels" if s.level < len(self.levels) else "bot_wait"
+        s.stage = "phi" if s.level < len(self.levels) else "bot_wait"
         self._join(s, g)
         if g.undecided:
             return
@@ -415,44 +407,38 @@ class EdgeColorProgram(VertexProgram):
             return rr
         return max(rr, start + key * (ex.chunks + 2))
 
-    def _slot_labels(self, s: EdgeSlot) -> bool:
-        return False  # waits for _start_group
-
     def _slot_phi(self, s: EdgeSlot) -> bool:
+        """Take phi from both sides' labels, once `_start_group` sent ours."""
         lvl = s.level
-        ex = self.exch_of(s.nbr, K_LAB, lvl, 0)
+        ex = s.exch[K_LAB, lvl, 0]
         rr = ex.ready_round()
         if not self._reached(s, rr):
             return False
         mine, other = ex.mine[0] + 1, ex.other[0] + 1
         lo, hi = (mine, other) if self.ctx.vid < s.nbr else (other, mine)
-        s.phi[lvl] = (lo - 1) * self.levels[lvl].p_prime + hi
+        s.phi = (lo - 1) * self.levels[lvl].p_prime + hi
         # record the symmetric ready round, not the (possibly later) step round
-        s.tele["phi"][lvl] = [rr, s.phi[lvl]]
-        s.stage = "rdy"
+        s.tele["phi"][lvl] = [rr, s.phi]
+        s.stage = "loop"
         self._hold(s)
         return True
 
-    def _slot_rdy(self, s: EdgeSlot) -> bool:
-        if not self._reached(s, self.exch_of(s.nbr, K_RDY, s.level, 0).ready_round()):
-            return False
-        s.stage = "loop"
-        return True
-
     def _slot_loop(self, s: EdgeSlot) -> bool:
-        """Send N_{e,v}(k), the psi counts over this side's group edges with
-        smaller phi, once they have all decided; then pick the least loaded
-        psi from both sides' counts."""
+        """Once the readiness exchange is done and every group edge with a
+        smaller phi has decided, send N_{e,v}(k), their psi counts on this
+        side; then pick the least loaded psi from both sides' counts."""
         lvl = s.level
-        ex = self.exch_of(s.nbr, K_CNT, lvl, 0)
+        start = s.exch[K_RDY, lvl, 0].ready_round()
+        if not self._reached(s, start):
+            return False
+        ex = s.exch[K_CNT, lvl, 0]
         if ex.mine is None:
             if s.wait:
                 return False
             vals = [min(c, self.cnt_dom - 1) for c in s.psi_counts]
             self._submit(s.nbr, K_CNT, lvl, 0, vals, self.cnt_dom)
             return True
-        start = self.exch_of(s.nbr, K_RDY, lvl, 0).ready_round()
-        due = self._paced_due(ex, start, s.phi[lvl])
+        due = self._paced_due(ex, start, s.phi)
         if not self._reached(s, due):
             return False
         totals = [a + b for a, b in zip(ex.mine, ex.other)]
@@ -484,15 +470,15 @@ class EdgeColorProgram(VertexProgram):
         g = s.grp
         it = len(s.lin_hist) - 1
         if it == len(plans):
-            s.phi_bot = s.lin_hist[-1]
-            lin_rnd = s.exch[(K_BLIN, lvl, len(plans) - 1)].ready_round() if plans else 0
-            s.tele["phi"]["bot"] = [lin_rnd, s.phi_bot]
+            s.phi = s.lin_hist[-1]
+            lin_rnd = s.exch[K_BLIN, lvl, len(plans) - 1].ready_round() if plans else 0
+            s.tele["phi"]["bot"] = [lin_rnd, s.phi]
             s.stage = "greedy"
             self._hold(s)
             return True
         plan = plans[it]
         cur = s.lin_hist[it]
-        ex = self.exch_of(s.nbr, K_BLIN, lvl, it)
+        ex = s.exch[K_BLIN, lvl, it]
         if ex.mine is None:
             # every group edge must have reached this Linial iteration
             if g.lin[it] < len(g.members):
@@ -515,24 +501,24 @@ class EdgeColorProgram(VertexProgram):
 
     def _bot_key(self, u: int) -> Tuple[int, int]:
         s = self.slots[u]
-        return (s.phi_bot, s.lin_hist[0])
+        return (s.phi, s.lin_hist[0])
 
     def _slot_greedy(self, s: EdgeSlot) -> bool:
         """Send the bitmap of final colors on this side once every group edge
-        with a smaller (phi_bot, rank) has one; then take the least color
-        free on both sides."""
+        with a smaller (phi, rank) has one; then take the least color free on
+        both sides."""
         lvl = len(self.levels)
-        start = self.exch_of(s.nbr, K_RDY2, lvl, 0).ready_round()
+        start = s.exch[K_RDY, lvl, 0].ready_round()
         if not self._reached(s, start):
             return False
         W = self.bottom.target
-        ex = self.exch_of(s.nbr, K_USED, lvl, 0)
+        ex = s.exch[K_USED, lvl, 0]
         if ex.mine is None:
             if s.wait:
                 return False
             self._submit(s.nbr, K_USED, lvl, 0, _bitmap(s.used, W), 256)
             return True
-        due = self._paced_due(ex, start, s.phi_bot)
+        due = self._paced_due(ex, start, s.phi)
         if not self._reached(s, due):
             return False
         k = _first_free(ex) + 1

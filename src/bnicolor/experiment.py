@@ -159,7 +159,7 @@ def _c(spec: ExperimentSpec) -> int:
     return _param(spec, "c", int, 2)
 
 
-def _legal_params_for(spec: ExperimentSpec, g: Graph, delta: int) -> LegalParams:
+def _legal_params_for(spec: ExperimentSpec, delta: int) -> LegalParams:
     """Build LegalParams from a preset name or explicit (b, p, lam, c)."""
     c = _c(spec)
     if spec.preset and spec.preset != "custom":
@@ -190,13 +190,13 @@ def _run_defective(spec: ExperimentSpec, g: Graph):
 
 
 def _run_legal(spec: ExperimentSpec, g: Graph):
-    lp = _legal_params_for(spec, g, max(g.delta, 1))
+    lp = _legal_params_for(spec, max(g.delta, 1))
     col, report = legal_color(g, lp, phi_mode=_param(spec, "phi_mode", str, "fast"))
     return col, report, _params_dict(lp)
 
 
 def _run_edge_direct(spec: ExperimentSpec, g: Graph):
-    lp = _legal_params_for(spec, g, max(2 * (g.delta - 1), 1))
+    lp = _legal_params_for(spec, max(2 * (g.delta - 1), 1))
     col, report = edge_color_direct(
         g,
         lp,
@@ -208,7 +208,7 @@ def _run_edge_direct(spec: ExperimentSpec, g: Graph):
 
 
 def _run_edge_line(spec: ExperimentSpec, g: Graph):
-    lp = _legal_params_for(spec, g, max(2 * (g.delta - 1), 1))
+    lp = _legal_params_for(spec, max(2 * (g.delta - 1), 1))
     phi_mode = _param(spec, "phi_mode", str, "fast")
     col, report = edge_color_via_line_graph(g, lp, phi_mode=phi_mode)
     return col, report, _params_dict(lp)

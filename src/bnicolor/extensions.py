@@ -26,6 +26,7 @@ from .legal import (
     _level_plans,
     bottom_plan,
     draw_classes,
+    legal_color,
 )
 from .numbers import linial_schedule, step_plan
 from .params import (
@@ -165,8 +166,6 @@ def tradeoff_color(
     q = params.resolve()(delta) ** (1.0 / (1.0 - params.eta))
     p_t = math.ceil(delta / q)
     if p_t <= 1:
-        from .legal import legal_color
-
         inner = preset_improved_s42(c, delta)
         col, report = legal_color(g, inner, phi_mode="improved")
         report.extra["inner_vartheta"] = report.extra.pop("vartheta")

@@ -11,16 +11,18 @@ import numpy as np
 
 from .graph import Graph, GraphError, build_line_graph, graph_from_edges
 
-KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "bipartite",
-    "random_gnd",
-    "line_of",
-    "clique_pendant",
-    "hypergraph_line",
-)
+# each kind's parameter names: `generate` refuses any other key
+PARAMS = {
+    "path": ("n",),
+    "cycle": ("n",),
+    "complete": ("n",),
+    "bipartite": ("a", "b"),
+    "random_gnd": ("n", "d", "prob"),
+    "line_of": ("inner",),
+    "clique_pendant": ("n",),
+    "hypergraph_line": ("r", "n", "ground"),
+}
+KINDS = tuple(PARAMS)
 
 
 def path_graph(n: int) -> Graph:
@@ -162,12 +164,26 @@ def _need(kind: str, params: Dict, key: str):
     return params[key]
 
 
+def _only(what: str, params, names: Tuple[str, ...]):
+    """Refuse params that are not an object or hold a key outside names."""
+    if not isinstance(params, dict):
+        raise GraphError(f"{what} must be an object, got {params!r}")
+    unread = sorted(set(params).difference(names), key=str)
+    if unread:
+        raise GraphError(f"unread keys in {what}: {unread}")
+
+
 def generate(kind: str, params: Dict, seed: int = 0) -> Graph:
     """Dispatch by kind; `line_of` nests another generator spec under `inner`.
 
-    A missing or non-integer size parameter raises GraphError naming it;
-    integral numbers and strings that int() parses are accepted.
+    An unknown kind, params (or an `inner` spec) that are not an object, a
+    key the kind does not read, or a missing or non-integer size parameter
+    raises GraphError naming it; integral numbers and strings that int()
+    parses are accepted.
     """
+    if not isinstance(kind, str) or kind not in PARAMS:
+        raise GraphError(f"unknown generator kind {kind!r}; known: {', '.join(KINDS)}")
+    _only(f"{kind} parameters", params, PARAMS[kind])
 
     def size(key: str) -> int:
         value = _need(kind, params, key)
@@ -191,10 +207,9 @@ def generate(kind: str, params: Dict, seed: int = 0) -> Graph:
         return random_gnd(size("n"), size("d"), params.get("prob"), seed=seed)
     if kind == "line_of":
         inner = _need(kind, params, "inner")
+        _only("line_of inner spec", inner, ("kind", "params"))
         base = generate(_need(kind, inner, "kind"), inner.get("params", {}), seed=seed)
         return build_line_graph(base).lg
     if kind == "clique_pendant":
         return clique_pendant(size("n"))
-    if kind == "hypergraph_line":
-        return hypergraph_line(size("r"), size("n"), size("ground"), seed=seed)
-    raise GraphError(f"unknown generator kind {kind!r}; known: {', '.join(KINDS)}")
+    return hypergraph_line(size("r"), size("n"), size("ground"), seed=seed)

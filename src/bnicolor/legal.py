@@ -297,8 +297,7 @@ class RecursiveColorProgram(VertexProgram):
         if wait is not None and wait[0][wait[2]] not in wait[1]:
             return out  # the awaited neighbor has not reported: nothing can move
         self.rnd = round_no
-        if self.output is None:
-            self._advance(out)
+        self._advance(out)
         return out
 
     def _ready(self, nbrs: List[int], store: Dict[int, int]) -> bool:

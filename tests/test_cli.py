@@ -189,6 +189,26 @@ class TestMalformedParameters:
                 ["bench", *_GND, "--algorithm", "edge_2delta", "--sweep", "gen_params.d=3,x"],
                 "random_gnd parameter d must be an integer, got 'x'",
             ),
+            (
+                ["run", *_GND, "--gen-param", "d=5", "--gen-param", "seed=3", "--algorithm", "edge_2delta"],
+                "unread keys in random_gnd parameters: ['seed']",
+            ),
+            (
+                ["gen", "--kind", "cycle", "--gen-param", "n=5", "--gen-param", "d=3"],
+                "unread keys in cycle parameters: ['d']",
+            ),
+            (
+                ["run", "--generator", "line_of", "--gen-param", "inner=5"],
+                "line_of inner spec must be an object, got 5",
+            ),
+            (
+                ["run", "--generator", "line_of", "--gen-param", 'inner={"kind":"cycle","params":5}'],
+                "cycle parameters must be an object, got 5",
+            ),
+            (
+                ["run", "--generator", "line_of", "--gen-param", 'inner={"kind":"cycle","parms":{"n":5}}'],
+                "unread keys in line_of inner spec: ['parms']",
+            ),
         ],
         ids=[
             "prob-not-a-number", "prob-above-1", "prob-negative", "prob-nan", "missing-d",
@@ -197,7 +217,9 @@ class TestMalformedParameters:
             "kappa-not-a-number", "eps-not-a-fraction", "budget-factor-0",
             "kuhn-p-prime-not-integral", "c-not-integral", "edge-direct-unread-key",
             "randomized-unread-seed", "paced-string-False", "strict-int-1", "thm46-no-feasible-t",
-            "gen-missing-d", "gen-non-integer", "bench-non-integer",
+            "gen-missing-d", "gen-non-integer", "bench-non-integer", "gen-param-seed-unread",
+            "gen-cycle-unread-d", "line-of-inner-not-an-object", "line-of-inner-params-not-an-object",
+            "line-of-inner-unread-key",
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):

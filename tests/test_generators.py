@@ -175,6 +175,11 @@ class TestDispatch:
         g = generate(kind, params, seed=1)
         assert g.n >= 1
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unread_key_named(self, kind):
+        with pytest.raises(GraphError, match=rf"unread keys in {kind} parameters: \['zz'\]$"):
+            generate(kind, {"zz": 1})
+
     @pytest.mark.parametrize(
         "kind,params,missing",
         [

@@ -12,7 +12,10 @@ statements out: `python -O` strips them, so a guarantee the library relies on
 must raise an error instead. A fourth keeps dead definitions out: every
 module-level function or class must be reached from `bnicolor.__all__`,
 from a module's top-level code or from one of the few that `UNREACHED_OK`
-keeps on purpose.
+keeps on purpose. A fifth matches each state machine's stages to its
+handlers: every string assigned to a `stage` names a method that
+`getattr(self, prefix + stage)` dispatches to, and every such method is named
+by some stage.
 """
 
 import ast
@@ -220,3 +223,56 @@ def test_the_scan_finds_dead_definitions():
     }
     assert unreached_definitions(sources) == ["Dead", "exported", "only_dead"]
     assert unreached_definitions(sources, ["exported"]) == ["Dead", "only_dead"]
+
+
+def stage_mismatches(source: str):
+    """(stages without a handler, handlers no stage names) of a module whose
+    state machine dispatches on `getattr(self, "<prefix>" + <x>.stage)`."""
+    tree = ast.parse(source)
+    prefixes, stages = set(), set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Constant)
+            and isinstance(node.right, ast.Attribute)
+            and node.right.attr == "stage"
+        ):
+            prefixes.add(node.left.value)
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(getattr(t, "id", getattr(t, "attr", None)) == "stage" for t in targets):
+            stages |= {
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    (prefix,) = prefixes
+    handlers = {
+        n.name[len(prefix):]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name.startswith(prefix)
+    }
+    return sorted(stages - handlers), sorted(handlers - stages)
+
+
+@pytest.mark.parametrize("module", ["edgecolor", "legal"])
+def test_every_stage_has_a_handler(module):
+    assert stage_mismatches((SRC / f"{module}.py").read_text()) == ([], [])
+
+
+def test_the_scan_finds_stage_mismatches():
+    source = (
+        "class P:\n"
+        "    def __init__(self, first):\n"
+        "        stage = 'a' if first else 'b'\n"
+        "        self.stage = stage\n"
+        "    def step(self):\n"
+        "        return getattr(self, '_on_' + self.stage)()\n"
+        "    def _on_a(self):\n"
+        "        self.stage = 'c'\n"
+        "    def _on_b(self):\n"
+        "        self.note = 'd'\n"
+        "    def _on_e(self):\n"
+        "        pass\n"
+    )
+    assert stage_mismatches(source) == (["c"], ["e"])
