@@ -6,10 +6,12 @@ Subcommands:
   verify  check a coloring file against a graph file (exit 0/1; 2 on bad input)
   bench   sweep one spec parameter and emit a CSV row per point
 
-Each exits 2 with one `bnicolor <command>: ...` line on stderr when a
-generator or algorithm parameter is missing, out of range, of the wrong type
-(a boolean takes only the JSON literals true and false) or never read, or
-when a --spec file cannot be read or does not hold a JSON object.
+Exit codes: 0 verified, 1 verification failed, 2 malformed input, which ends
+in one `bnicolor <command>: ...` stderr line: a parameter that is missing, of
+the wrong type (booleans are not numbers; a boolean takes only true or false),
+out of range or never read; a --param, --gen-param or --sweep not key=value; a
+--spec file that cannot be read, holds no JSON object or comes with a flag
+setting a spec field (--out alone may override it); an unwritable output path.
 
 Reports land next to stdout unless --out is given; a bare filename is placed
 in $BNICOLOR_OUT_DIR when that variable is set.
@@ -54,9 +56,12 @@ def _emit(text: str, out: Optional[str]):
     if path is None:
         sys.stdout.write(text)
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParamError(f"cannot write {path}: {exc}") from None
 
 
 def _parse_value(raw: str):
@@ -72,13 +77,24 @@ def _kv_pairs(items: List[str]) -> Dict:
     for item in items:
         key, sep, raw = item.partition("=")
         if not sep:
-            raise SystemExit(f"expected key=value, got {item!r}")
+            raise ParamError(f"expected key=value, got {item!r}")
         out[key] = _parse_value(raw)
     return out
 
 
+# the flag that sets each spec field; its dest is the field's name and its
+# default None, so that --spec can tell which were given
+SPEC_FLAGS = dict(
+    generator="--generator", gen_params="--gen-param", algorithm="--algorithm", preset="--preset",
+    params="--param", msg_mode="--msg-mode", repetitions="--repetitions", seed="--seed",
+)
+
+
 def _spec_from_args(args) -> ExperimentSpec:
+    fields = {f: getattr(args, f) for f in SPEC_FLAGS if getattr(args, f) is not None}
     if args.spec:
+        if fields:
+            raise ParamError(f"--spec excludes {', '.join(SPEC_FLAGS[f] for f in fields)}")
         try:
             with open(args.spec) as fh:
                 data = json.load(fh)
@@ -87,41 +103,34 @@ def _spec_from_args(args) -> ExperimentSpec:
         if not isinstance(data, dict):
             raise ParamError(f"spec {args.spec} must hold a JSON object, not {type(data).__name__}")
         return ExperimentSpec.from_dict(data)
-    if not args.generator:
-        raise SystemExit("either --spec or --generator is required")
-    return ExperimentSpec(
-        generator=args.generator,
-        gen_params=_kv_pairs(args.gen_param),
-        algorithm=args.algorithm,
-        preset=args.preset,
-        params=_kv_pairs(args.param),
-        msg_mode=args.msg_mode,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
+    if "generator" not in fields:
+        raise ParamError("either --spec or --generator is required")
+    for f in ("gen_params", "params"):
+        fields[f] = _kv_pairs(fields.get(f, []))
+    return ExperimentSpec(**fields)
 
 
 def _add_spec_args(sub):
     sub.add_argument("--spec", help="JSON experiment spec file")
     sub.add_argument("--generator", choices=KINDS, help="generator kind")
     sub.add_argument(
-        "--gen-param", action="append", default=[], metavar="K=V",
+        "--gen-param", dest="gen_params", action="append", metavar="K=V",
         help="generator parameter (repeatable), e.g. n=256 d=16",
     )
-    sub.add_argument("--algorithm", choices=ALGORITHMS, default="legal")
-    sub.add_argument("--preset", default=None, help="parameter preset name")
+    sub.add_argument("--algorithm", choices=ALGORITHMS, help="algorithm (default legal)")
+    sub.add_argument("--preset", help="parameter preset name")
     sub.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
+        "--param", dest="params", action="append", metavar="K=V",
         help="algorithm parameter (repeatable), e.g. c=2 eps=3/4 b=2",
     )
-    sub.add_argument("--msg-mode", choices=("wide", "short"), default="wide")
-    sub.add_argument("--repetitions", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--msg-mode", choices=("wide", "short"), help="default wide")
+    sub.add_argument("--repetitions", type=int)
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
 def cmd_gen(args) -> int:
-    g = generate(args.kind, _kv_pairs(args.gen_param), seed=args.seed)
+    g = generate(args.kind, _kv_pairs(args.gen_params), seed=args.seed)
     _emit(format_edge_list(g), args.out)
     return 0
 
@@ -165,19 +174,15 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     key, sep, raw = args.sweep.partition("=")
-    if not sep:
-        raise SystemExit("--sweep needs key=v1,v2,... (dotted keys allowed)")
     values = [_parse_value(v) for v in raw.split(",") if v]
-    if not values:
-        raise SystemExit("--sweep needs at least one value")
+    if not (sep and values):
+        raise ParamError(f"--sweep needs key=v1,v2,... (dotted keys allowed), got {args.sweep!r}")
     points = sweep_reports(spec, key, values)
     _emit(sweep_csv(points, key), args.out)
     if args.json_dir:
-        os.makedirs(args.json_dir, exist_ok=True)
         for value, report in points:
-            name = f"{spec.algorithm}_{key.replace('.', '_')}_{value}.json"
-            with open(os.path.join(args.json_dir, name), "w") as fh:
-                fh.write(report_json(report))
+            name = f"{spec.algorithm}_{key.replace('.', '_')}_{value}.json".replace("/", "_")
+            _emit(report_json(report), os.path.join(args.json_dir, name))
     bad = [v for v, r in points if r["verification"]["violated"]]
     if bad:
         print(f"verification failed at sweep values {bad}", file=sys.stderr)
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("gen", help="generate a graph as an edge list")
     gen.add_argument("--kind", choices=KINDS, required=True)
     gen.add_argument(
-        "--gen-param", action="append", default=[], metavar="K=V",
+        "--gen-param", dest="gen_params", action="append", default=[], metavar="K=V",
         help="generator parameter (repeatable)",
     )
     gen.add_argument("--seed", type=int, default=0)

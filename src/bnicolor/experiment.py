@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 
 from .base import kuhn_defective_edge
 from .coloring import EdgeColoring
@@ -39,6 +39,7 @@ from .params import (
     DefectiveParams,
     LegalParams,
     ParamError,
+    ParamReader,
     make_preset,
 )
 from .sim import SimReport
@@ -65,33 +66,29 @@ CSV_COLUMNS = (
 )
 
 
-# the JSON types each spec field accepts (a bool is not an int here)
-_SPEC_FIELD_TYPES = {
-    "generator": (str,),
-    "gen_params": (dict,),
-    "algorithm": (str,),
-    "preset": (str, type(None)),
-    "params": (dict,),
-    "msg_mode": (str,),
-    "repetitions": (int,),
-    "seed": (int,),
-    "output": (str, type(None)),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment; it checks its own fields when made (a bool is not an
+    int), whether from CLI flags, a spec file, a sweep point or `replace`."""
+
     generator: str
-    gen_params: Dict = field(default_factory=dict)
+    gen_params: dict = field(default_factory=dict)
     algorithm: str = "legal"
     preset: Optional[str] = None
-    params: Dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
     msg_mode: str = "wide"
     repetitions: int = 1
     seed: int = 0
     output: Optional[str] = None
 
-    def validate(self):
+    def __post_init__(self):
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+                raise ParamError(
+                    f"spec field {name!r} must be {expected}, not {type(value).__name__}"
+                )
         if self.algorithm not in ALGORITHMS:
             raise ParamError(
                 f"unknown algorithm {self.algorithm!r}; known: {', '.join(ALGORITHMS)}"
@@ -100,156 +97,125 @@ class ExperimentSpec:
             raise ParamError(f"msg_mode must be wide or short, got {self.msg_mode!r}")
         if self.repetitions < 1:
             raise ParamError("repetitions must be >= 1")
+        clash = sorted({"preset", "msg_mode"} & self.params.keys(), key=str)
+        if clash:
+            raise ParamError(f"{clash} are spec fields, not {self.algorithm} parameters")
 
     def to_dict(self) -> Dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentSpec":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        extra = set(data) - known
+        extra = set(data) - set(_FIELD_TYPES)
         if extra:
             raise ParamError(f"unknown spec fields: {sorted(extra)}")
         if "generator" not in data:
             raise ParamError("spec field 'generator' is required")
-        for name, value in data.items():
-            types = _SPEC_FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
-                raise ParamError(
-                    f"spec field {name!r} must be {expected}, not {type(value).__name__}"
-                )
         return cls(**data)
 
-
-class _ReadParams(dict):
-    """An algorithm's parameters, remembering the keys `_param` looked up."""
-
-    def __init__(self, params: Dict):
-        super().__init__(params)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+    def reader(self) -> ParamReader:
+        """The algorithm's params, plus the fields preset and msg_mode when
+        set, so that a runner that never reads one refuses it as unread."""
+        fields = {"preset": self.preset, "msg_mode": self.msg_mode}
+        fields = {k: v for k, v in fields.items() if v != getattr(ExperimentSpec, k)}
+        return ParamReader({**self.params, **fields}, self.algorithm)
 
 
-def _param(spec: ExperimentSpec, key: str, cast, default=None):
-    """spec.params[key] (default when absent) through cast. A missing key
-    without a default, or a value cast refuses, raises ParamError naming it;
-    an int parameter takes integral numbers and strings int() parses, a bool
-    parameter only true or false."""
-    value = spec.params.get(key, default)
-    if value is None:
-        raise ParamError(f"{spec.algorithm} needs parameter {key!r}")
-    try:
-        result = cast(value)
-        if cast is int and not (isinstance(value, str) or result == value):
-            raise ValueError(value)
-        if cast is bool and not isinstance(value, bool):
-            raise ValueError(value)
-        return result
-    except (TypeError, ValueError, ArithmeticError):
-        raise ParamError(
-            f"{spec.algorithm} parameter {key} must be {cast.__name__}, got {value!r}"
-        ) from None
+# each spec field's accepted types: (str,) for str, (str, NoneType) for Optional[str]
+_FIELD_TYPES = {
+    name: get_args(hint) or (hint,) for name, hint in get_type_hints(ExperimentSpec).items()
+}
 
 
-def _c(spec: ExperimentSpec) -> int:
-    return _param(spec, "c", int, 2)
-
-
-def _legal_params_for(spec: ExperimentSpec, delta: int) -> LegalParams:
+def _legal_params_for(read: ParamReader, delta: int) -> LegalParams:
     """Build LegalParams from a preset name or explicit (b, p, lam, c)."""
-    c = _c(spec)
-    if spec.preset and spec.preset != "custom":
-        eps = _param(spec, "eps", Fraction) if "eps" in spec.params else None
-        t = _param(spec, "t", int) if "t" in spec.params else None
-        return make_preset(
-            spec.preset, c, delta, eps=eps, t=t, strict=_param(spec, "strict", bool, False)
-        )
-    return LegalParams(*(_param(spec, k, int) for k in ("b", "p", "lam")), c)
+    c = read.take("c", int, 2)
+    preset = read.take("preset", str, "custom")
+    if preset != "custom":
+        eps, t = read.take("eps", Fraction, None), read.take("t", int, None)
+        return make_preset(preset, c, delta, eps=eps, t=t, strict=read.take("strict", bool, False))
+    return LegalParams(*(read.take(k, int) for k in ("b", "p", "lam")), c)
 
 
-# One runner per algorithm: (spec, graph) -> (coloring, report, params_used);
+# One runner per algorithm: (reader, graph, seed) -> (coloring, report,
+# params_used), reading its parameters from `ExperimentSpec.reader()`;
 # `run_experiment` reads c from params_used and vartheta from report.extra.
 # Each runner calls its algorithm function through this module's globals, so
 # a wrapper set on the module attribute sees the call.
 
 
-def _run_linial(spec: ExperimentSpec, g: Graph):
+def _run_linial(read: ParamReader, g: Graph, seed: int):
     col, report = linial_coloring(g)
     return col, report, {}
 
 
-def _run_defective(spec: ExperimentSpec, g: Graph):
-    b, p = _param(spec, "b", int), _param(spec, "p", int)
-    dp = DefectiveParams(b, p, _param(spec, "Lambda", int, max(g.delta, 1)), _c(spec))
-    col, report = defective_color(g, dp, phi_mode=_param(spec, "phi_mode", str, "fast"))
+def _run_defective(read: ParamReader, g: Graph, seed: int):
+    b, p = read.take("b", int), read.take("p", int)
+    dp = DefectiveParams(b, p, read.take("Lambda", int, max(g.delta, 1)), read.take("c", int, 2))
+    col, report = defective_color(g, dp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, asdict(dp)
 
 
-def _run_legal(spec: ExperimentSpec, g: Graph):
-    lp = _legal_params_for(spec, max(g.delta, 1))
-    col, report = legal_color(g, lp, phi_mode=_param(spec, "phi_mode", str, "fast"))
+def _run_legal(read: ParamReader, g: Graph, seed: int):
+    lp = _legal_params_for(read, max(g.delta, 1))
+    col, report = legal_color(g, lp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, _params_dict(lp)
 
 
-def _run_edge_direct(spec: ExperimentSpec, g: Graph):
-    lp = _legal_params_for(spec, max(2 * (g.delta - 1), 1))
+def _run_edge_direct(read: ParamReader, g: Graph, seed: int):
+    lp = _legal_params_for(read, max(2 * (g.delta - 1), 1))
     col, report = edge_color_direct(
         g,
         lp,
-        msg_mode=spec.msg_mode,
-        paced=_param(spec, "paced", bool, False),
-        budget_factor=_param(spec, "budget_factor", int, 1),
+        msg_mode=read.take("msg_mode", str, "wide"),
+        paced=read.take("paced", bool, False),
+        budget_factor=read.take("budget_factor", int, 1),
     )
     return col, report, _params_dict(lp)
 
 
-def _run_edge_line(spec: ExperimentSpec, g: Graph):
-    lp = _legal_params_for(spec, max(2 * (g.delta - 1), 1))
-    phi_mode = _param(spec, "phi_mode", str, "fast")
-    col, report = edge_color_via_line_graph(g, lp, phi_mode=phi_mode)
+def _run_edge_line(read: ParamReader, g: Graph, seed: int):
+    lp = _legal_params_for(read, max(2 * (g.delta - 1), 1))
+    col, report = edge_color_via_line_graph(g, lp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, _params_dict(lp)
 
 
-def _run_edge_2delta(spec: ExperimentSpec, g: Graph):
+def _run_edge_2delta(read: ParamReader, g: Graph, seed: int):
     col, report = edge_color_2delta_minus_1(g)
     return col, report, {}
 
 
-def _run_kuhn_edge(spec: ExperimentSpec, g: Graph):
-    p_prime = _param(spec, "p_prime", int)
+def _run_kuhn_edge(read: ParamReader, g: Graph, seed: int):
+    p_prime = read.take("p_prime", int)
     col, report = kuhn_defective_edge(g, p_prime)
     return col, report, {"p_prime": p_prime}
 
 
-def _randomized_params(spec: ExperimentSpec) -> RandomizedParams:
+def _randomized_params(read: ParamReader, seed: int) -> RandomizedParams:
     return RandomizedParams(
-        kappa=_param(spec, "kappa", float, 2.0),
-        eta=_param(spec, "eta", float, 0.5),
-        seed=spec.seed,
+        kappa=read.take("kappa", float, 2.0),
+        eta=read.take("eta", float, 0.5),
+        seed=seed,
     )
 
 
-def _run_randomized_defective(spec: ExperimentSpec, g: Graph):
-    rp = _randomized_params(spec)
+def _run_randomized_defective(read: ParamReader, g: Graph, seed: int):
+    rp = _randomized_params(read, seed)
     col = randomized_defective(g, rp)
     report = SimReport(0, 0, 0, dict(col.colors))
     return col, report, {"kappa": rp.kappa, "eta": rp.eta}
 
 
-def _run_randomized(spec: ExperimentSpec, g: Graph):
-    rp = _randomized_params(spec)
+def _run_randomized(read: ParamReader, g: Graph, seed: int):
+    rp = _randomized_params(read, seed)
     col, report = randomized_color(g, rp)
     return col, report, {"kappa": rp.kappa, "eta": rp.eta}
 
 
-def _run_tradeoff(spec: ExperimentSpec, g: Graph):
-    c = _c(spec)
+def _run_tradeoff(read: ParamReader, g: Graph, seed: int):
+    c = read.take("c", int, 2)
     tp = TradeoffParams(
-        g_fn=_param(spec, "g_fn", str, "power:0.5"), eta=_param(spec, "eta", float, 0.25)
+        g_fn=read.take("g_fn", str, "power:0.5"), eta=read.take("eta", float, 0.25)
     )
     col, report = tradeoff_color(g, tp, c)
     return col, report, {"g_fn": tp.g_fn, "eta": tp.eta, "c": c}
@@ -281,15 +247,12 @@ def _verify(g: Graph, col) -> VerificationReport:
 
 
 def run_experiment(spec: ExperimentSpec) -> Dict:
-    """Execute generator -> algorithm -> checker; return the report dict.
-    A spec parameter the algorithm never reads raises ParamError."""
-    spec.validate()
+    """Execute generator -> algorithm -> checker; return the report dict. A
+    parameter, preset or short msg_mode the algorithm never reads raises ParamError."""
     g = generate(spec.generator, spec.gen_params, seed=spec.seed)
-    params = _ReadParams(spec.params)
-    col, report, params_used = RUNNERS[spec.algorithm](dataclasses.replace(spec, params=params), g)
-    unread = set(params) - params.read
-    if unread:
-        raise ParamError(f"unused {spec.algorithm} parameters: {sorted(unread, key=str)}")
+    read = spec.reader()
+    col, report, params_used = RUNNERS[spec.algorithm](read, g, spec.seed)
+    read.done()
     verification = _verify(g, col)
     out = {
         "schema": SCHEMA_VERSION,
@@ -322,7 +285,6 @@ def report_json(report: Dict) -> str:
 
 def run_repetitions(spec: ExperimentSpec) -> List[Dict]:
     """One report per repetition; repetition i runs with seed spec.seed + i."""
-    spec.validate()
     reports = []
     for i in range(spec.repetitions):
         sub = dataclasses.replace(spec, repetitions=1, seed=spec.seed + i)
@@ -331,11 +293,14 @@ def run_repetitions(spec: ExperimentSpec) -> List[Dict]:
 
 
 def _set_nested(d: Dict, key: str, value):
-    """Set gen_params['d'] = 32 from the dotted key 'gen_params.d'."""
-    parts = key.split(".")
-    for part in parts[:-1]:
+    """Set gen_params['d'] = 32 from the dotted key 'gen_params.d'; a key that
+    passes through a value other than an object raises ParamError."""
+    *parents, last = key.split(".")
+    for part in parents:
         d = d.setdefault(part, {})
-    d[parts[-1]] = value
+        if not isinstance(d, dict):
+            raise ParamError(f"sweep key {key!r}: {part} does not hold an object")
+    d[last] = value
 
 
 def sweep_reports(

@@ -5,24 +5,16 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .graph import Graph, GraphError, build_line_graph, graph_from_edges
+from .params import ParamReader
 
-# each kind's parameter names: `generate` refuses any other key
-PARAMS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "bipartite": ("a", "b"),
-    "random_gnd": ("n", "d", "prob"),
-    "line_of": ("inner",),
-    "clique_pendant": ("n",),
-    "hypergraph_line": ("r", "n", "ground"),
-}
-KINDS = tuple(PARAMS)
+KINDS = ("path", "cycle", "complete", "bipartite", "random_gnd", "line_of", "clique_pendant",
+         "hypergraph_line")
 
 
 def path_graph(n: int) -> Graph:
@@ -158,58 +150,32 @@ def hypergraph_line(
     return graph_from_edges(n_hyperedges, edges)
 
 
-def _need(kind: str, params: Dict, key: str):
-    if key not in params:
-        raise GraphError(f"{kind} needs parameter {key!r}")
-    return params[key]
-
-
-def _only(what: str, params, names: Tuple[str, ...]):
-    """Refuse params that are not an object or hold a key outside names."""
-    if not isinstance(params, dict):
-        raise GraphError(f"{what} must be an object, got {params!r}")
-    unread = sorted(set(params).difference(names), key=str)
-    if unread:
-        raise GraphError(f"unread keys in {what}: {unread}")
-
-
 def generate(kind: str, params: Dict, seed: int = 0) -> Graph:
     """Dispatch by kind; `line_of` nests another generator spec under `inner`.
 
-    An unknown kind, params (or an `inner` spec) that are not an object, a
-    key the kind does not read, or a missing or non-integer size parameter
-    raises GraphError naming it; integral numbers and strings that int()
-    parses are accepted.
+    The params (and an `inner` spec) are read through ParamReader before any
+    graph is built, so an unknown kind, params that are not an object, or a
+    key that is missing, of the wrong type or never read raises GraphError
+    naming it.
     """
-    if not isinstance(kind, str) or kind not in PARAMS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise GraphError(f"unknown generator kind {kind!r}; known: {', '.join(KINDS)}")
-    _only(f"{kind} parameters", params, PARAMS[kind])
-
-    def size(key: str) -> int:
-        value = _need(kind, params, key)
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            number = None
-        if number is None or not (isinstance(value, str) or number == value):
-            raise GraphError(f"{kind} parameter {key} must be an integer, got {value!r}")
-        return number
-
-    if kind == "path":
-        return path_graph(size("n"))
-    if kind == "cycle":
-        return cycle_graph(size("n"))
-    if kind == "complete":
-        return complete_graph(size("n"))
-    if kind == "bipartite":
-        return complete_bipartite(size("a"), size("b"))
-    if kind == "random_gnd":
-        return random_gnd(size("n"), size("d"), params.get("prob"), seed=seed)
+    read = ParamReader(params, kind, GraphError)
+    size = partial(read.take, cast=int)
     if kind == "line_of":
-        inner = _need(kind, params, "inner")
-        _only("line_of inner spec", inner, ("kind", "params"))
-        base = generate(_need(kind, inner, "kind"), inner.get("params", {}), seed=seed)
-        return build_line_graph(base).lg
-    if kind == "clique_pendant":
-        return clique_pendant(size("n"))
-    return hypergraph_line(size("r"), size("n"), size("ground"), seed=seed)
+        inner = ParamReader(read.take("inner", dict), "line_of inner", GraphError)
+        spec = inner.take("kind", str), inner.take("params", dict, {})
+        inner.done()
+        read.done()
+        return build_line_graph(generate(*spec, seed=seed)).lg
+    if kind == "bipartite":
+        build = partial(complete_bipartite, size("a"), size("b"))
+    elif kind == "random_gnd":
+        build = partial(random_gnd, size("n"), size("d"), read.take("prob", float, None), seed=seed)
+    elif kind == "hypergraph_line":
+        build = partial(hypergraph_line, size("r"), size("n"), size("ground"), seed=seed)
+    else:  # one size n: path, cycle, complete or clique_pendant
+        by_n = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
+        build = partial(by_n.get(kind, clique_pendant), size("n"))
+    read.done()
+    return build()

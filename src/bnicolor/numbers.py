@@ -102,7 +102,7 @@ def linial_schedule(n_colors: int, delta_bound: int) -> List[PolyPlan]:
     """Iterate step plans until the palette stops shrinking; pure arithmetic."""
     plans: List[PolyPlan] = []
     current = n_colors
-    while True:
+    while current > (delta_bound + 1) ** 2:  # else no step can shrink it: q > delta_bound
         plan = step_plan(current, delta_bound)
         if plan.palette >= current:
             break

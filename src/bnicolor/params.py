@@ -27,6 +27,56 @@ class ParamError(ValueError):
     pass
 
 
+class ParamReader(dict):
+    """One JSON object of parameters from outside, read key by key.
+
+    `take(key, cast, default)` returns the value through cast, or default when
+    the key is absent (the default `...` makes the key required); `done()`
+    refuses every key no `take` asked for. Each refusal raises `error` naming
+    `owner` and the key. The one coercion rule: a bool passes a bool cast
+    only, and no other; a value of the cast's type passes as it is; int,
+    float and Fraction convert any other value, where an int takes integral
+    numbers and strings that int() parses, a float must be finite and a
+    Fraction reads a number's decimal form (0.3 is 3/10); any other cast
+    refuses it.
+    """
+
+    def __init__(self, params, owner: str, error=ParamError):
+        if not isinstance(params, dict):
+            raise error(f"{owner} parameters must be an object, got {params!r}")
+        super().__init__(params)
+        self.owner, self.error, self.read = owner, error, set()
+
+    def take(self, key: str, cast, default=...):
+        self.read.add(key)
+        if key not in self:
+            if default is ...:
+                raise self.error(f"{self.owner} needs parameter {key!r}")
+            return default
+        value = self[key]
+        try:
+            if isinstance(value, bool) != (cast is bool):
+                raise TypeError(value)
+            if not isinstance(value, cast) and cast not in (int, float, Fraction):
+                raise TypeError(value)
+            raw = str(value) if cast is Fraction else value  # so 0.3 reads as 3/10
+            result = value if isinstance(value, cast) else cast(raw)
+            if cast is int and not (isinstance(value, str) or result == value):
+                raise ValueError(value)
+            if cast is float and not math.isfinite(result):
+                raise ValueError(value)
+            return result
+        except (TypeError, ValueError, ArithmeticError):
+            raise self.error(
+                f"{self.owner} parameter {key} must be {cast.__name__}, got {value!r}"
+            ) from None
+
+    def done(self):
+        unread = sorted(set(self) - self.read, key=str)
+        if unread:
+            raise self.error(f"unread keys in {self.owner} parameters: {unread}")
+
+
 @dataclass(frozen=True)
 class DefectiveParams:
     b: int
@@ -108,8 +158,8 @@ def _clamp(
 def preset_thm45(eps: Fraction, c: int, delta: int, strict: bool = False) -> LegalParams:
     """b = ceil(delta^(eps/6)), p = ceil(delta^(eps/3)), lambda = ceil(delta^eps)."""
     eps = Fraction(eps)
-    if not (0 < eps <= 1):
-        raise ParamError("thm45 needs 0 < eps <= 1")
+    if not (0 < eps <= 1) or eps.denominator > 10**4:
+        raise ParamError(f"thm45 needs 0 < eps <= 1 with denominator <= 10**4, got {eps}")
     b = _ceil_pow(delta, eps / 6)
     p = _ceil_pow(delta, eps / 3)
     lam = _ceil_pow(delta, eps)
@@ -148,9 +198,9 @@ def smallest_feasible_thm46_t(c: int, delta: int) -> Optional[int]:
 def preset_thm48_3(eps: Fraction, c: int, delta: int, strict: bool = False) -> LegalParams:
     """lambda = ceil(log^eps delta), b = ceil(lambda^(1/3)), p = ceil(lambda^(1/6))."""
     eps = Fraction(eps)
-    if eps <= 0:
-        raise ParamError("thm48_3 needs eps > 0")
     logd = max(math.log2(max(delta, 2)), 1.0)
+    if eps <= 0 or eps * math.log2(logd) >= 1000:
+        raise ParamError(f"thm48_3 needs eps > 0 and log^eps delta < 2**1000, got eps = {eps}")
     lam = math.ceil(logd ** float(eps))
     b = _ceil_pow(lam, Fraction(1, 3))
     p = _ceil_pow(lam, Fraction(1, 6))

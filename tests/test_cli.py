@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnicolor.cli import main
+from bnicolor.experiment import ALGORITHMS
 from bnicolor.graph import parse_edge_list
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,6 +70,15 @@ class TestRun:
         default, unpaced, paced = rounds.values()
         assert unpaced == default < paced
 
+    def test_float_eps_reads_as_its_decimal(self, capsys):
+        """eps=0.3 is the fraction 3/10, not the binary float's exact value."""
+        reports = []
+        for eps in ("0.3", "3/10"):
+            assert main(["run", *_GND_D3, "--preset", "thm45", "--param", f"eps={eps}"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["params"]["preset"] == "thm45(3/10)"
+
     def test_repetitions_emit_a_list(self, capsys):
         """Two repetitions emit a JSON list of two reports, repetition i with
         seed --seed + i."""
@@ -75,9 +89,9 @@ class TestRun:
         assert main(argv) == 0
         assert reports[0] == json.loads(capsys.readouterr().out)
 
-    def test_missing_generator_errors(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--algorithm", "linial"])
+    def test_missing_generator_errors(self, capsys):
+        assert main(["run", "--algorithm", "linial"]) == 2
+        assert capsys.readouterr().err == "bnicolor run: either --spec or --generator is required\n"
 
     def test_report_written_to_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -95,6 +109,8 @@ class TestRun:
 _GND = ["--generator", "random_gnd", "--gen-param", "n=20"]
 _GND_D3 = [*_GND, "--gen-param", "d=3"]
 _PROB_MESSAGE = "random_gnd needs prob to be a real number in [0, 1], got"
+_PROB_NOT_FLOAT = "random_gnd parameter prob must be float, got"
+_SWEEP_MESSAGE = "--sweep needs key=v1,v2,... (dotted keys allowed), got"
 
 
 class TestMalformedParameters:
@@ -103,10 +119,10 @@ class TestMalformedParameters:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["run", *_GND_D3, "--gen-param", "prob=abc", "--preset", "thm45"], f"{_PROB_MESSAGE} 'abc'"),
-            (["run", *_GND_D3, "--gen-param", "prob=2"], f"{_PROB_MESSAGE} 2"),
-            (["run", *_GND_D3, "--gen-param", "prob=-1"], f"{_PROB_MESSAGE} -1"),
-            (["run", *_GND_D3, "--gen-param", "prob=NaN"], f"{_PROB_MESSAGE} nan"),
+            (["run", *_GND_D3, "--gen-param", "prob=abc", "--preset", "thm45"], f"{_PROB_NOT_FLOAT} 'abc'"),
+            (["run", *_GND_D3, "--gen-param", "prob=2"], f"{_PROB_MESSAGE} 2.0"),
+            (["run", *_GND_D3, "--gen-param", "prob=-1"], f"{_PROB_MESSAGE} -1.0"),
+            (["run", *_GND_D3, "--gen-param", "prob=NaN"], f"{_PROB_NOT_FLOAT} nan"),
             (["run", *_GND, "--preset", "thm45"], "random_gnd needs parameter 'd'"),
             (["run", *_GND_D3, "--preset", "custom"], "legal needs parameter 'b'"),
             (
@@ -162,11 +178,11 @@ class TestMalformedParameters:
                     "run", *_GND_D3, "--algorithm", "edge_direct", "--preset", "thm45",
                     "--param", "pacde=true",
                 ],
-                "unused edge_direct parameters: ['pacde']",
+                "unread keys in edge_direct parameters: ['pacde']",
             ),
             (
                 ["run", *_GND_D3, "--algorithm", "randomized", "--param", "seed=3"],
-                "unused randomized parameters: ['seed']",
+                "unread keys in randomized parameters: ['seed']",
             ),
             (
                 [
@@ -184,10 +200,10 @@ class TestMalformedParameters:
                 "no feasible thm46 exponent for c=1, delta=5",
             ),
             (["gen", "--kind", "random_gnd", "--gen-param", "n=20"], "random_gnd needs parameter 'd'"),
-            (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be an integer, got 'x'"),
+            (["gen", "--kind", "path", "--gen-param", "n=x"], "path parameter n must be int, got 'x'"),
             (
                 ["bench", *_GND, "--algorithm", "edge_2delta", "--sweep", "gen_params.d=3,x"],
-                "random_gnd parameter d must be an integer, got 'x'",
+                "random_gnd parameter d must be int, got 'x'",
             ),
             (
                 ["run", *_GND, "--gen-param", "d=5", "--gen-param", "seed=3", "--algorithm", "edge_2delta"],
@@ -199,15 +215,61 @@ class TestMalformedParameters:
             ),
             (
                 ["run", "--generator", "line_of", "--gen-param", "inner=5"],
-                "line_of inner spec must be an object, got 5",
+                "line_of parameter inner must be dict, got 5",
             ),
             (
                 ["run", "--generator", "line_of", "--gen-param", 'inner={"kind":"cycle","params":5}'],
-                "cycle parameters must be an object, got 5",
+                "line_of inner parameter params must be dict, got 5",
             ),
             (
                 ["run", "--generator", "line_of", "--gen-param", 'inner={"kind":"cycle","parms":{"n":5}}'],
-                "unread keys in line_of inner spec: ['parms']",
+                "unread keys in line_of inner parameters: ['parms']",
+            ),
+            (["run", *_GND_D3, "--param", "c"], "expected key=value, got 'c'"),
+            (["gen", "--kind", "path", "--gen-param", "n"], "expected key=value, got 'n'"),
+            (["run", "--algorithm", "linial"], "either --spec or --generator is required"),
+            (["bench", "--sweep", "gen_params.n=3"], "either --spec or --generator is required"),
+            (["bench", *_GND_D3, "--sweep", "x"], f"{_SWEEP_MESSAGE} 'x'"),
+            (["bench", *_GND_D3, "--sweep", "gen_params.d="], f"{_SWEEP_MESSAGE} 'gen_params.d='"),
+            (
+                ["bench", *_GND_D3, "--algorithm", "linial", "--sweep", "seed.x=1"],
+                "sweep key 'seed.x': seed does not hold an object",
+            ),
+            (
+                ["bench", *_GND_D3, "--algorithm", "linial", "--sweep", "gen_params.d.x=1"],
+                "sweep key 'gen_params.d.x': d does not hold an object",
+            ),
+            (
+                ["run", *_GND_D3, "--preset", "thm45", "--msg-mode", "short"],
+                "unread keys in legal parameters: ['msg_mode']",
+            ),
+            (
+                ["run", *_GND_D3, "--algorithm", "linial", "--preset", "thm45"],
+                "unread keys in linial parameters: ['preset']",
+            ),
+            (
+                ["run", *_GND_D3, "--param", "preset=thm45"],
+                "['preset'] are spec fields, not legal parameters",
+            ),
+            (
+                ["run", *_GND_D3, "--preset", "thm45", "--param", "c=true"],
+                "legal parameter c must be int, got True",
+            ),
+            (
+                ["gen", "--kind", "complete", "--gen-param", "n=true"],
+                "complete parameter n must be int, got True",
+            ),
+            (
+                ["run", *_GND, "--gen-param", "d=12", "--algorithm", "randomized", "--param", "kappa=true"],
+                "randomized parameter kappa must be float, got True",
+            ),
+            (
+                ["run", *_GND_D3, "--preset", "thm45", "--param", "eps=0.00001"],
+                "thm45 needs 0 < eps <= 1 with denominator <= 10**4, got 1/100000",
+            ),
+            (
+                ["run", *_GND_D3, "--preset", "thm48_3", "--param", "eps=12345.5"],
+                "thm48_3 needs eps > 0 and log^eps delta < 2**1000, got eps = 24691/2",
             ),
         ],
         ids=[
@@ -219,7 +281,11 @@ class TestMalformedParameters:
             "randomized-unread-seed", "paced-string-False", "strict-int-1", "thm46-no-feasible-t",
             "gen-missing-d", "gen-non-integer", "bench-non-integer", "gen-param-seed-unread",
             "gen-cycle-unread-d", "line-of-inner-not-an-object", "line-of-inner-params-not-an-object",
-            "line-of-inner-unread-key",
+            "line-of-inner-unread-key", "param-without-equals", "gen-param-without-equals",
+            "run-without-generator", "bench-without-generator", "sweep-without-equals",
+            "sweep-without-values", "sweep-key-through-seed", "sweep-key-through-d",
+            "legal-msg-mode-short", "linial-preset", "param-named-like-a-spec-field", "c-true",
+            "n-true", "kappa-true", "thm45-eps-denominator", "thm48-3-eps-overflow",
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):
@@ -235,7 +301,102 @@ class TestMalformedParameters:
             text=True,
         )
         assert proc.returncode == 2
-        assert proc.stderr == f"bnicolor run: {_PROB_MESSAGE} 'abc'\n"
+        assert proc.stderr == f"bnicolor run: {_PROB_NOT_FLOAT} 'abc'\n"
+
+    def test_spec_excludes_spec_field_flags(self, tmp_path, capsys):
+        """--spec with a flag that sets a spec field exits 2 naming the flags;
+        --out alone may override the file."""
+        path = tmp_path / "spec.json"
+        spec = {"generator": "cycle", "gen_params": {"n": 9}, "algorithm": "legal", "preset": "thm45"}
+        path.write_text(json.dumps(spec))
+        argv = ["run", "--spec", str(path)]
+        flags = ["--param", "c=3", "--seed", "5", "--algorithm", "linial"]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == "bnicolor run: --spec excludes --algorithm, --param, --seed\n"
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["c"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "path", "--gen-param", "n=3"],
+            ["run", "--generator", "path", "--gen-param", "n=3", "--algorithm", "linial"],
+            ["bench", *_GND_D3, "--algorithm", "linial", "--sweep", "seed=1,2"],
+        ],
+        ids=["gen", "run", "bench"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + ["--out", str(blocker / "out.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bnicolor {argv[0]}: cannot write {blocker / 'out.txt'}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_json_dir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["bench", *_GND_D3, "--algorithm", "linial", "--sweep", "seed=1"]
+        assert main(argv + ["--out", str(tmp_path / "s.csv"), "--json-dir", str(blocker / "points")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bnicolor bench: cannot write {blocker / 'points'}")
+        assert err.count("\n") == 1
+
+
+# keys a --param or --gen-param may set on random_gnd, and one no kind reads
+_FLAG_KEYS = [("--gen-param", k) for k in ("n", "d", "prob", "zz")] + [
+    ("--param", k)
+    for k in (
+        "c", "b", "p", "lam", "eps", "t", "strict", "phi_mode", "paced", "budget_factor",
+        "p_prime", "kappa", "eta", "g_fn", "Lambda", "zz",
+    )
+]
+# literals that are no valid size: none of them parses as an integer, so no
+# drawn value can make random_gnd larger than n = 12
+_MALFORMED = st.one_of(
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity"]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()).map(repr),
+    st.text("abcdefghijklmnopqrstuvwxyz_:/", max_size=8),
+    st.lists(st.integers(-3, 3), max_size=3).map(json.dumps),
+    st.dictionaries(st.sampled_from(["n", "kind", "x"]), st.integers(0, 3), max_size=2).map(json.dumps),
+)
+
+
+def _refused(key, raw):
+    """Whether no route may accept this literal for this key: an unknown key,
+    null, a list or an object, or a boolean for a key that is not boolean."""
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    if isinstance(value, bool):
+        return key not in ("paced", "strict")
+    return key == "zz" or value is None or isinstance(value, (list, dict))
+
+
+class TestMalformedLiterals:
+    """Whatever literal a --param or --gen-param carries, main returns 0, 1
+    or 2 and raises nothing; it returns 2 when a literal can be no value."""
+
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(0, 12),
+        algorithm=st.sampled_from(ALGORITHMS),
+        preset=st.sampled_from([None, "thm45", "thm46", "thm48_3", "improved_s42", "custom"]),
+        literals=st.lists(st.tuples(st.sampled_from(_FLAG_KEYS), _MALFORMED), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_main_returns_an_exit_code(self, n, d, algorithm, preset, literals):
+        argv = ["run", "--generator", "random_gnd", "--gen-param", f"n={n}", "--gen-param", f"d={d}"]
+        argv += ["--algorithm", algorithm] + (["--preset", preset] if preset else [])
+        for (flag, key), raw in literals:
+            argv += [flag, f"{key}={raw}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        final = {flag_key: raw for flag_key, raw in literals}  # a later key=value wins
+        refused = any(_refused(key, raw) for (_, key), raw in final.items())
+        assert rc == 2 if refused else rc in (0, 1, 2)
 
 
 class TestSpecFile:
@@ -400,12 +561,19 @@ class TestBench:
         assert len(lines) == 3
         assert len(list(jdir.iterdir())) == 2
 
-    def test_bad_sweep_errors(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "bench",
-                    "--generator", "path", "--gen-param", "n=3",
-                    "--algorithm", "linial", "--sweep", "nonsense",
-                ]
-            )
+    def test_json_dir_names_a_fraction_value_flat(self, tmp_path):
+        """A sweep value with a slash (eps=1/2) names a file in --json-dir,
+        not a subdirectory."""
+        jdir = tmp_path / "points"
+        argv = ["bench", *_GND_D3, "--preset", "thm45", "--sweep", "params.eps=1/2,3/4"]
+        assert main(argv + ["--out", str(tmp_path / "s.csv"), "--json-dir", str(jdir)]) == 0
+        assert sorted(p.name for p in jdir.iterdir()) == [
+            "legal_params_eps_1_2.json", "legal_params_eps_3_4.json",
+        ]
+
+    def test_bad_sweep_errors(self, capsys):
+        argv = ["bench", "--generator", "path", "--gen-param", "n=3", "--algorithm", "linial"]
+        assert main(argv + ["--sweep", "nonsense"]) == 2
+        assert capsys.readouterr().err == (
+            "bnicolor bench: --sweep needs key=v1,v2,... (dotted keys allowed), got 'nonsense'\n"
+        )

@@ -60,11 +60,11 @@ class TestSpec:
 
     def test_validate(self):
         with pytest.raises(ParamError):
-            ExperimentSpec("path", {"n": 3}, algorithm="quantum").validate()
+            ExperimentSpec("path", {"n": 3}, algorithm="quantum")
         with pytest.raises(ParamError):
-            ExperimentSpec("path", {"n": 3}, msg_mode="loud").validate()
+            ExperimentSpec("path", {"n": 3}, msg_mode="loud")
         with pytest.raises(ParamError):
-            ExperimentSpec("path", {"n": 3}, repetitions=0).validate()
+            ExperimentSpec("path", {"n": 3}, repetitions=0)
 
 
 class TestRunExperiment:
@@ -169,7 +169,7 @@ class TestSparseIds:
                 seed=5,
                 **spec_args.get(algorithm, {}),
             )
-            col, report, *_ = RUNNERS[algorithm](spec, g)
+            col, report, *_ = RUNNERS[algorithm](spec.reader(), g, spec.seed)
             verification = _verify(g, col)
             assert verification.ok, (algorithm, msg_mode, verification.violated)
 
@@ -247,7 +247,8 @@ def test_every_simulated_route_returns_coloring_and_report(monkeypatch):
         monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
     for algorithm in RUNNERS:
         returned.clear()
-        RUNNERS[algorithm](_small_spec(algorithm), generate("random_gnd", {"n": 20, "d": 5}))
+        spec = _small_spec(algorithm)
+        RUNNERS[algorithm](spec.reader(), generate("random_gnd", {"n": 20, "d": 5}), spec.seed)
         assert len(returned) == 1, (algorithm, returned)
         name, result = returned[0]
         if name == "randomized_defective":

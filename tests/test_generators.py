@@ -151,6 +151,18 @@ class TestHypergraphLine:
             hypergraph_line(5, 3, 4, seed=0)
 
 
+VALID_PARAMS = {
+    "path": {"n": 4},
+    "cycle": {"n": 5},
+    "complete": {"n": 4},
+    "bipartite": {"a": 2, "b": 3},
+    "random_gnd": {"n": 12, "d": 3},
+    "line_of": {"inner": {"kind": "path", "params": {"n": 4}}},
+    "clique_pendant": {"n": 6},
+    "hypergraph_line": {"r": 3, "n": 6, "ground": 10},
+}
+
+
 class TestDispatch:
     def test_line_of_complete4(self):
         g = generate("line_of", {"inner": {"kind": "complete", "params": {"n": 4}}})
@@ -162,23 +174,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_all_kinds_dispatch(self, kind):
-        params = {
-            "path": {"n": 4},
-            "cycle": {"n": 5},
-            "complete": {"n": 4},
-            "bipartite": {"a": 2, "b": 3},
-            "random_gnd": {"n": 12, "d": 3},
-            "line_of": {"inner": {"kind": "path", "params": {"n": 4}}},
-            "clique_pendant": {"n": 6},
-            "hypergraph_line": {"r": 3, "n": 6, "ground": 10},
-        }[kind]
-        g = generate(kind, params, seed=1)
+        g = generate(kind, VALID_PARAMS[kind], seed=1)
         assert g.n >= 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unread_key_named(self, kind):
         with pytest.raises(GraphError, match=rf"unread keys in {kind} parameters: \['zz'\]$"):
-            generate(kind, {"zz": 1})
+            generate(kind, {**VALID_PARAMS[kind], "zz": 1})
 
     @pytest.mark.parametrize(
         "kind,params,missing",
@@ -197,7 +199,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("value", ["abc", None, math.nan, math.inf, [3]])
     def test_non_integer_parameter(self, value):
-        with pytest.raises(GraphError, match="parameter n must be an integer"):
+        with pytest.raises(GraphError, match="^path parameter n must be int, got "):
             generate("path", {"n": value})
 
     @pytest.mark.parametrize(
@@ -212,7 +214,7 @@ class TestDispatch:
         ],
     )
     def test_non_integral_number_named(self, kind, params, key, value):
-        message = f"{kind} parameter {key} must be an integer, got {re.escape(repr(value))}$"
+        message = f"{kind} parameter {key} must be int, got {re.escape(repr(value))}$"
         with pytest.raises(GraphError, match=message):
             generate(kind, params)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnicolor import numbers
 from bnicolor.numbers import (
     PolyPlan,
     _root_bound,
@@ -77,6 +78,14 @@ class TestPlans:
             assert plan.n_colors == cur
             assert plan.palette < cur
             cur = plan.palette
+
+    def test_small_palette_searches_no_field(self, monkeypatch):
+        """At most (delta + 1)^2 colors cannot shrink, since every legal field
+        q exceeds delta: the schedule is empty without a step_plan call, so a
+        huge delta (a randomized run's defect bound) costs nothing."""
+        monkeypatch.setattr(numbers, "step_plan", None)
+        assert linial_schedule(12, 10**15) == []
+        assert linial_schedule(16, 3) == []
 
     def test_final_palette_quadratic_in_delta(self):
         # recorded constant: final palette <= 9 * delta^2 over this sweep
