@@ -11,7 +11,7 @@ in one `bnicolor <command>: ...` stderr line: a parameter that is missing, of
 the wrong type (booleans are not numbers; a boolean takes only true or false),
 out of range or never read; a --param, --gen-param or --sweep not key=value; a
 --spec file that cannot be read, holds no JSON object or comes with a flag
-setting a spec field (--out alone may override it); an unwritable output path.
+setting a spec field; an unwritable output path.
 
 Reports land next to stdout unless --out is given; a bare filename is placed
 in $BNICOLOR_OUT_DIR when that variable is set.
@@ -142,7 +142,7 @@ def cmd_run(args) -> int:
         text = report_json(reports[0])
     else:
         text = json.dumps(reports, sort_keys=True, indent=2) + "\n"
-    _emit(text, args.out if args.out is not None else spec.output)
+    _emit(text, args.out)
     bad = [r for r in reports if r["verification"]["violated"]]
     if bad:
         print(

@@ -26,13 +26,15 @@ Both endpoints send the same kind of payload over the same domain, so the
 values a side sent fix its chunking and how many values to expect back.
 Each vertex also keeps a group index keyed by (level, psi-history prefix). An
 entry holds the group's edges and the count of those that have not decided
-psi at that level, so "is the parent group done" is one count lookup.
+psi at that level; the decision that empties the count starts its children.
 When a whole group holds its phi, each edge gets readiness tallies (group
 edges with a smaller phi still undecided, the psi counts of those decided,
 the final colors taken at the bottom), which every decision updates in place.
-An edge moves through the stages phi and loop at each level, then bot_wait,
-bot_lin and greedy; each stage is one `_slot_*` handler, which waits on the
-ready round of the exchange it reads.
+`_start_group` starts a group once its membership is final: it sends the
+round-robin labels of a level group, and lets a bottom group's Linial
+iterations begin. An edge moves through the stages phi and loop at each
+level, then bot_lin and greedy; each stage is one `_slot_*` handler, which
+waits on the ready round of the exchange it reads.
 A step advances a worklist of dirty edges to the same fixpoint a full rescan
 would reach: an edge is dirty when its channel completed the other side's
 payload of an exchange this side has sent, a payload was queued on it, its
@@ -132,24 +134,20 @@ class _Group:
     bottom (i = number of levels) a group holds the edges of one full history.
     """
 
-    __slots__ = ("members", "undecided", "ready", "lin", "parent", "children")
+    __slots__ = ("members", "undecided", "ready", "lin", "children")
 
-    def __init__(self, parent: Optional["_Group"]):
+    def __init__(self):
         self.members: List[int] = []  # neighbor Ids
         self.undecided = 0  # members that have not decided psi at this level
         self.ready = 0  # members holding this level's phi
-        self.lin: List[int] = []  # lin[j]: members whose Linial iteration reached j
-        self.parent = parent
+        self.lin = [0]  # lin[j]: members whose Linial iteration reached j (bottom only)
         self.children: List[_Group] = []
-        if parent is not None:
-            parent.children.append(self)
 
 
 class EdgeSlot:
     __slots__ = (
         "nbr",
         "hist",
-        "level",
         "stage",
         "phi",
         "lin_hist",
@@ -164,8 +162,7 @@ class EdgeSlot:
 
     def __init__(self, nbr: int, rank: int, stage: str):
         self.nbr = nbr
-        self.hist: List[int] = []
-        self.level = 0
+        self.hist: List[int] = []  # psi per level decided; its length is the level
         self.stage = stage
         # the phi of the current level; at the bottom, the last Linial color
         self.phi: Optional[int] = None
@@ -222,7 +219,7 @@ class EdgeColorProgram(VertexProgram):
             self.chunk_budget = max(ctx.budget_bits - header, 1)
             chunks = max(-(-n // self._per_chunk(n, dom)) for n, dom in payloads)
         rank = P["rank"]
-        stage = "phi" if self.levels else "bot_wait"
+        stage = "phi" if self.levels else "bot_lin"
         self.slots: Dict[int, EdgeSlot] = {
             u: EdgeSlot(u, rank[(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)], stage)
             for u in ctx.neighbors
@@ -290,7 +287,7 @@ class EdgeColorProgram(VertexProgram):
         due = self._due_rounds
         while due and due[0] <= round_no:
             dirty.update(self._due.pop(heappop(due)))
-        if round_no == 1 and self.levels and self.slots:
+        if round_no == 1 and self.slots:
             self._start_group(self.groups[(0, ())], 0)
         if dirty:
             self._advance()
@@ -313,16 +310,23 @@ class EdgeColorProgram(VertexProgram):
 
     def _join(self, s: EdgeSlot, parent: Optional[_Group]):
         """Enter s into the group of its current level and psi history."""
-        key = (s.level, tuple(s.hist))
+        key = (len(s.hist), tuple(s.hist))
         g = self.groups.get(key)
         if g is None:
-            g = self.groups[key] = _Group(parent)
+            g = self.groups[key] = _Group()
+            if parent is not None:
+                parent.children.append(g)
         g.members.append(s.nbr)
         g.undecided += 1
         s.grp = g
 
     def _start_group(self, g: _Group, lvl: int):
-        """Assign round-robin labels in a group whose membership is final."""
+        """Start a group whose membership is final: assign round-robin labels
+        at a level, or let every member begin its bottom Linial iterations."""
+        if lvl == len(self.levels):
+            g.lin = [len(g.members)] + [0] * len(self.bottom.lin_plans)
+            self._dirty.update(g.members)
+            return
         pp = self.levels[lvl].p_prime
         for i, w in enumerate(sorted(g.members)):
             self._submit(w, K_LAB, lvl, 0, [i % pp], pp)
@@ -330,7 +334,7 @@ class EdgeColorProgram(VertexProgram):
     def _hold(self, s: EdgeSlot):
         """s now holds its phi. Once the whole group does, open each member's
         tallies and signal readiness on its channel."""
-        g, lvl = s.grp, s.level
+        g, lvl = s.grp, len(s.hist)
         g.ready += 1
         if g.ready < len(g.members):
             return
@@ -354,7 +358,7 @@ class EdgeColorProgram(VertexProgram):
     def _decide_psi(self, s: EdgeSlot, psi: int):
         """Append psi to the history of s, the one place a history grows, and
         update the group index, undecided counts and loop tallies with it."""
-        lvl, g = s.level, s.grp
+        lvl, g = len(s.hist), s.grp
         s.hist.append(psi)
         g.undecided -= 1
         # no member holds the next level's phi until every member has decided
@@ -363,17 +367,13 @@ class EdgeColorProgram(VertexProgram):
             if sw.phi > s.phi:
                 sw.psi_counts[psi - 1] += 1
                 self._release(sw)
-        s.level += 1
-        s.stage = "phi" if s.level < len(self.levels) else "bot_wait"
+        s.stage = "phi" if lvl + 1 < len(self.levels) else "bot_lin"
         self._join(s, g)
         if g.undecided:
             return
         # every child group's membership is now final
-        if s.level < len(self.levels):
-            for child in g.children:
-                self._start_group(child, s.level)
-        else:
-            self._dirty.update(g.members)
+        for child in g.children:
+            self._start_group(child, lvl + 1)
 
     # -- the advance loop ----------------------------------------------------
 
@@ -409,7 +409,7 @@ class EdgeColorProgram(VertexProgram):
 
     def _slot_phi(self, s: EdgeSlot) -> bool:
         """Take phi from both sides' labels, once `_start_group` sent ours."""
-        lvl = s.level
+        lvl = len(s.hist)
         ex = s.exch[K_LAB, lvl, 0]
         rr = ex.ready_round()
         if not self._reached(s, rr):
@@ -427,7 +427,7 @@ class EdgeColorProgram(VertexProgram):
         """Once the readiness exchange is done and every group edge with a
         smaller phi has decided, send N_{e,v}(k), their psi counts on this
         side; then pick the least loaded psi from both sides' counts."""
-        lvl = s.level
+        lvl = len(s.hist)
         start = s.exch[K_RDY, lvl, 0].ready_round()
         if not self._reached(s, start):
             return False
@@ -449,26 +449,14 @@ class EdgeColorProgram(VertexProgram):
 
     # -- bottom --------------------------------------------------------------
 
-    def _slot_bot_wait(self, s: EdgeSlot) -> bool:
-        g = s.grp
-        if g.parent is not None and g.parent.undecided:
-            return False
-        s.stage = "bot_lin"
-        self._lin_reached(g, 0)
-        return True
-
-    def _lin_reached(self, g: _Group, it: int):
-        if len(g.lin) == it:
-            g.lin.append(0)
-        g.lin[it] += 1
-        if g.lin[it] == len(g.members):
-            self._dirty.update(g.members)
-
     def _slot_bot_lin(self, s: EdgeSlot) -> bool:
         plans = self.bottom.lin_plans
         lvl = len(self.levels)
         g = s.grp
         it = len(s.lin_hist) - 1
+        # every group edge must have reached this Linial iteration
+        if g.lin[it] < len(g.members):
+            return False
         if it == len(plans):
             s.phi = s.lin_hist[-1]
             lin_rnd = s.exch[K_BLIN, lvl, len(plans) - 1].ready_round() if plans else 0
@@ -480,9 +468,6 @@ class EdgeColorProgram(VertexProgram):
         cur = s.lin_hist[it]
         ex = s.exch[K_BLIN, lvl, it]
         if ex.mine is None:
-            # every group edge must have reached this Linial iteration
-            if g.lin[it] < len(g.members):
-                return False
             cols = [self.slots[w].lin_hist[it] for w in g.members if w != s.nbr]
             bits = conflict_bitmap(cur, cols, plan)
             self._submit(s.nbr, K_BLIN, lvl, it, _bitmap(bits, plan.q), 256)
@@ -496,7 +481,9 @@ class EdgeColorProgram(VertexProgram):
                 f"to {s.nbr} in iteration {it} (incident-degree bound violated)"
             )
         s.lin_hist.append(step_color(cur, x, plan))
-        self._lin_reached(g, it + 1)
+        g.lin[it + 1] += 1
+        if g.lin[it + 1] == len(g.members):
+            self._dirty.update(g.members)
         return True
 
     def _bot_key(self, u: int) -> Tuple[int, int]:
@@ -556,20 +543,22 @@ def edge_color_direct(
     # paced runs reserve one slot per phi value, so a level-independent phi
     # palette makes the per-level round cost uniform
     plan = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
-    run_params = {"plan": plan, "rank": edge_ids(g), "paced": paced}
-    report = run(
-        g,
-        EdgeColorProgram,
-        msg_mode=msg_mode,
-        round_cap=DIRECT_ROUND_CAP,
-        params=run_params,
-        budget_factor=budget_factor,
+    col, report = _run_edge_program(
+        g, plan, paced, msg_mode=msg_mode, round_cap=DIRECT_ROUND_CAP, budget_factor=budget_factor
     )
-    col = _merge_edge_outputs(g, report, plan.suffix[0])
-    _check_endpoint_consistency(g, report)
     report.extra["vartheta"] = plan.suffix[0]
     report.extra["level_lambdas"] = plan.lambdas
     report.flags.append("setup: edge Ids assigned by global dense rank")
+    return col, report
+
+
+def _run_edge_program(g: Graph, plan: RecursionPlan, paced: bool = False, **run_kw):
+    """Run EdgeColorProgram on plan; both endpoints of every edge must report
+    the same color and the same decisions on the way to it."""
+    run_params = {"plan": plan, "rank": edge_ids(g), "paced": paced}
+    report = run(g, EdgeColorProgram, params=run_params, **run_kw)
+    col = _merge_edge_outputs(g, report, plan.suffix[0])
+    _check_endpoint_consistency(g, report)
     return col, report
 
 
@@ -587,9 +576,7 @@ def _check_endpoint_consistency(g: Graph, report: SimReport):
 def edge_color_2delta_minus_1(g: Graph) -> Tuple[EdgeColoring, SimReport]:
     """Legal edge coloring with palette <= 2*delta-1 (bottom stage only)."""
     hat = max(2 * (g.delta - 1), 0)  # incident-degree bound of the edge set
-    run_params = {"plan": RecursionPlan((), bottom_plan(g.m, hat)), "rank": edge_ids(g)}
-    report = run(g, EdgeColorProgram, params=run_params)
-    return _merge_edge_outputs(g, report, hat + 1), report
+    return _run_edge_program(g, RecursionPlan((), bottom_plan(g.m, hat)))
 
 
 def edge_color_via_line_graph(

@@ -79,7 +79,6 @@ class ExperimentSpec:
     msg_mode: str = "wide"
     repetitions: int = 1
     seed: int = 0
-    output: Optional[str] = None
 
     def __post_init__(self):
         for name, types in _FIELD_TYPES.items():

@@ -31,6 +31,7 @@ from .legal import (
 from .numbers import linial_schedule, step_plan
 from .params import (
     ParamError,
+    ParamReader,
     preset_improved_s42,
     recursion_schedule,
     vartheta_of_schedule,
@@ -73,11 +74,13 @@ class TradeoffParams:
 
     def resolve(self) -> GFn:
         name, _, arg = self.g_fn.partition(":")
+        # an argument must be a finite float, as any float parameter must
+        read = ParamReader({name: arg} if arg else {}, "g_fn")
         if name == "const":
-            k = float(arg) if arg else 1.0
+            k = read.take(name, float, 1.0)
             return lambda d: k
         if name == "power":
-            a = float(arg) if arg else 0.5
+            a = read.take(name, float, 0.5)
             return lambda d: float(d) ** a
         if name == "log":
             return lambda d: max(math.log2(max(d, 2)), 1.0)

@@ -177,7 +177,7 @@ def run(
     round_no = 0
 
     def partial_report() -> SimReport:
-        return _report(rounds_done, max_bits, max_mux, insts, halted, flags, flag_overflow)
+        return _report(rounds_done, max_bits, max_mux, insts, flags, flag_overflow)
 
     while True:
         round_no += 1
@@ -285,7 +285,7 @@ def run(
                 partial_report(),
             )
 
-    report = _report(rounds_done, max_bits, max_mux, insts, halted, flags, flag_overflow)
+    report = _report(rounds_done, max_bits, max_mux, insts, flags, flag_overflow)
     if record_transcript:
         report.extra["transcript"] = transcript
     report.extra["budget_bits"] = budget
@@ -293,7 +293,7 @@ def run(
     return report
 
 
-def _report(rounds, max_bits, max_mux, insts, halted, flags, flag_overflow) -> SimReport:
+def _report(rounds, max_bits, max_mux, insts, flags, flag_overflow) -> SimReport:
     rep = SimReport(
         rounds=rounds,
         max_msg_bits=max_bits,

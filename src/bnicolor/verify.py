@@ -5,6 +5,7 @@ nothing here depends on how a coloring was produced.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -35,64 +36,52 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def check_vertex_coloring(g: Graph, col: VertexColoring) -> VerificationReport:
-    """Exact scan: legality, measured defect, palette overflow, defect claim."""
-    missing = [v for v in g.vertices if v not in col.colors]
+def _check(items, col, nouns, agreeing) -> VerificationReport:
+    """The exact scan both checkers share. items lists every vertex or every
+    edge of the graph; nouns name them and the items outside it in a refusal.
+    Once col colors exactly the items, agreeing() gives each item's count of
+    neighbors of its color, in item order."""
+    c = col.colors
+    missing = [x for x in items if x not in c]
     if missing:
-        raise ValueError(f"partial coloring, uncolored vertices: {missing[:10]}")
-    if len(col.colors) != g.n:
-        extra = sorted(v for v in col.colors if v not in g.adj)
-        raise ValueError(f"coloring names vertices the graph lacks: {extra[:10]}")
-    violated: List[Tuple[str, object]] = []
-    defect = 0
-    worst = None
-    for v in g.vertices:
-        same = sum(1 for u in g.adj[v] if col.colors[u] == col.colors[v])
-        if same > defect:
-            defect, worst = same, v
-    legal = defect == 0
-    for v in g.vertices:
-        if not (1 <= col.colors[v] <= col.palette):
-            violated.append(("palette-overflow", (v, col.colors[v])))
+        raise ValueError(f"partial coloring, uncolored {nouns[0]}: {missing[:10]}")
+    if len(c) != len(items):
+        known = set(items)
+        extra = sorted(x for x in c if x not in known)
+        raise ValueError(f"coloring names {nouns[1]}: {extra[:10]}")
+    same = agreeing()
+    defect = max(same, default=0)
+    worst = items[same.index(defect)] if defect else None
+    violated = [("palette-overflow", (x, c[x])) for x in items if not 1 <= c[x] <= col.palette]
     if defect > col.claimed_defect:
         violated.append(("claimed-defect-exceeded", worst))
-    return VerificationReport(legal, defect, col.colors_used(), violated)
+    return VerificationReport(defect == 0, defect, col.colors_used(), violated)
+
+
+def check_vertex_coloring(g: Graph, col: VertexColoring) -> VerificationReport:
+    """Exact scan: legality, measured defect, palette overflow, defect claim."""
+    c = col.colors
+    return _check(
+        g.vertices,
+        col,
+        ("vertices", "vertices the graph lacks"),
+        lambda: [[c[u] for u in g.adj[v]].count(c[v]) for v in g.vertices],
+    )
 
 
 def check_edge_coloring(g: Graph, col: EdgeColoring) -> VerificationReport:
-    """Incidence analogue of check_vertex_coloring."""
-    edges = g.edges()
-    missing = [e for e in edges if e not in col.colors]
-    if missing:
-        raise ValueError(f"partial coloring, uncolored edges: {missing[:10]}")
-    if len(col.colors) != len(edges):
-        known = set(edges)
-        extra = sorted(e for e in col.colors if e not in known)
-        raise ValueError(f"coloring names pairs that are not edges of the graph: {extra[:10]}")
-    violated: List[Tuple[str, object]] = []
-    defect = 0
-    worst = None
-    for u, w in edges:
-        k = col.colors[(u, w)]
-        same = 0
-        for v in (u, w):
-            other = w if v == u else u
-            for z in g.adj[v]:
-                if z == other:
-                    continue
-                e2 = (v, z) if v < z else (z, v)
-                if col.colors[e2] == k:
-                    same += 1
-        if same > defect:
-            defect, worst = same, (u, w)
-    legal = defect == 0
-    for e in edges:
-        if not (1 <= col.colors[e] <= col.palette):
-            violated.append(("palette-overflow", (e, col.colors[e])))
-    if defect > col.claimed_defect:
-        violated.append(("claimed-defect-exceeded", worst))
-    used = len(set(col.colors.values()))
-    return VerificationReport(legal, defect, used, violated)
+    """Incidence analogue of check_vertex_coloring: an edge's defect is the
+    number of edges of its color at its two endpoints, itself excluded."""
+    edges, c = g.edges(), col.colors
+
+    def agreeing():
+        at: Dict[int, Counter] = {v: Counter() for v in g.vertices}
+        for u, w in edges:
+            at[u][c[u, w]] += 1
+            at[w][c[u, w]] += 1
+        return [at[u][c[u, w]] + at[w][c[u, w]] - 2 for u, w in edges]
+
+    return _check(edges, col, ("edges", "pairs that are not edges of the graph"), agreeing)
 
 
 BRUTE_CHI_CAP = 14

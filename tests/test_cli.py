@@ -111,6 +111,10 @@ _GND_D3 = [*_GND, "--gen-param", "d=3"]
 _PROB_MESSAGE = "random_gnd needs prob to be a real number in [0, 1], got"
 _PROB_NOT_FLOAT = "random_gnd parameter prob must be float, got"
 _SWEEP_MESSAGE = "--sweep needs key=v1,v2,... (dotted keys allowed), got"
+# tradeoff g_fn arguments that are no finite float
+_G_FN_NOT_FINITE = [
+    ("power", "x"), ("power", "nan"), ("const", "nan"), ("const", "inf"), ("power", "1e400"),
+]
 
 
 class TestMalformedParameters:
@@ -271,6 +275,14 @@ class TestMalformedParameters:
                 ["run", *_GND_D3, "--preset", "thm48_3", "--param", "eps=12345.5"],
                 "thm48_3 needs eps > 0 and log^eps delta < 2**1000, got eps = 24691/2",
             ),
+            *[
+                (
+                    ["run", *_GND, "--gen-param", "d=8", "--algorithm", "tradeoff",
+                     "--param", f"g_fn={fn}:{arg}"],
+                    f"g_fn parameter {fn} must be float, got {arg!r}",
+                )
+                for fn, arg in _G_FN_NOT_FINITE
+            ],
         ],
         ids=[
             "prob-not-a-number", "prob-above-1", "prob-negative", "prob-nan", "missing-d",
@@ -286,6 +298,7 @@ class TestMalformedParameters:
             "sweep-without-values", "sweep-key-through-seed", "sweep-key-through-d",
             "legal-msg-mode-short", "linial-preset", "param-named-like-a-spec-field", "c-true",
             "n-true", "kappa-true", "thm45-eps-denominator", "thm48-3-eps-overflow",
+            *[f"g-fn-{fn}-{arg}" for fn, arg in _G_FN_NOT_FINITE],
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):
@@ -435,6 +448,10 @@ class TestSpecFile:
         ),
         "generator-a-number": ('{"generator": 7}', "spec field 'generator' must be str, not int\n"),
         "generator-missing": ('{"gen_params": {"n": 3}}', "spec field 'generator' is required\n"),
+        "output-field": (
+            '{"generator": "path", "gen_params": {"n": 3}, "output": "out.csv"}',
+            "unknown spec fields: ['output']\n",
+        ),
     }
 
     @staticmethod

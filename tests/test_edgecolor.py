@@ -110,6 +110,21 @@ class TestBottomOnly:
         col = _merge_edge_outputs(g, report, hat + 1)
         assert check_edge_coloring(g, col).legal and col.colors_used() == 300
 
+    def test_endpoint_histories_compared(self, monkeypatch):
+        """Both endpoints must record the same final (round, bottom color,
+        color), not only output the same color."""
+        greedy = EdgeColorProgram._slot_greedy
+
+        def skewed(self, s):
+            moved = greedy(self, s)
+            if s.color is not None and self.ctx.vid == 1:
+                s.tele["final"][0] = -1
+            return moved
+
+        monkeypatch.setattr(EdgeColorProgram, "_slot_greedy", skewed)
+        with pytest.raises(SimError, match=r"final history differs on \(1,2\)"):
+            edge_color_2delta_minus_1(path_graph(3))
+
     @given(small_graphs(max_n=9))
     @settings(max_examples=20, deadline=None)
     def test_legal_within_2delta_minus_1(self, g):
@@ -237,10 +252,10 @@ def _rescanned_groups(prog):
 
 def _check_tallies(prog):
     for s in prog.slots.values():
-        assert prog.groups[(s.level, tuple(s.hist))] is s.grp
+        assert prog.groups[(len(s.hist), tuple(s.hist))] is s.grp
         members = [prog.slots[w] for w in s.grp.members]
         if s.stage == "loop" and s.grp.ready == len(members):
-            lvl = s.level
+            lvl = len(s.hist)
             smaller = [w for w in members if w.phi < s.phi]
             assert s.wait == sum(len(w.hist) == lvl for w in smaller)
             assert s.psi_counts == [
@@ -261,8 +276,9 @@ class TestGroupIndex:
             lambda: edge_color_direct(random_gnd(16, 8, seed=1), SMALL_EDGE, msg_mode="short"),
             lambda: edge_color_direct(complete_graph(7), SMALL_EDGE, msg_mode="wide", paced=True),
             lambda: edge_color_2delta_minus_1(random_gnd(12, 5, seed=2)),
+            lambda: edge_color_direct(random_gnd(60, 12, seed=3), SMALL_EDGE, msg_mode="wide"),
         ],
-        ids=["short", "wide-paced", "2delta"],
+        ids=["short", "wide-paced", "2delta", "bottom-wait"],
     )
     def test_index_matches_rescan_after_every_step(self, monkeypatch, run_it):
         step = EdgeColorProgram.step
@@ -344,24 +360,15 @@ class TestChecksWithoutAsserts:
         ]
 
 
-def _transcript_digest(monkeypatch):
+def _transcript_digest(monkeypatch, make_runs):
     """sha256 over the transcript (round, src, dst, bits), telemetry and
-    outputs of a fixed set of small EdgeColorProgram runs."""
+    outputs of the EdgeColorProgram runs that make_runs returns."""
     real_run = edgecolor.run
     monkeypatch.setattr(
         edgecolor, "run", lambda *a, **kw: real_run(*a, record_transcript=True, **kw)
     )
-    runs = []
-    for g in (random_gnd(16, 8, seed=1), complete_graph(7)):
-        for mode in ("wide", "short"):
-            for paced in (False, True):
-                runs.append(edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced))
-    runs.append(
-        edge_color_direct(random_gnd(16, 8, seed=1), SMALL_EDGE, msg_mode="short", budget_factor=2)
-    )
-    runs.append(edge_color_2delta_minus_1(cycle_graph(60)))
     h = hashlib.sha256()
-    for _, report in runs:
+    for _, report in make_runs():
         doc = [report.extra["transcript"], report.telemetry, report.outputs]
         h.update(json.dumps(canonical(doc), sort_keys=True).encode())
     return h.hexdigest()
@@ -373,8 +380,40 @@ class TestTranscriptGuard:
     # the bottom Linial exchange, which no benchmark workload does
     DIGEST = "238c854bc6b625a5c59de33d097f923407fd1efd46ec67be16a7d3a751efad94"
 
+    @staticmethod
+    def _runs():
+        runs = []
+        for g in (random_gnd(16, 8, seed=1), complete_graph(7)):
+            for mode in ("wide", "short"):
+                for paced in (False, True):
+                    runs.append(edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced))
+        runs.append(
+            edge_color_direct(random_gnd(16, 8, seed=1), SMALL_EDGE, msg_mode="short", budget_factor=2)
+        )
+        runs.append(edge_color_2delta_minus_1(cycle_graph(60)))
+        return runs
+
     def test_transcript_telemetry_outputs_unchanged(self, monkeypatch):
-        assert _transcript_digest(monkeypatch) == self.DIGEST
+        assert _transcript_digest(monkeypatch, self._runs) == self.DIGEST
+
+
+class TestBottomStart:
+    # recorded at commit a1409d3, before bottom groups started through
+    # `_start_group`; on this input a bottom group's Linial wait blocks an
+    # edge, so the digest pins when each bottom group starts
+    DIGEST = "53e2f648885888b0fe4f7ef7049f5fffab242abe732bf1f9271085cb15edbdd7"
+
+    @staticmethod
+    def _runs():
+        g = random_gnd(60, 12, seed=3)
+        return [
+            edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced)
+            for mode in ("wide", "short")
+            for paced in (False, True)
+        ]
+
+    def test_transcript_telemetry_outputs_unchanged(self, monkeypatch):
+        assert _transcript_digest(monkeypatch, self._runs) == self.DIGEST
 
 
 def _every_chunk_wakes(step):
@@ -415,9 +454,9 @@ class TestWakeRule:
 class TestWorkCount:
     def test_slot_handlers_run_on_completed_payloads(self, monkeypatch):
         """On the first input of the benchmark's edge_short workload (seed 1),
-        the slot handlers run at most 6,500 times (6,308 now; 6,750 with
-        separate stages for the label and readiness waits, 11,176 when every
-        received chunk woke its slot)."""
+        the slot handlers run at most 6,000 times (5,862 now; 6,308 with a
+        separate bot_wait stage, 6,750 with separate stages for the label and
+        readiness waits too, 11,176 when every received chunk woke its slot)."""
         calls = [0]
         for name in [n for n in vars(EdgeColorProgram) if n.startswith("_slot_")]:
 
@@ -437,7 +476,7 @@ class TestWorkCount:
         )
         report = run_experiment(spec)
         assert report["verification"]["legal"] and report["rounds"] == 416
-        assert calls[0] <= 6500
+        assert calls[0] <= 6000
 
 
 class TestExchangeLength:

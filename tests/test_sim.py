@@ -231,7 +231,7 @@ def _frozen_run(
     round_no = 0
 
     def partial_report():
-        return _report(rounds_done, max_bits, max_mux, insts, halted, flags, flag_overflow)
+        return _report(rounds_done, max_bits, max_mux, insts, flags, flag_overflow)
 
     while True:
         round_no += 1
@@ -311,7 +311,7 @@ def _frozen_run(
                 partial_report(),
             )
 
-    report = _report(rounds_done, max_bits, max_mux, insts, halted, flags, flag_overflow)
+    report = _report(rounds_done, max_bits, max_mux, insts, flags, flag_overflow)
     if record_transcript:
         report.extra["transcript"] = transcript
     report.extra["budget_bits"] = budget

@@ -8,6 +8,7 @@ from bnicolor.coloring import EdgeColoring, VertexColoring
 from bnicolor.generators import complete_graph, cycle_graph, path_graph
 from bnicolor.graph import graph_from_edges
 from bnicolor.verify import (
+    VerificationReport,
     brute_chromatic_number,
     check_defect_pigeonhole,
     check_edge_coloring,
@@ -82,6 +83,114 @@ class TestEdgeChecker:
         col = EdgeColoring({(1, 2): 1, (2, 3): 2, (1, 3): 3}, 3, 0)
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
             check_edge_coloring(path_graph(3), col)
+
+
+def _frozen_check_vertex_coloring(g, col):
+    """`check_vertex_coloring` as it was before both checkers shared one
+    scan, verbatim, kept as an oracle."""
+    missing = [v for v in g.vertices if v not in col.colors]
+    if missing:
+        raise ValueError(f"partial coloring, uncolored vertices: {missing[:10]}")
+    if len(col.colors) != g.n:
+        extra = sorted(v for v in col.colors if v not in g.adj)
+        raise ValueError(f"coloring names vertices the graph lacks: {extra[:10]}")
+    violated = []
+    defect = 0
+    worst = None
+    for v in g.vertices:
+        same = sum(1 for u in g.adj[v] if col.colors[u] == col.colors[v])
+        if same > defect:
+            defect, worst = same, v
+    legal = defect == 0
+    for v in g.vertices:
+        if not (1 <= col.colors[v] <= col.palette):
+            violated.append(("palette-overflow", (v, col.colors[v])))
+    if defect > col.claimed_defect:
+        violated.append(("claimed-defect-exceeded", worst))
+    return VerificationReport(legal, defect, col.colors_used(), violated)
+
+
+def _frozen_check_edge_coloring(g, col):
+    """`check_edge_coloring` as it was before both checkers shared one scan
+    (an O(m * delta) rescan of each edge's neighborhood), verbatim."""
+    edges = g.edges()
+    missing = [e for e in edges if e not in col.colors]
+    if missing:
+        raise ValueError(f"partial coloring, uncolored edges: {missing[:10]}")
+    if len(col.colors) != len(edges):
+        known = set(edges)
+        extra = sorted(e for e in col.colors if e not in known)
+        raise ValueError(f"coloring names pairs that are not edges of the graph: {extra[:10]}")
+    violated = []
+    defect = 0
+    worst = None
+    for u, w in edges:
+        k = col.colors[(u, w)]
+        same = 0
+        for v in (u, w):
+            other = w if v == u else u
+            for z in g.adj[v]:
+                if z == other:
+                    continue
+                e2 = (v, z) if v < z else (z, v)
+                if col.colors[e2] == k:
+                    same += 1
+        if same > defect:
+            defect, worst = same, (u, w)
+    legal = defect == 0
+    for e in edges:
+        if not (1 <= col.colors[e] <= col.palette):
+            violated.append(("palette-overflow", (e, col.colors[e])))
+    if defect > col.claimed_defect:
+        violated.append(("claimed-defect-exceeded", worst))
+    used = len(set(col.colors.values()))
+    return VerificationReport(legal, defect, used, violated)
+
+
+def _outcome(check, g, col):
+    try:
+        return check(g, col).to_dict()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def _colorings(draw, edge):
+    """A graph and a vertex or edge coloring of it with few colors (so with
+    defects), colors outside the palette, and at times uncolored items and
+    items the graph lacks: other Ids, non-edges, reversed edges and pairs
+    with an endpoint that is no vertex."""
+    g = draw(small_graphs(max_n=8))
+    items = g.edges() if edge else list(g.vertices)
+    palette = draw(st.integers(0, 4))
+    colors = {x: draw(st.integers(-1, palette + 1)) for x in items}
+    if items and draw(st.integers(0, 3)) == 0:
+        for x in draw(st.sets(st.sampled_from(items), min_size=1)):
+            del colors[x]
+    if draw(st.integers(0, 3)) == 0:
+        ids = st.integers(-1, g.n + 2)
+        outside = st.tuples(ids, ids) if edge else ids
+        for x in draw(st.lists(outside, min_size=1, max_size=3)):
+            if x not in colors and (not edge or x[0] != x[1]):
+                colors[x] = draw(st.integers(1, 3))
+    made = EdgeColoring if edge else VertexColoring
+    return g, made(colors, palette, draw(st.integers(0, 3)))
+
+
+class TestCheckersMatchFrozen:
+    @given(_colorings(edge=False))
+    @settings(max_examples=300, deadline=None)
+    def test_vertex_checker(self, drawn):
+        g, col = drawn
+        got = _outcome(check_vertex_coloring, g, col)
+        assert got == _outcome(_frozen_check_vertex_coloring, g, col)
+
+    @given(_colorings(edge=True))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_checker(self, drawn):
+        g, col = drawn
+        got = _outcome(check_edge_coloring, g, col)
+        assert got == _outcome(_frozen_check_edge_coloring, g, col)
 
 
 class TestBruteChromatic:
