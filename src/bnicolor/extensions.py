@@ -23,10 +23,10 @@ from .legal import (
     LevelPlan,
     RecursionPlan,
     RecursiveColorProgram,
-    _level_plans,
     bottom_plan,
     draw_classes,
     legal_color,
+    level_plans,
 )
 from .numbers import linial_schedule, step_plan
 from .params import (
@@ -61,16 +61,20 @@ class TradeoffParams:
     g_fn: str  # "const:k", "power:a", or "log"
     eta: float
 
-    def validate(self, delta: int):
+    def validate(self, delta: int) -> float:
+        """Refuse eta and g_fn, else return q = g(delta) ** (1 / (1 - eta))."""
         if not (0 < self.eta < 1):
             raise ParamError(f"eta must be in (0, 1), got {self.eta}")
         fn = self.resolve()
         probe = sorted({1, 2, max(delta // 2, 1), max(delta, 1)})
-        values = [fn(d) for d in probe]
-        if any(v < 1 for v in values):
-            raise ParamError(f"g_fn must be >= 1 over 1..{delta}")
-        if any(b < a for a, b in zip(values, values[1:])):
-            raise ParamError(f"g_fn must be non-decreasing over 1..{delta}")
+        try:
+            values = [fn(d) for d in probe]
+            q = values[-1] ** (1.0 / (1.0 - self.eta))
+        except OverflowError:
+            raise ParamError(f"g_fn {self.g_fn!r} at eta {self.eta} overflows a float") from None
+        if values[0] < 1 or values != sorted(values):
+            raise ParamError(f"g_fn must be >= 1 and non-decreasing over 1..{delta}")
+        return q
 
     def resolve(self) -> GFn:
         name, _, arg = self.g_fn.partition(":")
@@ -165,8 +169,7 @@ def tradeoff_color(
     if c < 1:
         raise ParamError("c must be positive")
     delta = max(g.delta, 1)
-    params.validate(delta)
-    q = params.resolve()(delta) ** (1.0 / (1.0 - params.eta))
+    q = params.validate(delta)
     p_t = math.ceil(delta / q)
     if p_t <= 1:
         inner = preset_improved_s42(c, delta)
@@ -183,8 +186,8 @@ def tradeoff_color(
     pre = LevelPlan(delta, kuhn.palette, kuhn.palette, tuple(plans), kuhn, kind="pre_kuhn")
     inner_params = preset_improved_s42(c, max(claimed, 2))
     schedule = recursion_schedule(inner_params, max(claimed, 1))
-    inner = _level_plans("fast", schedule, inner_params, n0)
-    plan = RecursionPlan((pre,) + inner.levels, inner.bottom)
+    levels, _ = level_plans("fast", schedule[:-1], inner_params, n0)
+    plan = RecursionPlan((pre,) + levels, bottom_plan(n0, schedule[-1]))
     report = run(g, RecursiveColorProgram, params={"plan": plan})
     colors = {v: out["color"] for v, out in report.outputs.items()}
     col = VertexColoring(colors, plan.suffix[0], 0)

@@ -19,10 +19,10 @@ be earlier than the worst-case schedule.
 Linial phases are numbered as `RecursionPlan.phases`: one per level, then the
 bottom's, whose last color is reduced greedily and kept in `cur_lin`. Stores
 are positional: `lin_at[phase][it]` maps the vertex and its neighbors to their
-colors after Linial iteration `it` (iteration 0 is the Ids, or for a `from_rho`
-bottom the same dict as the level-0 finals), `kuhn_at[lvl]` is the store a
-level's defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at`
-hold the neighbors' phi, psi and reduced bottom colors.
+colors after Linial iteration `it` (iteration 0 is the Ids), `kuhn_at[lvl]` is
+the store a level's defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and
+`red_at` hold the neighbors' phi, psi and reduced bottom colors. Under
+`RecursionPlan.rho`, every `kuhn_at` and the bottom's iteration 0 are rho.
 
 Every message goes to all of `same`, the neighbors in the vertex's current
 subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
@@ -68,9 +68,9 @@ class LevelPlan:
     """One defective level: the Linial phase and defective step that give phi,
     then the recolor loop into psi in 1..p.
 
-    rho_global: the defective step reads the level-0 Linial colors, not this
-    level's. kind "pre_random" takes psi from the run's "classes" param (vertex
-    Id -> class, from `draw_classes`), "pre_kuhn" takes phi as psi.
+    The defective step reads this level's Linial colors, or rho under
+    `RecursionPlan.rho`. kind "pre_random" takes psi from the run's "classes"
+    param (vertex Id -> class, from `draw_classes`), "pre_kuhn" takes phi as psi.
     Edge levels use p_prime, the round-robin label palette (phi = label pair).
     """
 
@@ -79,33 +79,33 @@ class LevelPlan:
     phi_palette: int
     lin_plans: Tuple[PolyPlan, ...] = ()
     kuhn_plan: Optional[PolyPlan] = None
-    rho_global: bool = False
     kind: str = "std"
     p_prime: int = 0
 
 
 @dataclass(frozen=True)
 class BottomPlan:
-    """The final level: Linial down from start_palette (from the level-0 Linial
-    colors when from_rho, else from the Ids), then a greedy reduction to
-    1..target."""
+    """The final level: Linial down from start_palette (from the Ids, or from
+    rho under `RecursionPlan.rho`), then a greedy reduction to 1..target."""
 
     target: int
     lin_plans: Tuple[PolyPlan, ...]
     start_palette: int
-    from_rho: bool = False
 
 
-def bottom_plan(start_palette: int, hat: int, from_rho: bool = False) -> BottomPlan:
+def bottom_plan(start_palette: int, hat: int) -> BottomPlan:
     """The bottom of a subgraph of degree <= hat: hat + 1 colors."""
     plans = tuple(linial_schedule(start_palette, max(hat, 1)))
-    return BottomPlan(hat + 1, plans, start_palette, from_rho)
+    return BottomPlan(hat + 1, plans, start_palette)
 
 
 @dataclass(frozen=True)
 class RecursionPlan:
     """The levels and the bottom of one recursion; bottom None stops every
     vertex after level 0's psi.
+
+    rho (the paper's improved recursion): level 0's Linial colors, rho, start
+    every defective step and the bottom, so the plan needs a level and a bottom.
 
     suffix[i] is the palette width of one level-i subgraph's block and
     suffix[0] the whole palette; `color` adds (psi_i - 1) * suffix[i + 1] over
@@ -114,6 +114,11 @@ class RecursionPlan:
 
     levels: Tuple[LevelPlan, ...]
     bottom: Optional[BottomPlan]
+    rho: bool = False
+
+    def __post_init__(self):
+        if self.rho and not (self.levels and self.bottom):
+            raise ParamError("a rho plan needs a level and a bottom")
 
     @cached_property
     def suffix(self) -> Tuple[int, ...]:
@@ -207,40 +212,26 @@ def draw_classes(seed: int, vids: Sequence[int], p: int) -> List[int]:
     return classes.tolist()
 
 
-def _level_plans(
+def level_plans(
     mode: str,
-    schedule: List[int],
+    lambdas: Sequence[int],
     params: Union[DefectiveParams, LegalParams],
     n0: int,
-) -> RecursionPlan:
-    """Pure arithmetic: per-level linial/defective-step plans plus the bottom.
+) -> Tuple[Tuple[LevelPlan, ...], Optional[int]]:
+    """Pure arithmetic: the defective levels of degree bounds lambdas, and the
+    palette of rho, level 0's Linial colors, which every level after the first
+    reuses in improved mode (None in the other modes or without a level).
     Of params only b and p are read."""
     levels: List[LevelPlan] = []
     rho_palette = None
-    for i, Lam in enumerate(schedule[:-1]):
-        d = Lam // (params.b * params.p)
-        if mode == "improved":
-            if i == 0:
-                plans = linial_schedule(n0, max(Lam, 1))
-                rho_palette = plans[-1].palette if plans else n0
-            else:
-                plans = []
-            kuhn = step_plan(rho_palette, Lam, d)
-        else:
-            plans = linial_schedule(n0, max(Lam, 1))
-            local_pal = plans[-1].palette if plans else n0
-            # simple: the legal coloring itself serves as the 0-defective phi
-            kuhn = step_plan(local_pal, Lam, d) if mode == "fast" else None
-        phi_palette = kuhn.palette if kuhn else local_pal
-        levels.append(
-            LevelPlan(Lam, params.p, phi_palette, tuple(plans), kuhn, mode == "improved")
-        )
-    hat = schedule[-1]
-    if mode == "improved" and rho_palette is not None:
-        bottom = bottom_plan(rho_palette, hat, from_rho=True)
-    else:
-        bottom = bottom_plan(n0, hat)
-    return RecursionPlan(tuple(levels), bottom)
+    for Lam in lambdas:
+        plans = tuple(linial_schedule(n0, max(Lam, 1))) if rho_palette is None else ()
+        palette = rho_palette or (plans[-1].palette if plans else n0)
+        rho_palette = palette if mode == "improved" else None
+        # simple: the legal coloring itself serves as the 0-defective phi
+        kuhn = None if mode == "simple" else step_plan(palette, Lam, Lam // (params.b * params.p))
+        levels.append(LevelPlan(Lam, params.p, kuhn.palette if kuhn else palette, plans, kuhn))
+    return tuple(levels), rho_palette
 
 
 class RecursiveColorProgram(VertexProgram):
@@ -259,12 +250,10 @@ class RecursiveColorProgram(VertexProgram):
         # positional color stores (see the module docstring)
         ids = {u: u for u in (ctx.vid, *ctx.neighbors)}
         self.lin_at = [[ids] + [{} for _ in plans] for plans in plan.phases]
-        if self.bottom is not None and self.bottom.from_rho:
-            self.lin_at[-1][0] = self.lin_at[0][-1]
-        self.kuhn_at = [
-            self.lin_at[0 if level.rho_global else lvl][-1]
-            for lvl, level in enumerate(self.levels)
-        ]
+        self.kuhn_at = [phase[-1] for phase in self.lin_at[: len(self.levels)]]
+        if plan.rho:  # rho starts every defective step and the bottom's Linial phase
+            self.kuhn_at = [self.kuhn_at[0]] * len(self.levels)
+            self.lin_at[-1][0] = self.kuhn_at[0]
         self.phi_at: List[Dict[int, int]] = [{} for _ in self.levels]
         self.psi_at: List[Dict[int, int]] = [{} for _ in self.levels]
         self.red_at: Dict[int, int] = {}
@@ -497,7 +486,7 @@ def defective_color(
     if phi_mode not in ("fast", "simple"):
         raise ParamError(f"phi_mode must be fast or simple, got {phi_mode!r}")
     params.validate(delta=g.delta)
-    levels = _level_plans(phi_mode, [params.Lambda, 0], params, max(g.id_bound, 1)).levels
+    levels, _ = level_plans(phi_mode, [params.Lambda], params, max(g.id_bound, 1))
     report = run(g, RecursiveColorProgram, params={"plan": RecursionPlan(levels, None)})
     psi = VertexColoring(
         {v: out["psi"] for v, out in report.outputs.items()},
@@ -520,7 +509,9 @@ def legal_plan(g: Graph, params: LegalParams, phi_mode: str = "fast") -> Recursi
     Lambda0 = max(g.delta, 1)
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
-    plan = _level_plans(phi_mode, schedule, params, max(g.id_bound, 1))
+    n0 = max(g.id_bound, 1)
+    levels, rho = level_plans(phi_mode, schedule[:-1], params, n0)
+    plan = RecursionPlan(levels, bottom_plan(rho or n0, schedule[-1]), rho is not None)
     vartheta = vartheta_of_schedule(schedule, params.p)
     if plan.suffix[0] != vartheta:
         raise ParamError(
@@ -540,6 +531,6 @@ def legal_color(
     colors = {v: out["color"] for v, out in report.outputs.items()}
     report.extra["vartheta"] = plan.suffix[0]
     report.extra["level_lambdas"] = plan.lambdas
-    if phi_mode == "improved" and plan.levels:
+    if plan.rho:
         report.extra["rho_rounds"] = len(plan.levels[0].lin_plans)
     return VertexColoring(colors, plan.suffix[0], 0), report

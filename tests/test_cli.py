@@ -283,6 +283,14 @@ class TestMalformedParameters:
                 )
                 for fn, arg in _G_FN_NOT_FINITE
             ],
+            *[
+                (
+                    ["run", *_GND, "--gen-param", "d=8", "--algorithm", "tradeoff",
+                     "--param", f"g_fn={fn}:1e300"],
+                    f"g_fn '{fn}:1e300' at eta 0.25 overflows a float",
+                )
+                for fn in ("power", "const")
+            ],
         ],
         ids=[
             "prob-not-a-number", "prob-above-1", "prob-negative", "prob-nan", "missing-d",
@@ -299,6 +307,7 @@ class TestMalformedParameters:
             "legal-msg-mode-short", "linial-preset", "param-named-like-a-spec-field", "c-true",
             "n-true", "kappa-true", "thm45-eps-denominator", "thm48-3-eps-overflow",
             *[f"g-fn-{fn}-{arg}" for fn, arg in _G_FN_NOT_FINITE],
+            "g-fn-power-overflow", "g-fn-const-overflow",
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):

@@ -28,10 +28,11 @@ from bnicolor.legal import (
     BottomPlan,
     RecursionPlan,
     RecursiveColorProgram,
-    _level_plans,
+    bottom_plan,
     defective_color,
     legal_color,
     legal_plan,
+    level_plans,
 )
 from bnicolor.params import (
     DefectiveParams,
@@ -81,7 +82,7 @@ class TestDefectiveColor:
         Lam = g.delta
         params = DefectiveParams(b, p, Lam, 2)
         _, report = defective_color(g, params)
-        level = _level_plans("fast", [Lam, 0], params, g.id_bound).levels[0]
+        (level,), _ = level_plans("fast", [Lam], params, g.id_bound)
         plan = level.kuhn_plan
         bound = plan.k * Lam // plan.q
         assert bound <= Lam // (b * p)
@@ -175,10 +176,40 @@ class TestRecursionPlan:
             if edge_route:
                 plans = [edge_level_plans(schedule, params, 500, u) for u in (False, True)]
             else:
-                plans = [_level_plans(mode, schedule, params, 500) for mode in PHI_MODES]
+                plans = []
+                for mode in PHI_MODES:
+                    levels, rho = level_plans(mode, schedule[:-1], params, 500)
+                    bottom = bottom_plan(rho or 500, schedule[-1])
+                    plans.append(RecursionPlan(levels, bottom, rho is not None))
             for plan in plans:
                 assert len(plan.levels) == len(schedule) - 1
                 assert plan.suffix[0] == vartheta
+
+    @pytest.mark.parametrize(
+        "levels,bottom",
+        [((), bottom_plan(8, 2)), (level_plans("fast", [6], LegalParams(1, 2, 6, 1), 8)[0], None)],
+        ids=["no-level", "no-bottom"],
+    )
+    def test_rho_needs_a_level_and_a_bottom(self, levels, bottom):
+        """Without a level, the bottom would start from its own final store;
+        without a bottom, rho starts nothing after level 0."""
+        RecursionPlan(levels, bottom)
+        with pytest.raises(ParamError, match="rho plan needs a level and a bottom"):
+            RecursionPlan(levels, bottom, rho=True)
+
+    @pytest.mark.parametrize("n,d,seed,n_levels", [(60, 8, 1, 0), (60, 12, 2, 0), (60, 40, 3, 2)])
+    def test_improved_sets_rho_only_with_a_level(self, n, d, seed, n_levels):
+        """Improved mode without a level is fast mode: rho is off and the
+        coloring and rounds are fast's; with a level rho is on."""
+        g = random_gnd(n, d, seed=seed)
+        params = LegalParams(1, 9, 12, 2)
+        plan = legal_plan(g, params, "improved")
+        assert (len(plan.levels), plan.rho) == (n_levels, n_levels > 0)
+        if not plan.rho:
+            col, report = legal_color(g, params, "improved")
+            fast_col, fast_report = legal_color(g, params, "fast")
+            assert col == fast_col and report.rounds == fast_report.rounds
+            assert "rho_rounds" not in report.extra
 
 
 class TestReadinessCursors:
@@ -410,7 +441,7 @@ def _transcript_digest(monkeypatch):
 class TestTranscriptGuard:
     # recorded at commit 306a4f7, before RecursiveColorProgram moved to
     # positional per-phase stores; the runs cover every phi mode on dense and
-    # sparse Ids (a from_rho bottom with and without Linial iterations), the
+    # sparse Ids (a rho plan with and without Linial iterations), the
     # bottom-less defective route, both extension levels and the line-graph
     # route
     DIGEST = "52f8e1a5f582263b27b9ba92666e56835467c17b0a7daad75c0e0fb1c10ebd17"
