@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from math import gcd
 from numbers import Integral
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 
 class GraphError(ValueError):
@@ -186,16 +186,12 @@ def edge_ids(g: Graph) -> Dict[Tuple[int, int], int]:
     return {e: i + 1 for i, e in enumerate(g.edges())}
 
 
-class LineGraphMap:
-    """Line graph together with the edge <-> vertex correspondence; a
+class LineGraphMap(NamedTuple):
+    """Line graph together with the host edge of each of its vertices; a
     line-graph vertex Id is the edge's `edge_ids` Id."""
 
-    __slots__ = ("lg", "edge_of", "vertex_of")
-
-    def __init__(self, lg: Graph, edge_of: Dict[int, Tuple[int, int]]):
-        self.lg = lg
-        self.edge_of = edge_of
-        self.vertex_of = {e: v for v, e in edge_of.items()}
+    lg: Graph
+    edge_of: Dict[int, Tuple[int, int]]
 
 
 def build_line_graph(g: Graph) -> LineGraphMap:

@@ -19,10 +19,11 @@ be earlier than the worst-case schedule.
 Linial phases are numbered as `RecursionPlan.phases`: one per level, then the
 bottom's, whose last color is reduced greedily and kept in `cur_lin`. Stores
 are positional: `lin_at[phase][it]` maps the vertex and its neighbors to their
-colors after Linial iteration `it` (iteration 0 is the Ids), `kuhn_at[lvl]` is
-the store a level's defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and
-`red_at` hold the neighbors' phi, psi and reduced bottom colors. Under
-`RecursionPlan.rho`, every `kuhn_at` and the bottom's iteration 0 are rho.
+colors after Linial iteration `it`, `kuhn_at[lvl]` is the store a level's
+defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at` hold the
+neighbors' phi, psi and reduced bottom colors. Iteration 0 is the Ids, the
+read-only `range(n + 1)` that maps Id u to u. Under `RecursionPlan.rho`, every
+`kuhn_at` and the bottom's iteration 0 are rho.
 
 Every message goes to all of `same`, the neighbors in the vertex's current
 subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
@@ -244,11 +245,11 @@ class RecursiveColorProgram(VertexProgram):
         self.rnd = 0
         self.hist: List[int] = []
         self.phis: Dict[int, int] = {}
-        self.same: List[int] = []
+        self.same: Sequence[int] = ()
         self.level = -1
         self.stage = "enter"
         # positional color stores (see the module docstring)
-        ids = {u: u for u in (ctx.vid, *ctx.neighbors)}
+        ids = range(ctx.n + 1)
         self.lin_at = [[ids] + [{} for _ in plans] for plans in plan.phases]
         self.kuhn_at = [phase[-1] for phase in self.lin_at[: len(self.levels)]]
         if plan.rho:  # rho starts every defective step and the bottom's Linial phase
@@ -315,7 +316,7 @@ class RecursiveColorProgram(VertexProgram):
     def _do_enter(self, out) -> bool:
         lvl = self.level
         if lvl < 0:
-            self.same = list(self.ctx.neighbors)
+            self.same = self.ctx.neighbors
         else:
             psis = self.psi_at[lvl]
             if not self._ready(self.same, psis):

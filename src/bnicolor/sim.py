@@ -24,7 +24,7 @@ handed in through `params`.
 Several destinations of one outbox may share one batch object (a broadcast).
 The run accounts such a batch once, for the run of consecutive destinations
 holding it: its bits, the maximum width and multiplexing, and its inbox
-entries are computed once and reused; the transcript row, the short-mode
+entries are computed once and reused; the `on_send` call, the short-mode
 budget flag and the locality rule stay per destination. The run never
 mutates a batch, and a program must not mutate one after returning it.
 """
@@ -142,9 +142,13 @@ def run(
     round_cap: int = DEFAULT_ROUND_CAP,
     params: Optional[Dict[str, Any]] = None,
     budget_factor: int = 1,
-    record_transcript: bool = False,
+    on_send: Optional[Callable[[int, int, int, int], None]] = None,
 ) -> SimReport:
     """Execute `program` on every vertex of g until all halt.
+
+    on_send(round, sender, dst, bits), if given, is called per destination of
+    each non-empty batch (bits: the batch's bit sum) in delivery order: rounds
+    never decrease; within one, senders ascend, each in outbox order.
 
     Raises RoundCapExceeded / DeadlockError with a partial report attached,
     and LocalityViolation if a program addresses a non-neighbor.
@@ -173,7 +177,6 @@ def run(
     flags: List[str] = []
     flag_overflow = 0
     budget_violations = 0
-    transcript: List[Tuple[int, int, int, int]] = []
     round_no = 0
 
     def partial_report() -> SimReport:
@@ -236,21 +239,19 @@ def run(
                     acted = True
                     if k > 1:
                         nxt[dst].extend(entries)
-                        if record_transcript:
-                            transcript.append((round_no, v, dst, b))
-                        continue
-                    if short and b > budget:
-                        budget_violations += 1
-                        if len(flags) < MAX_FLAGS:
-                            flags.append(
-                                f"round {round_no}: {b}b message {v}->{dst} exceeds "
-                                f"budget {budget}b"
-                            )
-                        else:
-                            flag_overflow += 1
-                    if record_transcript:
-                        transcript.append((round_no, v, dst, b))
-                    nxt[dst].append(entry)
+                    else:
+                        if short and b > budget:
+                            budget_violations += 1
+                            if len(flags) < MAX_FLAGS:
+                                flags.append(
+                                    f"round {round_no}: {b}b message {v}->{dst} exceeds "
+                                    f"budget {budget}b"
+                                )
+                            else:
+                                flag_overflow += 1
+                        nxt[dst].append(entry)
+                    if on_send is not None:
+                        on_send(round_no, v, dst, b)
                 if not local:
                     dst = next(d for d in out if d not in nbrs)
                     raise LocalityViolation(
@@ -286,8 +287,6 @@ def run(
             )
 
     report = _report(rounds_done, max_bits, max_mux, insts, flags, flag_overflow)
-    if record_transcript:
-        report.extra["transcript"] = transcript
     report.extra["budget_bits"] = budget
     report.extra["budget_violations"] = budget_violations
     return report
@@ -327,38 +326,42 @@ def run_on_line_graph(
     endpoint. Adjacent edges (su, sw) and (du, dw) share exactly one endpoint:
     su if su is one of du, dw, else sw. A hop whose owner is the shared
     endpoint stays on that host and costs no host message.
+
+    Each logical message is folded into host load as it is sent (`on_send`).
+    Round r loads only host rounds 2r + 1 and 2r + 2, and `run` never goes
+    back a round, so r's counts are final once a later round sends: only the
+    current round's counts are kept.
     """
     if lgm is None:
         lgm = build_line_graph(g)
-    logical = run(
-        lgm.lg,
-        program,
-        msg_mode="wide",
-        params=params,
-        record_transcript=True,
-    )
-    transcript = logical.extra.pop("transcript")
-    addr_bits = ceil_log2(max(lgm.lg.id_bound, 2))
     edge_of = lgm.edge_of
-    # host load: (host round, directed host edge) -> message count
+    # the current round r's load: (hop h, directed host edge) -> count, in host round 2r + h
     load: Dict[Tuple[int, int, int], int] = {}
-    logical_max_bits = 0
-    for rnd, src_e, dst_e, bits in transcript:
+    cur = mux = logical_max_bits = 0  # cur stays 0 until the first send
+
+    def fold(rnd, src_e, dst_e, bits):
+        nonlocal cur, mux, logical_max_bits
+        if rnd != cur:
+            mux = max(mux, max(load.values(), default=0))
+            load.clear()
+            cur = rnd
         su, sw = edge_of[src_e]
         du, dw = edge_of[dst_e]
         shared = su if su == du or su == dw else sw
         if bits > logical_max_bits:
             logical_max_bits = bits
-        # after the 2 setup rounds: owner -> shared in 2rnd+1, shared -> owner in 2rnd+2
         if su != shared:
-            key = (2 * rnd + 1, su, shared)
+            key = (1, su, shared)
             load[key] = load.get(key, 0) + 1
         if du != shared:
-            key = (2 * rnd + 2, shared, du)
+            key = (2, shared, du)
             load[key] = load.get(key, 0) + 1
-    host_max_bits = logical_max_bits + addr_bits if transcript else 0
+
+    logical = run(lgm.lg, program, msg_mode="wide", params=params, on_send=fold)
+    mux = max(mux, max(load.values(), default=0))
+    addr_bits = ceil_log2(max(lgm.lg.id_bound, 2))
+    host_max_bits = logical_max_bits + addr_bits if cur else 0
     host_rounds = 2 * logical.rounds + 2
-    mux = max(load.values(), default=0)
     # setup round: each vertex tells each neighbor all its incident edge Ids
     setup_mux = g.delta
     report = SimReport(

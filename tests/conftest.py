@@ -40,6 +40,28 @@ def spread_ids(g: Graph, seed: int = 0) -> Graph:
     return Graph(ids, [(new[u], new[w]) for u, w in g.edges()])
 
 
+def recording(run, transcripts):
+    """`run` (`sim.run`, or a stand-in with its signature) that records every
+    call's messages: each call appends a list to `transcripts` and passes an
+    `on_send` that adds one row (round, sender, dst, bits) to it per
+    destination, in delivery order, and hands the row on to the caller's own
+    `on_send`, if any. The list is appended before the run starts, so a run
+    that raises leaves the rows it sent."""
+
+    def recorded_run(*args, on_send=None, **kwargs):
+        rows = []
+        transcripts.append(rows)
+
+        def record(*row):
+            rows.append(row)
+            if on_send is not None:
+                on_send(*row)
+
+        return run(*args, on_send=record, **kwargs)
+
+    return recorded_run
+
+
 def canonical(obj):
     """JSON-ready copy with str dict keys and lists for tuples."""
     if isinstance(obj, dict):

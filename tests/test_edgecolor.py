@@ -34,7 +34,7 @@ from bnicolor.params import LegalParams, ParamError
 from bnicolor.sim import Context, Message, SimError, run
 from bnicolor.verify import check_edge_coloring
 
-from conftest import canonical, connected_graphs, small_graphs
+from conftest import canonical, connected_graphs, recording, small_graphs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # recurses from max degree 4 on: [6, 3] at degree 4, [14, 6, 3] at degree 8
@@ -363,13 +363,13 @@ class TestChecksWithoutAsserts:
 def _transcript_digest(monkeypatch, make_runs):
     """sha256 over the transcript (round, src, dst, bits), telemetry and
     outputs of the EdgeColorProgram runs that make_runs returns."""
-    real_run = edgecolor.run
-    monkeypatch.setattr(
-        edgecolor, "run", lambda *a, **kw: real_run(*a, record_transcript=True, **kw)
-    )
+    transcripts = []
+    monkeypatch.setattr(edgecolor, "run", recording(edgecolor.run, transcripts))
+    runs = make_runs()
+    assert len(transcripts) == len(runs)
     h = hashlib.sha256()
-    for _, report in make_runs():
-        doc = [report.extra["transcript"], report.telemetry, report.outputs]
+    for transcript, (_, report) in zip(transcripts, runs):
+        doc = [transcript, report.telemetry, report.outputs]
         h.update(json.dumps(canonical(doc), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -430,11 +430,15 @@ def _every_chunk_wakes(step):
 class TestWakeRule:
     @staticmethod
     def _runs(g):
-        runs = [edge_color_2delta_minus_1(g)]
-        for mode in ("wide", "short"):
-            for paced in (False, True):
-                runs.append(edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced))
-        return [canonical([r.extra["transcript"], r.telemetry, r.outputs]) for _, r in runs]
+        transcripts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edgecolor, "run", recording(edgecolor.run, transcripts))
+            runs = [edge_color_2delta_minus_1(g)]
+            for mode in ("wide", "short"):
+                for paced in (False, True):
+                    runs.append(edge_color_direct(g, SMALL_EDGE, msg_mode=mode, paced=paced))
+        assert len(transcripts) == len(runs)
+        return [canonical([t, r.telemetry, r.outputs]) for t, (_, r) in zip(transcripts, runs)]
 
     @given(connected_graphs(max_n=9), st.integers(0, 2))
     @settings(max_examples=15, deadline=None)
@@ -443,10 +447,8 @@ class TestWakeRule:
         that waking it on every chunk reaches: the same transcripts,
         telemetry and outputs on every direct mode and the 2Δ-1 route."""
         g = graph_from_edges(g.n + isolated, g.edges())
-        real_run = edgecolor.run
+        new = self._runs(g)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(edgecolor, "run", lambda *a, **kw: real_run(*a, record_transcript=True, **kw))
-            new = self._runs(g)
             mp.setattr(EdgeColorProgram, "step", _every_chunk_wakes(EdgeColorProgram.step))
             assert self._runs(g) == new
 

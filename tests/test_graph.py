@@ -204,7 +204,8 @@ class TestLineGraph:
         assert lgm.lg.n == 6
         assert lgm.lg.delta == 4
         assert lgm.edge_of[1] == (1, 2)
-        assert lgm.vertex_of[(1, 2)] == 1
+        vertex_of = {e: v for v, e in lgm.edge_of.items()}
+        assert vertex_of[(1, 2)] == 1
 
     def test_line_of_path(self):
         lgm = build_line_graph(graph_from_edges(4, [(1, 2), (2, 3), (3, 4)]))
@@ -248,7 +249,9 @@ class TestLineGraphMatchesFrozen:
         lg, edge_of = _frozen_build_line_graph(g)
         assert lgm.lg == lg and lgm.lg.delta == lg.delta
         assert lgm.edge_of == edge_of
-        assert lgm.vertex_of == {e: v for v, e in edge_of.items()}
+        # edge_of is a bijection from the line-graph vertices onto g's edges
+        assert sorted(lgm.edge_of) == list(lgm.lg.vertices)
+        assert sorted(lgm.edge_of.values()) == g.edges()
 
 
 class TestIndependence:

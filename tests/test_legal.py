@@ -11,7 +11,7 @@ from bnicolor import extensions, legal, sim
 from bnicolor.base import Outbox
 from bnicolor.coloring import VertexColoring
 from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
-from bnicolor.experiment import ExperimentSpec, run_experiment
+from bnicolor.experiment import ExperimentSpec, report_json, run_experiment
 from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
 from bnicolor.generators import (
     clique_pendant,
@@ -47,7 +47,7 @@ from bnicolor.params import (
 from bnicolor.sim import Context, Message, run
 from bnicolor.verify import check_defect_pigeonhole, check_edge_coloring, check_vertex_coloring
 
-from conftest import canonical, connected_graphs
+from conftest import canonical, connected_graphs, recording
 
 
 def line_graph_of_random(n, d, seed):
@@ -378,11 +378,13 @@ class TestBroadcastOutbox:
 
         g = line_graph_of_random(24, 8, seed=1)
         params = {"plan": legal_plan(g, TWO_LEVELS, phi_mode)}
-        plain = run(g, RecursiveColorProgram, params=params, record_transcript=True)
+        transcripts = []
+        plain = recording(run, transcripts)(g, RecursiveColorProgram, params=params)
         monkeypatch.setattr(legal, "Outbox", Recording)
-        checked = run(g, Checked, params=params, record_transcript=True)
+        checked = recording(run, transcripts)(g, Checked, params=params)
         assert checked.to_json() == plain.to_json()
         assert checked.extra == plain.extra
+        assert transcripts[1] == transcripts[0]
         assert narrowed
 
 
@@ -407,16 +409,9 @@ def _transcript_digest(monkeypatch):
     run, and the telemetry and outputs of every report, of a fixed set of
     small RecursiveColorProgram runs."""
     transcripts = []
-    real_run = sim.run
-
-    def recording_run(*args, **kwargs):
-        kwargs["record_transcript"] = True
-        report = real_run(*args, **kwargs)
-        transcripts.append(report.extra["transcript"])
-        return report
-
+    recorded_run = recording(sim.run, transcripts)
     for module in (legal, extensions, sim):
-        monkeypatch.setattr(module, "run", recording_run)
+        monkeypatch.setattr(module, "run", recorded_run)
     reports = []
     lg = line_graph_of_random(24, 8, seed=1)
     for g in (lg, _spaced(lg, 1009), complete_graph(8)):
@@ -448,3 +443,35 @@ class TestTranscriptGuard:
 
     def test_transcript_telemetry_outputs_unchanged(self, monkeypatch):
         assert _transcript_digest(monkeypatch) == self.DIGEST
+
+
+class TestLinialIterationReport:
+    # recorded at commit aea904c, when iteration 0 was still a per-vertex
+    # dict of Ids; no golden spec or benchmark input runs a Linial iteration
+    SHA256 = "80ee4869272bf5d8eb30cc3da8bc5bbe39ab2851992dfdba03878d9ded956ef0"
+
+    def test_report_bytes(self, monkeypatch):
+        """The custom legal run on random_gnd(2000, 8) takes a bottom Linial
+        iteration, which reads iteration 0, the Id range, and its report
+        bytes stay as recorded."""
+        plans = []
+        real_run = legal.run
+
+        def capturing_run(g, program, params):
+            plans.append(params["plan"])
+            return real_run(g, program, params=params)
+
+        monkeypatch.setattr(legal, "run", capturing_run)
+        spec = ExperimentSpec(
+            "random_gnd",
+            {"n": 2000, "d": 8},
+            algorithm="legal",
+            preset="custom",
+            params={"b": 1, "p": 9, "lam": 12, "c": 2},
+            seed=3,
+        )
+        report = run_experiment(spec)
+        [plan] = plans
+        assert sum(map(len, plan.phases)) >= 1
+        assert report["rounds"] == 12
+        assert hashlib.sha256(report_json(report).encode()).hexdigest() == self.SHA256

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bnicolor import sim
 from bnicolor.generators import complete_graph, cycle_graph, path_graph
 from bnicolor.graph import build_line_graph, graph_from_edges
 from bnicolor.numbers import ceil_log2
@@ -22,7 +23,7 @@ from bnicolor.sim import (
     run_on_line_graph,
 )
 
-from conftest import small_graphs
+from conftest import recording, small_graphs
 
 
 class Silent(VertexProgram):
@@ -203,7 +204,7 @@ def _frozen_run(
     round_cap=DEFAULT_ROUND_CAP,
     params=None,
     budget_factor=1,
-    record_transcript=False,
+    on_send=None,
 ):
     """`sim.run` as it was before the delivery loop was rewritten, kept as an
     oracle: every vertex scanned each round, every batch summed, halted
@@ -227,7 +228,6 @@ def _frozen_run(
     flags = []
     flag_overflow = 0
     budget_violations = 0
-    transcript = []
     round_no = 0
 
     def partial_report():
@@ -277,8 +277,8 @@ def _frozen_run(
                         )
                     else:
                         flag_overflow += 1
-                if record_transcript:
-                    transcript.append((round_no, v, dst, bits))
+                if on_send is not None:
+                    on_send(round_no, v, dst, bits)
                 outgoing.setdefault(dst, []).extend((v, m) for m in batch)
             if insts[v].output is not None and v not in halted:
                 halted[v] = round_no
@@ -312,8 +312,6 @@ def _frozen_run(
             )
 
     report = _report(rounds_done, max_bits, max_mux, insts, flags, flag_overflow)
-    if record_transcript:
-        report.extra["transcript"] = transcript
     report.extra["budget_bits"] = budget
     report.extra["budget_violations"] = budget_violations
     return report
@@ -365,15 +363,18 @@ class Scripted(VertexProgram):
         return out
 
 
-def _outcome(runner, g, script, program=Scripted, **kwargs):
-    """The step log and the report, or the raised error with its partial report."""
-    log = []
+def _outcome(runner, g, script, program=Scripted, transcribe=False, **kwargs):
+    """The step log, the report or the raised error with its partial report,
+    and, with `transcribe`, the rows `on_send` saw, also up to an error."""
+    log, transcripts = [], []
+    if transcribe:
+        runner = recording(runner, transcripts)
     try:
         rep = runner(g, program, params={**script, "log": log}, **kwargs)
     except SimError as exc:
         part = exc.partial
-        return log, (type(exc), str(exc), part.to_json(), part.extra, part.flags)
-    return log, ("ok", rep.to_json(), rep.extra, rep.flags, rep.telemetry)
+        return log, (type(exc), str(exc), part.to_json(), part.extra, part.flags), transcripts
+    return log, ("ok", rep.to_json(), rep.extra, rep.flags, rep.telemetry), transcripts
 
 
 SCRIPTS = st.fixed_dictionaries(
@@ -388,7 +389,7 @@ RUN_OPTIONS = st.fixed_dictionaries(
     {
         "msg_mode": st.sampled_from(["short", "wide"]),
         "budget_factor": st.sampled_from([1, 2]),
-        "record_transcript": st.booleans(),
+        "transcribe": st.booleans(),
         "round_cap": st.sampled_from([6, 40]),
     }
 )
@@ -407,7 +408,7 @@ class TestRunMatchesFrozenLoop:
         seen = set()
         for k in range(120):
             script = {"script": k, "halt": (0.0, 0.1, 0.4)[k % 3], "rude": 0.03, "max_batch": k % 4}
-            options = {"msg_mode": ("short", "wide")[k % 2], "round_cap": 25}
+            options = {"msg_mode": ("short", "wide")[k % 2], "round_cap": 25, "transcribe": True}
             new = _outcome(run, g, script, **options)
             assert new == _outcome(_frozen_run, g, script, **options)
             seen.add(new[1][0])
@@ -445,12 +446,12 @@ class TestSharedBatches:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("msg_mode", ["short", "wide"])
     @pytest.mark.parametrize("budget_factor", [1, 2])
-    @pytest.mark.parametrize("record_transcript", [False, True])
-    def test_locality_violation_after_a_shared_run(self, k, msg_mode, budget_factor, record_transcript):
+    @pytest.mark.parametrize("transcribe", [False, True])
+    def test_locality_violation_after_a_shared_run(self, k, msg_mode, budget_factor, transcribe):
         options = {
             "msg_mode": msg_mode,
             "budget_factor": budget_factor,
-            "record_transcript": record_transcript,
+            "transcribe": transcribe,
         }
         script = {"k": k}
         new = _outcome(run, cycle_graph(5), script, program=SharedThenStray, **options)
@@ -504,17 +505,46 @@ def _frozen_host_accounting(lgm, transcript):
     return max(load.values(), default=0), host_max_bits
 
 
+def _round_loads(lgm, transcript):
+    """Each logical round's largest host load, by the oracle."""
+    rounds = sorted({row[0] for row in transcript})
+    return [_frozen_host_accounting(lgm, [row for row in transcript if row[0] == r])[0] for r in rounds]
+
+
+HEAVIEST_FIRST = (complete_graph(4), 353, 3)  # round loads 2, 1, 1: a fold must keep flushed rounds
+LAST_ONLY = (path_graph(3), 1, 3)  # only round 3 sends: a fold must count the final round
+
+
 class TestHostAccountingMatchesFrozen:
+    """`run_on_line_graph` folds host load per logical round as messages are
+    sent; the oracle reads the rows of the same logical run afterwards."""
+
     @given(small_graphs(max_n=9), st.integers(0, 2**32), st.integers(1, 6))
     @example(graph_from_edges(5, []), 0, 3)
     @example(graph_from_edges(6, [(1, 2), (2, 3), (4, 5)]), 1, 4)
+    @example(*HEAVIEST_FIRST)
+    @example(*LAST_ONLY)
     @settings(max_examples=80, deadline=None)
     def test_mux_and_bits_equal_the_oracle(self, g, script, T):
-        params = {"script": script, "T": T}
-        report = run_on_line_graph(g, Gossip, params=params)
-        lgm = build_line_graph(g)
-        logical = run(lgm.lg, Gossip, params=params, record_transcript=True)
-        mux, host_max_bits = _frozen_host_accounting(lgm, logical.extra["transcript"])
+        transcripts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "run", recording(run, transcripts))
+            report = run_on_line_graph(g, Gossip, params={"script": script, "T": T})
+        [transcript] = transcripts
+        mux, host_max_bits = _frozen_host_accounting(build_line_graph(g), transcript)
+        assert "transcript" not in report.extra
         assert report.extra["host_mux_recolor"] == mux
         assert report.max_msg_bits == max(host_max_bits, 2 * ceil_log2(max(g.id_bound, 2)))
         assert report.msgs_per_edge_round == max(mux, g.delta)
+
+    @pytest.mark.parametrize(
+        "example,loads", [(HEAVIEST_FIRST, [2, 1, 1]), (LAST_ONLY, [1])], ids=["heaviest-first", "last-only"]
+    )
+    def test_examples_have_their_shape(self, example, loads):
+        g, script, T = example
+        lgm = build_line_graph(g)
+        transcripts = []
+        recording(run, transcripts)(lgm.lg, Gossip, params={"script": script, "T": T})
+        [transcript] = transcripts
+        assert _round_loads(lgm, transcript) == loads
+        assert transcript[0][0] == T - len(loads) + 1
