@@ -10,20 +10,27 @@ a globally unique palette slot by pure arithmetic (`RecursionPlan.color`).
 `linial_coloring` is a plan with no levels and a bottom target that no Linial
 final exceeds, so it runs the bottom Linial phase alone.
 
-The recursion is realized as phases of one program: all sibling subgraphs
-advance in the same global rounds, and a vertex knows its subgraph from its own
-psi-history, so no coordination is needed. Progress is event-driven: a vertex
-advances a phase as soon as the messages it depends on have arrived, which can
-be earlier than the worst-case schedule.
+The recursion is realized as one program: all sibling subgraphs advance in
+the same global rounds, and a vertex knows its subgraph from its own
+psi-history, so no coordination is needed. A vertex's run is one generator,
+`RecursiveColorProgram._program`, that walks the levels in order and, wherever
+it needs its neighbors' colors, runs `while not self._ready(nbrs, store):
+yield`; `step` files what arrives and resumes it unless the awaited neighbor
+is still missing. So a vertex moves on as soon as its messages have arrived,
+which can be earlier than the worst-case schedule. Every vertex's generator
+stays suspended between steps, and two rules keep that cheap: its body holds
+no comprehension or lambda (on Python 3.10 and 3.11 each local one reads would
+become a closure cell per vertex), and it holds a step's outbox only while
+that step runs.
 
 Linial phases are numbered as `RecursionPlan.phases`: one per level, then the
-bottom's, whose last color is reduced greedily and kept in `cur_lin`. Stores
-are positional: `lin_at[phase][it]` maps the vertex and its neighbors to their
-colors after Linial iteration `it`, `kuhn_at[lvl]` is the store a level's
-defective step reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at` hold the
-neighbors' phi, psi and reduced bottom colors. Iteration 0 is the Ids, the
-read-only `range(n + 1)` that maps Id u to u. Under `RecursionPlan.rho`, every
-`kuhn_at` and the bottom's iteration 0 are rho.
+bottom's, whose last color is reduced greedily. Stores are positional:
+`lin_at[phase][it]` maps the vertex and its neighbors to their colors after
+Linial iteration `it`, `kuhn_at[lvl]` is the store a level's defective step
+reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at` hold the neighbors' phi,
+psi and reduced bottom colors. Iteration 0 is the Ids, the read-only
+`range(n + 1)` that maps Id u to u. Under `RecursionPlan.rho`, every `kuhn_at`
+and the bottom's iteration 0 are rho.
 
 Every message goes to all of `same`, the neighbors in the vertex's current
 subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
@@ -240,35 +247,25 @@ class RecursiveColorProgram(VertexProgram):
         super().__init__(ctx)
         plan: RecursionPlan = ctx.params["plan"]
         self.plan = plan
-        self.levels = plan.levels
-        self.bottom = plan.bottom
         self.rnd = 0
         self.hist: List[int] = []
         self.phis: Dict[int, int] = {}
-        self.same: Sequence[int] = ()
-        self.level = -1
-        self.stage = "enter"
         # positional color stores (see the module docstring)
         ids = range(ctx.n + 1)
         self.lin_at = [[ids] + [{} for _ in plans] for plans in plan.phases]
-        self.kuhn_at = [phase[-1] for phase in self.lin_at[: len(self.levels)]]
+        self.kuhn_at = [phase[-1] for phase in self.lin_at[: len(plan.levels)]]
         if plan.rho:  # rho starts every defective step and the bottom's Linial phase
-            self.kuhn_at = [self.kuhn_at[0]] * len(self.levels)
+            self.kuhn_at = [self.kuhn_at[0]] * len(plan.levels)
             self.lin_at[-1][0] = self.kuhn_at[0]
-        self.phi_at: List[Dict[int, int]] = [{} for _ in self.levels]
-        self.psi_at: List[Dict[int, int]] = [{} for _ in self.levels]
+        self.phi_at: List[Dict[int, int]] = [{} for _ in plan.levels]
+        self.psi_at: List[Dict[int, int]] = [{} for _ in plan.levels]
         self.red_at: Dict[int, int] = {}
-        # Linial phase state; after the bottom's phase, the bottom color
-        self.lin_iter = 0
-        self.cur_lin = ctx.vid
-        # the one wait the state machine is blocked on, or None: (nbrs, store, i)
+        # the one wait the program is blocked on, or None: (nbrs, store, i)
         # with nbrs[i] the first neighbor still missing from store
         self.wait: Optional[Tuple[List[int], Dict[int, int], int]] = None
-        self.smaller: Optional[List[int]] = None  # same-neighbors with smaller phi
-        self.bigger: Optional[List[int]] = None  # bottom competitors to reduce first
         self.telemetry = {"r_phi": {}, "r_psi": {}}
-
-    # -- message handling ----------------------------------------------------
+        self._out: Optional[Outbox] = None  # the outbox of the step in progress
+        self._run = self._program()
 
     def step(self, round_no, inbox):
         for u, msg in inbox:
@@ -306,162 +303,128 @@ class RecursiveColorProgram(VertexProgram):
         self.wait = (nbrs, store, i) if i < n else None
         return i == n
 
-    # -- the state machine ---------------------------------------------------
+    def _advance(self, out: Outbox):
+        """Run the program until it waits or halts, broadcasting into out."""
+        self._out = out
+        next(self._run, None)
+        self._out = None
 
-    def _advance(self, out):
-        progress = True
-        while progress and self.output is None:
-            progress = getattr(self, "_do_" + self.stage)(out)
+    def _program(self):
+        """The vertex's run: per level the Linial phase, phi and the recolor
+        loop into psi, then (the last of `RecursionPlan.phases`) the bottom's
+        Linial phase and greedy reduction. It holds no comprehension or lambda.
 
-    def _do_enter(self, out) -> bool:
-        lvl = self.level
-        if lvl < 0:
-            self.same = self.ctx.neighbors
-        else:
+        A neighbor sends its Linial final before its reduced color, so the
+        reduction first waits for every final, then, above target, for the
+        reduced color of each bigger competitor: a final above target with
+        (final, Id) above its own. In a legal run every reduced color is at
+        most deg + 1 <= target; a degraded class (a degree above target - 1)
+        may reduce above target, which the caller flags from
+        `telemetry["bot_color"]`.
+        """
+        plan, vid = self.plan, self.ctx.vid
+        n_levels = len(plan.levels)
+        same = self.ctx.neighbors
+        for lvl, plans in enumerate(plan.phases):
+            level = plan.levels[lvl] if lvl < n_levels else None
+            if level is not None and level.kind == "pre_random":
+                psi = self.ctx.params["classes"][vid]
+            else:
+                colors_at = self.lin_at[lvl]
+                color = colors_at[0][vid]
+                for it, lin_plan in enumerate(plans):
+                    while not self._ready(same, colors_at[it]):
+                        yield
+                    color = _poly_step(color, colors_at[it], same, lin_plan)
+                    colors_at[it + 1][vid] = color
+                    msg = Message(
+                        (K_LIN, N_KINDS),
+                        (lvl, n_levels + 1),
+                        (it + 1, len(plans) + 1),
+                        (color - 1, lin_plan.palette),
+                    )
+                    self._out.broadcast(same, msg)
+                if level is None:
+                    break
+                phi = color
+                if level.kuhn_plan is not None:
+                    colors = self.kuhn_at[lvl]
+                    while not self._ready(same, colors):
+                        yield
+                    phi = _poly_step(colors[vid], colors, same, level.kuhn_plan)
+                self.phis[lvl] = phi
+                self.telemetry["r_phi"][lvl] = self.rnd
+                msg = Message((K_PHI, N_KINDS), (lvl, n_levels + 1), (phi - 1, level.phi_palette))
+                self._out.broadcast(same, msg)
+                psi = phi
+                if level.kind != "pre_kuhn":
+                    phis = self.phi_at[lvl]
+                    while not self._ready(same, phis):
+                        yield
+                    smaller = _below(same, phis, phi)
+                    while not self._ready(smaller, self.psi_at[lvl]):
+                        yield
+                    psi = _least_used(smaller, self.psi_at[lvl], level.p)
+            self.hist.append(psi)
+            self.telemetry["r_psi"][lvl] = self.rnd
+            msg = Message((K_PSI, N_KINDS), (lvl, n_levels + 1), (psi - 1, level.p))
+            self._out.broadcast(same, msg)
+            if plan.bottom is None:
+                self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
+                return
             psis = self.psi_at[lvl]
-            if not self._ready(self.same, psis):
-                return False
-            self.same = [u for u in self.same if psis[u] == self.hist[lvl]]
-        self.level = lvl = lvl + 1
-        if lvl < len(self.levels) and self.levels[lvl].kind == "pre_random":
-            self._decide_psi(out, self.ctx.params["classes"][self.ctx.vid])
-            return True
-        self.stage = "lin"
-        self.lin_iter = 0
-        self.cur_lin = self.lin_at[lvl][0][self.ctx.vid]
-        return True
-
-    def _do_lin(self, out) -> bool:
-        lvl = self.level
-        plans = self.plan.phases[lvl]
-        colors_at = self.lin_at[lvl]
-        progress = False
-        while self.lin_iter < len(plans):
-            it = self.lin_iter
-            colors = colors_at[it]
-            if not self._ready(self.same, colors):
-                break
-            cols = [colors[u] for u in self.same]
-            plan = plans[it]
-            x, _ = choose_point(self.cur_lin, cols, plan)
-            self.cur_lin = step_color(self.cur_lin, x, plan)
-            self.lin_iter += 1
-            colors_at[self.lin_iter][self.ctx.vid] = self.cur_lin
-            msg = Message(
-                (K_LIN, N_KINDS),
-                (lvl, len(self.levels) + 1),
-                (self.lin_iter, len(plans) + 1),
-                (self.cur_lin - 1, plan.palette),
-            )
-            out.broadcast(self.same, msg)
-            progress = True
-        if self.lin_iter == len(plans):
-            self.stage = "phi" if lvl < len(self.levels) else "bot_red"
-            return True
-        return progress
-
-    def _do_phi(self, out) -> bool:
-        lvl = self.level
-        level = self.levels[lvl]
-        plan = level.kuhn_plan
-        if plan is None:
-            phi = self.cur_lin
-        else:
-            colors = self.kuhn_at[lvl]
-            if not self._ready(self.same, colors):
-                return False
-            cols = [colors[u] for u in self.same]
-            own = colors[self.ctx.vid]
-            x, _ = choose_point(own, cols, plan)
-            phi = step_color(own, x, plan)
-        self.phis[lvl] = phi
-        self.telemetry["r_phi"][lvl] = self.rnd
-        msg = Message(
-            (K_PHI, N_KINDS),
-            (lvl, len(self.levels) + 1),
-            (phi - 1, level.phi_palette),
-        )
-        out.broadcast(self.same, msg)
-        if level.kind == "pre_kuhn":
-            self._decide_psi(out, phi)
-        else:
-            self.stage = "psi"
-        return True
-
-    def _do_psi(self, out) -> bool:
-        lvl = self.level
-        if self.smaller is None:
-            phis = self.phi_at[lvl]
-            if not self._ready(self.same, phis):
-                return False
-            own_phi = self.phis[lvl]
-            self.smaller = [u for u in self.same if phis[u] < own_phi]
-        psis = self.psi_at[lvl]
-        if not self._ready(self.smaller, psis):
-            return False
-        p = self.levels[lvl].p
-        counts = [0] * (p + 1)
-        for u in self.smaller:
-            counts[psis[u]] += 1
-        psi = min(range(1, p + 1), key=lambda k: (counts[k], k))
-        self._decide_psi(out, psi)
-        return True
-
-    def _decide_psi(self, out, psi: int):
-        lvl = self.level
-        self.smaller = None
-        self.hist.append(psi)
-        self.telemetry["r_psi"][lvl] = self.rnd
-        msg = Message(
-            (K_PSI, N_KINDS),
-            (lvl, len(self.levels) + 1),
-            (psi - 1, self.levels[lvl].p),
-        )
-        out.broadcast(self.same, msg)
-        if self.bottom is None:
-            self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
-            return
-        self.stage = "enter"
-
-    def _do_bot_red(self, out) -> bool:
-        """The greedy reduction of the bottom color to 1..target: neighbors'
-        current colors are their reduced ones, else their Linial finals.
-
-        A neighbor sends its final before its reduced color, so the vertex first
-        waits for every final, then, above target, for the reduced color of each
-        bigger competitor: a final above target with (final, Id) above its own.
-        In a legal run every reduced color is at most deg + 1 <= target; a
-        degraded class (a degree above target - 1) may reduce above target,
-        which the caller flags from `telemetry["bot_color"]`."""
-        finals = self.lin_at[-1][-1]
-        target = self.bottom.target
-        if self.bigger is None:
-            if not self._ready(self.same, finals):
-                return False
-            if self.cur_lin <= target:
-                self._finalize()
-                return True
-            own = (self.cur_lin, self.ctx.vid)
-            self.bigger = [u for u in self.same if finals[u] > target and (finals[u], u) > own]
-        if not self._ready(self.bigger, self.red_at):
-            return False
-        used = {self.red_at.get(u) or finals[u] for u in self.same}
-        k = 1
-        while k in used:
-            k += 1
-        self.cur_lin = k
-        plans = self.bottom.lin_plans
-        final_pal = plans[-1].palette if plans else self.bottom.start_palette
-        msg = Message((K_RED, N_KINDS), (k - 1, max(final_pal, target, self.ctx.n + 2)))
-        out.broadcast(self.same, msg)
-        self._finalize()
-        return True
-
-    def _finalize(self):
+            while not self._ready(same, psis):
+                yield
+            same = _members(same, psis, psi)
+        bottom, finals = plan.bottom, self.lin_at[-1][-1]
+        while not self._ready(same, finals):
+            yield
+        if color > bottom.target:
+            bigger = _bigger(same, finals, bottom.target, (color, vid))
+            while not self._ready(bigger, self.red_at):
+                yield
+            color = _least_free(same, self.red_at, finals)
+            final_pal = plans[-1].palette if plans else bottom.start_palette
+            domain = max(final_pal, bottom.target, self.ctx.n + 2)
+            self._out.broadcast(same, Message((K_RED, N_KINDS), (color - 1, domain)))
         self.telemetry["out_round"] = self.rnd
-        self.telemetry["bot_color"] = self.cur_lin
-        color = self.plan.color(self.cur_lin, self.hist)
-        self.output = {"color": color, "psi_hist": list(self.hist)}
+        self.telemetry["bot_color"] = color
+        self.output = {"color": plan.color(color, self.hist), "psi_hist": list(self.hist)}
+
+
+def _poly_step(own: int, colors: Dict[int, int], nbrs: List[int], plan: PolyPlan) -> int:
+    """own's color after one polynomial step against the colors of nbrs."""
+    x, _ = choose_point(own, [colors[u] for u in nbrs], plan)
+    return step_color(own, x, plan)
+
+
+def _below(nbrs: List[int], phis: Dict[int, int], phi: int) -> List[int]:
+    return [u for u in nbrs if phis[u] < phi]
+
+
+def _members(nbrs: List[int], psis: Dict[int, int], psi: int) -> List[int]:
+    return [u for u in nbrs if psis[u] == psi]
+
+
+def _least_used(smaller: List[int], psis: Dict[int, int], p: int) -> int:
+    """The class in 1..p that the fewest of smaller hold, the least on a tie."""
+    counts = [0] * (p + 1)
+    for u in smaller:
+        counts[psis[u]] += 1
+    return min(range(1, p + 1), key=counts.__getitem__)
+
+
+def _bigger(nbrs: List[int], finals: Dict[int, int], target: int, own: Tuple[int, int]):
+    return [u for u in nbrs if finals[u] > target and (finals[u], u) > own]
+
+
+def _least_free(nbrs: List[int], red_at: Dict[int, int], finals: Dict[int, int]) -> int:
+    """The least color no neighbor holds: its reduced color, else its final."""
+    used = {red_at.get(u) or finals[u] for u in nbrs}
+    k = 1
+    while k in used:
+        k += 1
+    return k
 
 
 # -- wrappers -----------------------------------------------------------------

@@ -319,7 +319,8 @@ def run_on_line_graph(
     every logical message through the shared endpoint: one logical round costs
     two host rounds (owner -> shared endpoint, shared endpoint -> owner), plus
     2 setup rounds in which endpoints learn incident edge Ids. Host rounds =
-    2T + 2. Host messages carry the logical payload plus a destination-edge
+    2T + 2, or 0 on a graph with no edge, which sets up and sends nothing.
+    Host messages carry the logical payload plus a destination-edge
     Id field; per-host-edge multiplexing is counted and reported.
 
     The owner of line-graph vertex e is `lgm.edge_of[e][0]`, the smaller
@@ -361,12 +362,12 @@ def run_on_line_graph(
     mux = max(mux, max(load.values(), default=0))
     addr_bits = ceil_log2(max(lgm.lg.id_bound, 2))
     host_max_bits = logical_max_bits + addr_bits if cur else 0
-    host_rounds = 2 * logical.rounds + 2
     # setup round: each vertex tells each neighbor all its incident edge Ids
     setup_mux = g.delta
+    setup_bits = 2 * ceil_log2(max(g.id_bound, 2)) if g.m else 0
     report = SimReport(
-        rounds=host_rounds,
-        max_msg_bits=max(host_max_bits, 2 * ceil_log2(max(g.id_bound, 2))),
+        rounds=2 * logical.rounds + 2 if g.m else 0,
+        max_msg_bits=max(host_max_bits, setup_bits),
         msgs_per_edge_round=max(mux, setup_mux),
         outputs=logical.outputs,
         flags=list(logical.flags) + ["setup: edge Ids assigned by global dense rank"],

@@ -199,6 +199,18 @@ class TestEdgeViaLineGraph:
         col, report = edge_color_via_line_graph(g, params)
         assert max(col.colors.values()) <= report.extra["vartheta"]
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_edgeless_graph_costs_nothing(self, n):
+        """No edge: no setup and no logical round, so 0 rounds and 0 bits, as
+        the direct and 2*delta-1 routes report."""
+        g = graph_from_edges(n, [])
+        for _, report in (
+            edge_color_via_line_graph(g, SMALL_EDGE),
+            edge_color_direct(g, SMALL_EDGE),
+            edge_color_2delta_minus_1(g),
+        ):
+            assert (report.rounds, report.max_msg_bits, report.msgs_per_edge_round) == (0, 0, 0)
+
     def test_unknown_phi_mode(self):
         # the route builds its plan with legal_color's checks, phi_mode included
         with pytest.raises(ParamError, match="unknown phi_mode 'warp'"):

@@ -534,7 +534,8 @@ class TestHostAccountingMatchesFrozen:
         mux, host_max_bits = _frozen_host_accounting(build_line_graph(g), transcript)
         assert "transcript" not in report.extra
         assert report.extra["host_mux_recolor"] == mux
-        assert report.max_msg_bits == max(host_max_bits, 2 * ceil_log2(max(g.id_bound, 2)))
+        setup_bits = 2 * ceil_log2(max(g.id_bound, 2)) if g.m else 0  # no edge: no setup
+        assert report.max_msg_bits == max(host_max_bits, setup_bits)
         assert report.msgs_per_edge_round == max(mux, g.delta)
 
     @pytest.mark.parametrize(
