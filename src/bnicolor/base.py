@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .coloring import EdgeColoring
 from .graph import Graph
 from .numbers import PolyPlan, agreement_counts, poly_coeffs, poly_eval
@@ -31,7 +29,7 @@ def choose_point(
     q > k*|nbrs| the minimum is 0 and the step preserves legality.
     """
     counts = agreement_counts(own_color, nbr_colors, plan)
-    x = int(np.argmin(counts))
+    x = int(counts.argmin())
     return x, int(counts[x])
 
 

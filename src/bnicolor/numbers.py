@@ -5,7 +5,11 @@ low-degree polynomials over a prime field. `step_plan` chooses the field size q
 and the degree bound k of one step, legal (d = 0) or d-defective, and
 `linial_schedule` iterates legal steps; both are pure arithmetic, shared by the
 algorithms and by the tests' independent oracles. `agreement_counts` is the one
-polynomial-agreement kernel behind the point choice of every reduction step.
+polynomial-agreement kernel behind the point choice of every reduction step. It
+compares memoised value rows, each color's polynomial evaluated at every point
+once per process; its docstring states the memo's bound and dtype rule. No
+plan is refused for its size: k is free, and q is bounded only by the memory
+one row takes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -140,18 +144,27 @@ def poly_eval(coeffs: List[int], x: int, q: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=256)
-def _power_table(plan: PolyPlan) -> Tuple[np.ndarray, int]:
-    """(q, k+1) table of x**j mod q for every point x, and the color bound q**(k+1)."""
-    k, q = plan.k, plan.q
-    if (k + 1) * (q - 1) ** 2 >= 2**63:
-        raise ValueError(f"plan q={q}, k={k} overflows the int64 agreement kernel")
-    table = np.ones((q, k + 1), dtype=np.int64)
-    xs = np.arange(q, dtype=np.int64)
-    for j in range(1, k + 1):
-        table[:, j] = table[:, j - 1] * xs % q
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table, q ** (k + 1)
+class _ValueRows(dict):
+    """Color -> bytes of P_color(0), ..., P_color(q-1) over GF(q), in the
+    narrowest unsigned dtype that holds q-1. A row is built on the color's
+    first lookup, once `poly_coeffs` has accepted the color. `poly_eval`
+    runs over all points at once in int64, exact while q*q < 2**63: up to
+    q = 3*10**9, where one row alone would take 12 GB."""
+
+    def __init__(self, k: int, q: int):
+        self.k, self.q = k, q
+        self.points = np.arange(q, dtype=np.int64)
+        self.dtype = np.min_scalar_type(q - 1)
+
+    def __missing__(self, color: int) -> bytes:
+        values = poly_eval(poly_coeffs(color, self.k, self.q), self.points, self.q)
+        self[color] = values.astype(self.dtype).tobytes()
+        return self[color]
+
+
+@lru_cache(maxsize=64)
+def _value_rows(k: int, q: int) -> _ValueRows:
+    return _ValueRows(k, q)
 
 
 def agreement_counts(own_color: int, nbr_colors: Sequence[int], plan: PolyPlan) -> np.ndarray:
@@ -161,17 +174,13 @@ def agreement_counts(own_color: int, nbr_colors: Sequence[int], plan: PolyPlan) 
     All colors must lie in 1..q**(k+1), as for `poly_coeffs`. A neighbor with
     the own color agrees at every point; repeated neighbor colors count once
     each.
+
+    The counts compare memoised value rows. The memo holds one `_ValueRows`
+    for each of the 64 (k, q) pairs used last, and in it one row of q values
+    for each in-range color looked up so far: q bytes while q <= 256, and 2
+    or 4 bytes per value above.
     """
-    k, q = plan.k, plan.q
-    table, bound = _power_table(plan)
-    colors = [own_color, *nbr_colors]
-    lo, hi = min(colors), max(colors)
-    if lo < 1 or hi > bound:
-        bad = lo if lo < 1 else hi
-        raise ValueError(f"color {bad} out of range for q={q}, k={k}")
-    rest = np.array(colors, dtype=np.int64) - 1
-    digits = np.empty((k + 1, len(colors)), dtype=np.int64)
-    for j in range(k + 1):
-        rest, digits[j] = np.divmod(rest, q)
-    values = table @ digits % q  # values[x, i] = P_i(x)
-    return np.count_nonzero(values[:, 1:] == values[:, :1], axis=1)
+    rows = _value_rows(plan.k, plan.q)
+    own = np.frombuffer(rows[own_color], rows.dtype)
+    nbrs = np.frombuffer(b"".join([rows[c] for c in nbr_colors]), rows.dtype)
+    return (nbrs.reshape(-1, plan.q) == own).sum(axis=0)

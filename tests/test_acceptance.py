@@ -32,7 +32,6 @@ from bnicolor.generators import (
 )
 from bnicolor.graph import (
     build_line_graph,
-    independence_at_most,
     induced_subgraph,
 )
 from bnicolor.base import kuhn_defective_edge
@@ -55,6 +54,8 @@ from bnicolor.verify import (
     check_vertex_coloring,
     greedy_color_by_key,
 )
+
+from oracles import independence_at_most
 
 # recorded constants (measured once, asserted stable)
 K_COLORS_PER_DELTA = 1.1  # criterion 5

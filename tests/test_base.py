@@ -1,13 +1,19 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnicolor import legal
 from bnicolor.base import choose_point, kuhn_defective_edge, step_color
 from bnicolor.edgecolor import conflict_bitmap
 from bnicolor.generators import path_graph, random_gnd
-from bnicolor.legal import C_LIN, linial_coloring
+from bnicolor.graph import build_line_graph
+from bnicolor.legal import C_LIN, legal_color, linial_coloring
 from bnicolor.numbers import (
     PolyPlan,
+    _value_rows,
     ceil_log2,
     linial_schedule,
     log_star,
@@ -15,6 +21,7 @@ from bnicolor.numbers import (
     poly_eval,
     step_plan,
 )
+from bnicolor.params import preset_thm45
 from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
 from conftest import small_graphs, spread_ids
@@ -102,6 +109,43 @@ class TestAgreementKernel:
             with pytest.raises(ValueError):
                 conflict_bitmap(1, [bad], plan)
         choose_point(top, [1], plan)  # the largest color is in range
+
+    def test_out_of_range_color_stays_out_of_the_memo(self):
+        plan = step_plan(200, 5)
+        bad = plan.q ** (plan.k + 1) + 1
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                choose_point(1, [2, bad, 3], plan)
+            assert bad not in _value_rows(plan.k, plan.q)
+
+    def test_fields_above_256(self):
+        plan = step_plan(10**6, 300)
+        assert plan.q > 256
+        rng = random.Random(5)
+        own = rng.randint(1, plan.n_colors)
+        nbrs = [rng.randint(1, plan.n_colors) for _ in range(300)] + [own]
+        counts = brute_force_counts(own, nbrs, plan)
+        best = counts.index(min(counts))
+        assert choose_point(own, nbrs, plan) == (best, counts[best])
+        assert conflict_bitmap(own, nbrs, plan) == sum(1 << x for x, c in enumerate(counts) if c)
+        assert len(_value_rows(plan.k, plan.q)[own]) == 2 * plan.q  # uint16 values
+
+    def test_memo_holds_only_the_colors_seen(self, monkeypatch):
+        seen = {}
+
+        def recording(own, nbrs, plan):
+            seen.setdefault((plan.k, plan.q), set()).update([own, *nbrs])
+            return choose_point(own, nbrs, plan)
+
+        monkeypatch.setattr(legal, "choose_point", recording)
+        _value_rows.cache_clear()
+        g = build_line_graph(random_gnd(16, 6, seed=2)).lg
+        legal_color(g, preset_thm45(Fraction(3, 4), 2, g.delta))
+        assert seen and _value_rows.cache_info().currsize == len(seen) <= 64
+        for (k, q), colors in seen.items():
+            rows = _value_rows(k, q)
+            assert set(rows) == colors
+            assert {len(row) for row in rows.values()} == {q}
 
 
 class TestLinial:

@@ -23,9 +23,10 @@ from bnicolor.generators import (
 from bnicolor.graph import (
     GraphError,
     graph_from_edges,
-    independence_at_most,
     neighborhood_independence,
 )
+
+from oracles import independence_at_most
 
 
 class TestBasicKinds:

@@ -1,5 +1,6 @@
 """The benchmark's golden corpus: report hashes of 20 small specs covering
-every algorithm, preset and message mode must stay byte-identical. The
+every algorithm, preset and message mode must stay byte-identical, and so
+must the reports pinned for each workload input of the default seed. The
 benchmark's layer wrappers must also still reach every route."""
 
 import importlib.util
@@ -26,11 +27,29 @@ def test_golden_report_hashes():
     assert "golden corpus: 20/20 reports match" in proc.stdout
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+def _load_bench(name):
+    """Module `name` of bench/, loaded under a name of its own; bench/ is only read."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+WORKLOADS = _load_bench("workloads")
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS.WORKLOADS))
+def test_pinned_workload_reports(workload):
+    """Each default-seed input reproduces the sha256, rounds, colors and
+    message bits that bench/workloads.py records for it."""
+    seed = WORKLOADS.DEFAULT_SEED
+    pinned = WORKLOADS.expected(workload, seed)
+    specs = WORKLOADS.make_specs(workload, seed)
+    assert len(pinned) == len(specs) == WORKLOADS.INPUTS
+    for i, (spec, want) in enumerate(zip(specs, pinned)):
+        report, digest = WORKLOADS.report_digest(spec)
+        got = {"sha256": digest, **{k: report[k] for k in WORKLOADS.EXACT_METRICS}}
+        assert got == {k: want[k] for k in got}, f"input {i}"
 
 
 CUSTOM = {"b": 1, "p": 9, "lam": 12, "c": 2}
@@ -51,7 +70,7 @@ ROUTES = [
 
 @pytest.mark.parametrize("driver,fields", ROUTES, ids=[f["algorithm"] for _, f in ROUTES])
 def test_layer_patches_reach_every_route(driver, fields):
-    spans = _load_spans()
+    spans = _load_bench("spans")
     rec = spans.Recorder("guard", keep_spans=False)
     with spans.patched(spans.layer_patches(rec, count_kernels=True)):
         report = run_experiment(ExperimentSpec(**fields))

@@ -16,7 +16,6 @@ from bnicolor.graph import (
     build_line_graph,
     format_edge_list,
     graph_from_edges,
-    independence_at_most,
     induced_subgraph,
     neighborhood_independence,
     parse_edge_list,
@@ -24,6 +23,7 @@ from bnicolor.graph import (
 from bnicolor.generators import clique_pendant, complete_graph, cycle_graph
 
 from conftest import small_graphs
+from oracles import independence_at_most
 
 
 class TestGraphCore:

@@ -167,8 +167,6 @@ def test_the_scan_finds_asserts():
 UNREACHED_OK = {
     # the radius-r ball a locality audit reruns a route on (ROADMAP item 3)
     "ball",
-    # the exact I(G) <= c check that certifies the test corpora
-    "independence_at_most",
     # the oracle for the recolor loop's per-vertex pigeonhole bound
     "check_defect_pigeonhole",
     # the oracle for the class-subgraph claim of the defective step (criterion 3)

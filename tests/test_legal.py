@@ -331,7 +331,7 @@ class TestReadinessCursors:
 
 
 class TestWorkCount:
-    def test_most_steps_of_a_waiting_vertex_skip_the_state_machine(self, monkeypatch):
+    def test_most_steps_of_a_waiting_vertex_return_at_once(self, monkeypatch):
         """On the first input of the benchmark's line_legal workload (seed 1),
         at most 30% of RecursiveColorProgram steps reach `_advance`: a step
         whose awaited neighbor has not reported returns at once."""
