@@ -1,4 +1,4 @@
-"""Coloring value types and their text serialization.
+"""Coloring value types and the parsers of their text format.
 
 Text format: header line `palette P defect D`, then one line per item. Vertex
 colorings use `id color`; edge colorings use the edge's `graph.edge_ids` Id,
@@ -43,12 +43,6 @@ class EdgeColoring:
         return len(set(self.colors.values()))
 
 
-def format_vertex_coloring(col: VertexColoring) -> str:
-    lines = [f"palette {col.palette} defect {col.claimed_defect}"]
-    lines.extend(f"{v} {k}" for v, k in sorted(col.colors.items()))
-    return "\n".join(lines) + "\n"
-
-
 def _int(token: str, line: str) -> int:
     try:
         return int(token)
@@ -74,16 +68,6 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
             raise ColoringError(f"duplicate entry for {v}")
         colors[v] = k
     return VertexColoring(colors, palette, defect)
-
-
-def format_edge_coloring(g: Graph, col: EdgeColoring) -> str:
-    ids = edge_ids(g)
-    missing = [e for e in ids if e not in col.colors]
-    if missing:
-        raise ColoringError(f"coloring misses edges: {missing[:5]}")
-    lines = [f"palette {col.palette} defect {col.claimed_defect}"]
-    lines.extend(f"{i} {col.colors[e]}" for e, i in ids.items())
-    return "\n".join(lines) + "\n"
 
 
 def parse_edge_coloring(g: Graph, text: str) -> EdgeColoring:

@@ -11,8 +11,9 @@ each endpoint sends its part as soon as its side is ready and treats its own
 part as self-delivered with the same one-round latency; the decision fires at
 max(self-delivery, other's arrival), which evaluates to the same round at both
 endpoints. In `short` mode multi-value payloads are split into consecutive
-single-message chunks under the log-n bit budget; in `wide` mode they go out
-in one round.
+single-message chunks sized by the log-n bit budget, but do not yet meet it:
+the header alone can exceed it, and the run flags every message that does. In
+`wide` mode they go out in one round.
 
 Optionally the recolor loop is paced: an edge with auxiliary color phi waits
 until slot R + phi * s (R = round the group's phi-exchange finished, s = slot
@@ -32,16 +33,18 @@ edges with a smaller phi still undecided, the psi counts of those decided,
 the final colors taken at the bottom), which every decision updates in place.
 `_start_group` starts a group once its membership is final: it sends the
 round-robin labels of a level group, and lets a bottom group's Linial
-iterations begin. An edge moves through the stages phi and loop at each
-level, then bot_lin and greedy; each stage is one `_slot_*` handler, which
-waits on the ready round of the exchange it reads.
-A step advances a worklist of dirty edges to the same fixpoint a full rescan
-would reach: an edge is dirty when its channel completed the other side's
-payload of an exchange this side has sent, a payload was queued on it, its
-group's tallies or barrier released it, or the round it waits for arrived. A
-partial payload moves no handler, since each reads an exchange only once
-`ready_round` is known or while this side has not sent. A step sends one
-message from each channel whose queue is non-empty.
+iterations begin.
+Each edge's run is one generator, `EdgeColorProgram._edge`, kept on its slot as
+`EdgeSlot.run`, that walks the levels in the paper's order and yields wherever
+it waits for a round or a tally. As in `legal`, its body and those of its
+sub-generators `_until` and `_turn` hold no comprehension or lambda, so a
+suspended run keeps no closure cells. A step resumes a worklist of dirty edges
+to the same fixpoint a full rescan would reach: an edge is dirty when its
+channel completed the other side's payload of an exchange this side has sent,
+a payload was queued on it, its group's tallies or barrier released it, or the
+round it waits for arrived. A partial payload resumes no run, since a run reads
+an exchange only once `ready_round` is known. A step sends one message from
+each channel whose queue is non-empty.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ class EdgeSlot:
     __slots__ = (
         "nbr",
         "hist",
-        "stage",
+        "run",
         "phi",
         "lin_hist",
         "color",
@@ -160,10 +163,10 @@ class EdgeSlot:
         "used",
     )
 
-    def __init__(self, nbr: int, rank: int, stage: str):
+    def __init__(self, nbr: int, rank: int):
         self.nbr = nbr
         self.hist: List[int] = []  # psi per level decided; its length is the level
-        self.stage = stage
+        self.run: Any = None  # the edge's run, EdgeColorProgram._edge
         # the phi of the current level; at the bottom, the last Linial color
         self.phi: Optional[int] = None
         # the edge's rank, then its colors after each Linial iteration
@@ -219,14 +222,14 @@ class EdgeColorProgram(VertexProgram):
             self.chunk_budget = max(ctx.budget_bits - header, 1)
             chunks = max(-(-n // self._per_chunk(n, dom)) for n, dom in payloads)
         rank = P["rank"]
-        stage = "phi" if self.levels else "bot_lin"
         self.slots: Dict[int, EdgeSlot] = {
-            u: EdgeSlot(u, rank[(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)], stage)
+            u: EdgeSlot(u, rank[(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)])
             for u in ctx.neighbors
         }
         self.groups: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
         for s in self.slots.values():
             self._join(s, None)
+            s.run = self._edge(s)
         self.uncolored = len(self.slots)
         # worklist: slots that may advance; wake-ups: round -> slots waiting on it
         self._dirty = set(ctx.neighbors)
@@ -367,7 +370,6 @@ class EdgeColorProgram(VertexProgram):
             if sw.phi > s.phi:
                 sw.psi_counts[psi - 1] += 1
                 self._release(sw)
-        s.stage = "phi" if lvl + 1 < len(self.levels) else "bot_lin"
         self._join(s, g)
         if g.undecided:
             return
@@ -375,16 +377,13 @@ class EdgeColorProgram(VertexProgram):
         for child in g.children:
             self._start_group(child, lvl + 1)
 
-    # -- the advance loop ----------------------------------------------------
+    # -- the edge's run -----------------------------------------------------
 
     def _advance(self):
-        """Advance dirty slots until none can move: the round's fixpoint."""
+        """Resume dirty slots until none can move: the round's fixpoint."""
         dirty, slots = self._dirty, self.slots
         while dirty:
-            u = dirty.pop()
-            s = slots[u]
-            if s.color is None and getattr(self, "_slot_" + s.stage)(s):
-                dirty.add(u)
+            next(slots[dirty.pop()].run, None)
 
     def _reached(self, s: EdgeSlot, r: Optional[int]) -> bool:
         """Whether round r has come; a known later r registers a wake-up."""
@@ -399,129 +398,112 @@ class EdgeColorProgram(VertexProgram):
         waiting.add(s.nbr)
         return False
 
-    def _paced_due(self, ex: _Exchange, start: int, key: int) -> Optional[int]:
-        """The decision round of an exchange: its ready round, and when paced
-        no earlier than slot `key` (width ex.chunks + 2 rounds) after start."""
-        rr = ex.ready_round()
-        if rr is None or not self.paced:
-            return rr
-        return max(rr, start + key * (ex.chunks + 2))
+    def _until(self, s: EdgeSlot, ex: _Exchange, start: Optional[int] = None):
+        """Wait for the ready round of ex, and, when paced and given a start,
+        for slot s.phi (width ex.chunks + 2 rounds) after start; return it."""
+        while True:
+            r = ex.ready_round()
+            if r is not None and start is not None and self.paced:
+                r = max(r, start + s.phi * (ex.chunks + 2))
+            if self._reached(s, r):
+                return r
+            yield
 
-    def _slot_phi(self, s: EdgeSlot) -> bool:
-        """Take phi from both sides' labels, once `_start_group` sent ours."""
-        lvl = len(s.hist)
-        ex = s.exch[K_LAB, lvl, 0]
-        rr = ex.ready_round()
-        if not self._reached(s, rr):
-            return False
-        mine, other = ex.mine[0] + 1, ex.other[0] + 1
-        lo, hi = (mine, other) if self.ctx.vid < s.nbr else (other, mine)
-        s.phi = (lo - 1) * self.levels[lvl].p_prime + hi
-        # record the symmetric ready round, not the (possibly later) step round
-        s.tele["phi"][lvl] = [rr, s.phi]
-        s.stage = "loop"
-        self._hold(s)
-        return True
+    def _turn(self, s: EdgeSlot, lvl: int):
+        """Wait for the readiness exchange of level lvl, then until every group
+        edge ahead of s has decided; return the exchange's ready round."""
+        start = yield from self._until(s, s.exch[K_RDY, lvl, 0])
+        while s.wait:
+            yield
+        return start
 
-    def _slot_loop(self, s: EdgeSlot) -> bool:
-        """Once the readiness exchange is done and every group edge with a
-        smaller phi has decided, send N_{e,v}(k), their psi counts on this
-        side; then pick the least loaded psi from both sides' counts."""
-        lvl = len(s.hist)
-        start = s.exch[K_RDY, lvl, 0].ready_round()
-        if not self._reached(s, start):
-            return False
-        ex = s.exch[K_CNT, lvl, 0]
-        if ex.mine is None:
-            if s.wait:
-                return False
-            vals = [min(c, self.cnt_dom - 1) for c in s.psi_counts]
-            self._submit(s.nbr, K_CNT, lvl, 0, vals, self.cnt_dom)
-            return True
-        due = self._paced_due(ex, start, s.phi)
-        if not self._reached(s, due):
-            return False
-        totals = [a + b for a, b in zip(ex.mine, ex.other)]
-        psi = 1 + min(range(len(totals)), key=lambda k: (totals[k], k))
-        s.tele["psi"][lvl] = [due, psi]
-        self._decide_psi(s, psi)
-        return True
-
-    # -- bottom --------------------------------------------------------------
-
-    def _slot_bot_lin(self, s: EdgeSlot) -> bool:
-        plans = self.bottom.lin_plans
-        lvl = len(self.levels)
-        g = s.grp
-        it = len(s.lin_hist) - 1
-        # every group edge must have reached this Linial iteration
-        if g.lin[it] < len(g.members):
-            return False
-        if it == len(plans):
-            s.phi = s.lin_hist[-1]
-            lin_rnd = s.exch[K_BLIN, lvl, len(plans) - 1].ready_round() if plans else 0
-            s.tele["phi"]["bot"] = [lin_rnd, s.phi]
-            s.stage = "greedy"
+    def _edge(self, s: EdgeSlot):
+        """The edge's run, in the paper's order. At each level: phi from both
+        sides' labels, then N_{e,v}(k), the psi counts of the group edges with
+        a smaller phi on this side, and the least loaded psi over both sides.
+        At the bottom: the Linial iterations, then the bitmap of final colors
+        taken on this side by group edges with a smaller (phi, rank), and the
+        least color free on both sides. It holds no comprehension or lambda."""
+        vid, slots = self.ctx.vid, self.slots
+        for lvl, level in enumerate(self.levels):
+            ex = s.exch[K_LAB, lvl, 0]
+            rr = yield from self._until(s, ex)
+            mine, other = ex.mine[0] + 1, ex.other[0] + 1
+            lo, hi = (mine, other) if vid < s.nbr else (other, mine)
+            s.phi = (lo - 1) * level.p_prime + hi
+            # record the symmetric ready round, not the (possibly later) step round
+            s.tele["phi"][lvl] = [rr, s.phi]
             self._hold(s)
-            return True
-        plan = plans[it]
-        cur = s.lin_hist[it]
-        ex = s.exch[K_BLIN, lvl, it]
-        if ex.mine is None:
-            cols = [self.slots[w].lin_hist[it] for w in g.members if w != s.nbr]
-            bits = conflict_bitmap(cur, cols, plan)
+            start = yield from self._turn(s, lvl)
+            self._submit(s.nbr, K_CNT, lvl, 0, _capped(s.psi_counts, self.cnt_dom), self.cnt_dom)
+            ex = s.exch[K_CNT, lvl, 0]
+            due = yield from self._until(s, ex, start)
+            psi = _least_loaded(ex.mine, ex.other)
+            s.tele["psi"][lvl] = [due, psi]
+            self._decide_psi(s, psi)
+        lvl, g, lin_rnd = len(self.levels), s.grp, 0
+        # every group edge must reach an iteration before any edge runs it
+        for it, plan in enumerate(self.bottom.lin_plans):
+            while g.lin[it] < len(g.members):
+                yield
+            cur = s.lin_hist[it]
+            bits = conflict_bitmap(cur, _lin_colors(slots, g.members, s.nbr, it), plan)
             self._submit(s.nbr, K_BLIN, lvl, it, _bitmap(bits, plan.q), 256)
-            return True
-        if not self._reached(s, ex.ready_round()):
-            return False
-        x = _first_free(ex)
-        if x >= plan.q:
-            raise SimError(
-                f"vertex {self.ctx.vid}: no conflict-free Linial point for the edge "
-                f"to {s.nbr} in iteration {it} (incident-degree bound violated)"
-            )
-        s.lin_hist.append(step_color(cur, x, plan))
-        g.lin[it + 1] += 1
-        if g.lin[it + 1] == len(g.members):
-            self._dirty.update(g.members)
-        return True
-
-    def _bot_key(self, u: int) -> Tuple[int, int]:
-        s = self.slots[u]
-        return (s.phi, s.lin_hist[0])
-
-    def _slot_greedy(self, s: EdgeSlot) -> bool:
-        """Send the bitmap of final colors on this side once every group edge
-        with a smaller (phi, rank) has one; then take the least color free on
-        both sides."""
-        lvl = len(self.levels)
-        start = s.exch[K_RDY, lvl, 0].ready_round()
-        if not self._reached(s, start):
-            return False
+            ex = s.exch[K_BLIN, lvl, it]
+            lin_rnd = yield from self._until(s, ex)
+            x = _first_free(ex)
+            if x >= plan.q:
+                raise SimError(
+                    f"vertex {vid}: no conflict-free Linial point for the edge "
+                    f"to {s.nbr} in iteration {it} (incident-degree bound violated)"
+                )
+            s.lin_hist.append(step_color(cur, x, plan))
+            g.lin[it + 1] += 1
+            if g.lin[it + 1] == len(g.members):
+                self._dirty.update(g.members)
+        while g.lin[-1] < len(g.members):
+            yield
+        s.phi = s.lin_hist[-1]
+        s.tele["phi"]["bot"] = [lin_rnd, s.phi]
+        self._hold(s)
+        start = yield from self._turn(s, lvl)
         W = self.bottom.target
+        self._submit(s.nbr, K_USED, lvl, 0, _bitmap(s.used, W), 256)
         ex = s.exch[K_USED, lvl, 0]
-        if ex.mine is None:
-            if s.wait:
-                return False
-            self._submit(s.nbr, K_USED, lvl, 0, _bitmap(s.used, W), 256)
-            return True
-        due = self._paced_due(ex, start, s.phi)
-        if not self._reached(s, due):
-            return False
+        due = yield from self._until(s, ex, start)
         k = _first_free(ex) + 1
         s.color = self.plan.color(k, s.hist)
         s.tele["final"] = [due, k, s.color]
         self.uncolored -= 1
         bit = 1 << (k - 1) if k <= W else 0
         mykey = self._bot_key(s.nbr)
-        for w in s.grp.members:
+        for w in g.members:
             if w == s.nbr:
                 continue
-            sw = self.slots[w]
+            sw = slots[w]
             sw.used |= bit
             if self._bot_key(w) > mykey:
                 self._release(sw)
-        return True
+
+    def _bot_key(self, u: int) -> Tuple[int, int]:
+        s = self.slots[u]
+        return (s.phi, s.lin_hist[0])
+
+
+def _capped(counts: List[int], dom: int) -> List[int]:
+    """counts as values of domain dom: each at most dom - 1."""
+    return [min(c, dom - 1) for c in counts]
+
+
+def _least_loaded(mine: List[int], other: List[int]) -> int:
+    """The psi in 1..p with the least count over both sides, the least on a tie."""
+    totals = [a + b for a, b in zip(mine, other)]
+    return 1 + totals.index(min(totals))
+
+
+def _lin_colors(slots: Dict[int, EdgeSlot], members: List[int], nbr: int, it: int) -> List[int]:
+    """The colors after Linial iteration it of the group edges other than nbr's."""
+    return [slots[w].lin_hist[it] for w in members if w != nbr]
 
 
 # -- wrappers -----------------------------------------------------------------

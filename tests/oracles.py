@@ -1,9 +1,11 @@
-"""Checks that only the tests use: independent oracles for properties the
-library's algorithms rely on but never compute themselves."""
+"""Code that only the tests use: independent oracles for properties the
+library's algorithms rely on but never compute themselves, and the writers of
+the coloring text formats that `bnicolor verify` parses."""
 
 from __future__ import annotations
 
-from bnicolor.graph import Graph, _neighbor_bits
+from bnicolor.coloring import ColoringError, EdgeColoring, VertexColoring
+from bnicolor.graph import Graph, _neighbor_bits, edge_ids
 
 
 def independence_at_most(g: Graph, c: int) -> bool:
@@ -24,3 +26,19 @@ def independence_at_most(g: Graph, c: int) -> bool:
         return has_independent(avail & ~low, need)
 
     return not any(has_independent(mask, c + 1) for mask in nbr_bits.values())
+
+
+def format_vertex_coloring(col: VertexColoring) -> str:
+    lines = [f"palette {col.palette} defect {col.claimed_defect}"]
+    lines.extend(f"{v} {k}" for v, k in sorted(col.colors.items()))
+    return "\n".join(lines) + "\n"
+
+
+def format_edge_coloring(g: Graph, col: EdgeColoring) -> str:
+    ids = edge_ids(g)
+    missing = [e for e in ids if e not in col.colors]
+    if missing:
+        raise ColoringError(f"coloring misses edges: {missing[:5]}")
+    lines = [f"palette {col.palette} defect {col.claimed_defect}"]
+    lines.extend(f"{i} {col.colors[e]}" for e, i in ids.items())
+    return "\n".join(lines) + "\n"

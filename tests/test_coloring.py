@@ -6,12 +6,12 @@ from bnicolor.coloring import (
     ColoringError,
     EdgeColoring,
     VertexColoring,
-    format_edge_coloring,
-    format_vertex_coloring,
     parse_edge_coloring,
     parse_vertex_coloring,
 )
 from bnicolor.generators import complete_graph, cycle_graph
+
+from oracles import format_edge_coloring, format_vertex_coloring
 
 
 class TestVertexColoring:

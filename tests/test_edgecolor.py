@@ -113,15 +113,14 @@ class TestBottomOnly:
     def test_endpoint_histories_compared(self, monkeypatch):
         """Both endpoints must record the same final (round, bottom color,
         color), not only output the same color."""
-        greedy = EdgeColorProgram._slot_greedy
+        real = edgecolor.run
 
-        def skewed(self, s):
-            moved = greedy(self, s)
-            if s.color is not None and self.ctx.vid == 1:
-                s.tele["final"][0] = -1
-            return moved
+        def skewed(*args, **kw):
+            report = real(*args, **kw)
+            report.telemetry[1]["edges"][2]["final"][0] = -1
+            return report
 
-        monkeypatch.setattr(EdgeColorProgram, "_slot_greedy", skewed)
+        monkeypatch.setattr(edgecolor, "run", skewed)
         with pytest.raises(SimError, match=r"final history differs on \(1,2\)"):
             edge_color_2delta_minus_1(path_graph(3))
 
@@ -266,7 +265,8 @@ def _check_tallies(prog):
     for s in prog.slots.values():
         assert prog.groups[(len(s.hist), tuple(s.hist))] is s.grp
         members = [prog.slots[w] for w in s.grp.members]
-        if s.stage == "loop" and s.grp.ready == len(members):
+        at_level = len(s.hist) < len(prog.levels)
+        if at_level and s.grp.ready == len(members):
             lvl = len(s.hist)
             smaller = [w for w in members if w.phi < s.phi]
             assert s.wait == sum(len(w.hist) == lvl for w in smaller)
@@ -274,7 +274,7 @@ def _check_tallies(prog):
                 sum(len(w.hist) > lvl and w.hist[lvl] == k for w in smaller)
                 for k in range(1, len(s.psi_counts) + 1)
             ]
-        if s.stage == "greedy" and s.grp.ready == len(members):
+        if not at_level and s.grp.ready == len(members):
             key = prog._bot_key(s.nbr)
             assert s.wait == sum(
                 prog._bot_key(w.nbr) < key and w.color is None for w in members
@@ -468,17 +468,22 @@ class TestWakeRule:
 class TestWorkCount:
     def test_slot_handlers_run_on_completed_payloads(self, monkeypatch):
         """On the first input of the benchmark's edge_short workload (seed 1),
-        the slot handlers run at most 6,000 times (5,862 now; 6,308 with a
-        separate bot_wait stage, 6,750 with separate stages for the label and
-        readiness waits too, 11,176 when every received chunk woke its slot)."""
-        calls = [0]
-        for name in [n for n in vars(EdgeColorProgram) if n.startswith("_slot_")]:
+        `_advance` resumes edge runs at most 5,500 times (5,428 now). Slot
+        handlers ran 5,862 times as a stage machine, 6,308 with a separate
+        bot_wait stage, 6,750 with separate stages for the label and readiness
+        waits too, and 11,176 when every received chunk woke its slot."""
+        resumes = [0]
+        edge = EdgeColorProgram._edge
 
-            def counted(self, s, _real=getattr(EdgeColorProgram, name)):
-                calls[0] += 1
-                return _real(self, s)
+        class Counted:
+            def __init__(self, run):
+                self.run = run
 
-            monkeypatch.setattr(EdgeColorProgram, name, counted)
+            def __next__(self):
+                resumes[0] += 1
+                return next(self.run)
+
+        monkeypatch.setattr(EdgeColorProgram, "_edge", lambda self, s: Counted(edge(self, s)))
         spec = ExperimentSpec(
             "random_gnd",
             {"n": 30, "d": 16},
@@ -490,7 +495,7 @@ class TestWorkCount:
         )
         report = run_experiment(spec)
         assert report["verification"]["legal"] and report["rounds"] == 416
-        assert calls[0] <= 6000
+        assert resumes[0] <= 5500
 
 
 class TestExchangeLength:

@@ -363,11 +363,9 @@ class TestGeneratorRules:
     makes every local it reads a closure cell (Python 3.10 and 3.11). Measured
     under Python 3.11.7 on a 2-core VM: on one benchmark `flood` input 5,848
     cells were alive mid-run, gen-0 collections over 24 runs rose from 547 to
-    815, and `flood` `run_s` was about 5% worse in 7 of 7 pairs. A step's
-    outbox is likewise dropped when the step ends."""
-
-    def test_program_body_has_no_cell(self):
-        assert RecursiveColorProgram._program.__code__.co_cellvars == ()
+    815, and `flood` `run_s` was about 5% worse in 7 of 7 pairs.
+    tests/test_imports.py keeps cells out of every vertex program's
+    generator. A step's outbox is likewise dropped when the step ends."""
 
     def test_no_outbox_outlives_its_step(self, monkeypatch):
         class WeakOutbox(Outbox):
