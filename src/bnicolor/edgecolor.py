@@ -41,10 +41,11 @@ sub-generators `_until` and `_turn` hold no comprehension or lambda, so a
 suspended run keeps no closure cells. A step resumes a worklist of dirty edges
 to the same fixpoint a full rescan would reach: an edge is dirty when its
 channel completed the other side's payload of an exchange this side has sent,
-a payload was queued on it, its group's tallies or barrier released it, or the
-round it waits for arrived. A partial payload resumes no run, since a run reads
-an exchange only once `ready_round` is known. A step sends one message from
-each channel whose queue is non-empty.
+another edge's run queued a payload on it, its group's tallies or barrier
+released it, or the round it waits for (on the wake-up heap) arrived. A
+partial payload resumes no run, since a run reads an exchange only once
+`ready_round` is known. A step sends one message from each channel whose
+queue is non-empty.
 """
 
 from __future__ import annotations
@@ -231,10 +232,9 @@ class EdgeColorProgram(VertexProgram):
             self._join(s, None)
             s.run = self._edge(s)
         self.uncolored = len(self.slots)
-        # worklist: slots that may advance; wake-ups: round -> slots waiting on it
+        # worklist: slots that may advance; wake-ups: a heap of (round, slot)
         self._dirty = set(ctx.neighbors)
-        self._due: Dict[int, set] = {}
-        self._due_rounds: List[int] = []
+        self._due: List[Tuple[int, int]] = []
         self.queues: Dict[int, List[Message]] = {}  # the non-empty outbound queues
         self.rnd = 0
         self.telemetry = {"edges": {u: s.tele for u, s in self.slots.items()}}
@@ -265,7 +265,6 @@ class EdgeColorProgram(VertexProgram):
         ex.chunks = len(self.queues[u])
         ex.self_arr = self.rnd + ex.chunks
         self._check_length(u, ex)
-        self._dirty.add(u)
 
     def _check_length(self, u: int, ex: _Exchange):
         if ex.mine is not None and len(ex.other) > len(ex.mine):
@@ -287,9 +286,9 @@ class EdgeColorProgram(VertexProgram):
             if ex.mine is not None and len(ex.other) >= len(ex.mine):
                 self._check_length(u, ex)
                 dirty.add(u)
-        due = self._due_rounds
-        while due and due[0] <= round_no:
-            dirty.update(self._due.pop(heappop(due)))
+        due = self._due
+        while due and due[0][0] <= round_no:
+            dirty.add(heappop(due)[1])
         if round_no == 1 and self.slots:
             self._start_group(self.groups[(0, ())], 0)
         if dirty:
@@ -304,7 +303,7 @@ class EdgeColorProgram(VertexProgram):
             if not q:
                 del queues[u]
         # every registered wake-up lies after this round
-        self.wake = round_no + 1 if queues else (due[0] if due else None)
+        self.wake = round_no + 1 if queues else (due[0][0] if due else None)
         if not self.uncolored and not queues:
             self.output = {u: s.color for u, s in self.slots.items()}
         return out
@@ -328,11 +327,11 @@ class EdgeColorProgram(VertexProgram):
         at a level, or let every member begin its bottom Linial iterations."""
         if lvl == len(self.levels):
             g.lin = [len(g.members)] + [0] * len(self.bottom.lin_plans)
-            self._dirty.update(g.members)
-            return
-        pp = self.levels[lvl].p_prime
-        for i, w in enumerate(sorted(g.members)):
-            self._submit(w, K_LAB, lvl, 0, [i % pp], pp)
+        else:
+            pp = self.levels[lvl].p_prime
+            for i, w in enumerate(sorted(g.members)):
+                self._submit(w, K_LAB, lvl, 0, [i % pp], pp)
+        self._dirty.update(g.members)
 
     def _hold(self, s: EdgeSlot):
         """s now holds its phi. Once the whole group does, open each member's
@@ -351,6 +350,7 @@ class EdgeColorProgram(VertexProgram):
             sw.wait = bisect_left(keys, key(w))
             sw.psi_counts = [0] * p
             self._submit(w, K_RDY, lvl, 0, [1], 2)
+        self._dirty.update(g.members)
 
     def _release(self, s: EdgeSlot):
         """One fewer group edge ahead of s is undecided."""
@@ -380,33 +380,27 @@ class EdgeColorProgram(VertexProgram):
     # -- the edge's run -----------------------------------------------------
 
     def _advance(self):
-        """Resume dirty slots until none can move: the round's fixpoint."""
+        """Resume dirty slots until none can move: the round's fixpoint. A
+        run's marks on its own slot are dropped when it yields: its wait saw them."""
         dirty, slots = self._dirty, self.slots
         while dirty:
-            next(slots[dirty.pop()].run, None)
-
-    def _reached(self, s: EdgeSlot, r: Optional[int]) -> bool:
-        """Whether round r has come; a known later r registers a wake-up."""
-        if r is None:
-            return False
-        if r <= self.rnd:
-            return True
-        waiting = self._due.get(r)
-        if waiting is None:
-            waiting = self._due[r] = set()
-            heappush(self._due_rounds, r)
-        waiting.add(s.nbr)
-        return False
+            u = dirty.pop()
+            next(slots[u].run, None)
+            dirty.discard(u)
 
     def _until(self, s: EdgeSlot, ex: _Exchange, start: Optional[int] = None):
         """Wait for the ready round of ex, and, when paced and given a start,
-        for slot s.phi (width ex.chunks + 2 rounds) after start; return it."""
+        for slot s.phi (width ex.chunks + 2 rounds) after start; return it.
+        Once that round is known and still ahead, s goes on the wake-up heap
+        `_due`, which resumes it when the round comes."""
         while True:
             r = ex.ready_round()
             if r is not None and start is not None and self.paced:
                 r = max(r, start + s.phi * (ex.chunks + 2))
-            if self._reached(s, r):
-                return r
+            if r is not None:
+                if r <= self.rnd:
+                    return r
+                heappush(self._due, (r, s.nbr))
             yield
 
     def _turn(self, s: EdgeSlot, lvl: int):

@@ -14,12 +14,12 @@ The recursion is realized as one program: all sibling subgraphs advance in
 the same global rounds, and a vertex knows its subgraph from its own
 psi-history, so no coordination is needed. A vertex's run is one generator,
 `RecursiveColorProgram._program`, that walks the levels in order and, wherever
-it needs its neighbors' colors, runs `while not self._ready(nbrs, store):
-yield`; `step` files what arrives and resumes it unless the awaited neighbor
-is still missing. So a vertex moves on as soon as its messages have arrived,
-which can be earlier than the worst-case schedule. Every vertex's generator
-stays suspended between steps, and two rules keep that cheap: its body holds
-no comprehension or lambda (on Python 3.10 and 3.11 each local one reads would
+it needs its neighbors' colors, runs `yield from self._await(nbrs, store)`;
+`step` files what arrives and resumes it unless the awaited neighbor is still
+missing. So a vertex moves on as soon as its messages have arrived, which can
+be earlier than the worst-case schedule. Every vertex's generator stays
+suspended between steps, and two rules keep that cheap: its body holds no
+comprehension or lambda (on Python 3.10 and 3.11 each local one reads would
 become a closure cell per vertex), and it holds a step's outbox only while
 that step runs.
 
@@ -260,9 +260,9 @@ class RecursiveColorProgram(VertexProgram):
         self.phi_at: List[Dict[int, int]] = [{} for _ in plan.levels]
         self.psi_at: List[Dict[int, int]] = [{} for _ in plan.levels]
         self.red_at: Dict[int, int] = {}
-        # the one wait the program is blocked on, or None: (nbrs, store, i)
-        # with nbrs[i] the first neighbor still missing from store
-        self.wait: Optional[Tuple[List[int], Dict[int, int], int]] = None
+        # the one wait the program is blocked on, or None: (u, store) with u
+        # the first neighbor still missing from store
+        self.wait: Optional[Tuple[int, Dict[int, int]]] = None
         self.telemetry = {"r_phi": {}, "r_psi": {}}
         self._out: Optional[Outbox] = None  # the outbox of the step in progress
         self._run = self._program()
@@ -281,27 +281,21 @@ class RecursiveColorProgram(VertexProgram):
                 self.red_at[u] = f[1][0] + 1
         out = Outbox()
         wait = self.wait
-        if wait is not None and wait[0][wait[2]] not in wait[1]:
+        if wait is not None and wait[0] not in wait[1]:
             return out  # the awaited neighbor has not reported: nothing can move
         self.rnd = round_no
         self._advance(out)
         return out
 
-    def _ready(self, nbrs: List[int], store: Dict[int, int]) -> bool:
-        """Whether store holds every u in nbrs; on failure `wait` names the
-        first u still missing, on success it is cleared.
-
-        A failed wait is asked again until it holds, and the stores only gain
-        entries, so the scan resumes where the previous call on the same nbrs
-        and store objects stopped.
-        """
-        wait = self.wait
-        i = wait[2] if wait is not None and wait[0] is nbrs and wait[1] is store else 0
-        n = len(nbrs)
-        while i < n and nbrs[i] in store:
-            i += 1
-        self.wait = (nbrs, store, i) if i < n else None
-        return i == n
+    def _await(self, nbrs: List[int], store: Dict[int, int]):
+        """Wait until store holds every u in nbrs; meanwhile `wait` names the
+        first u still missing and its store. The stores only gain entries, so
+        no u is looked for again once found."""
+        for u in nbrs:
+            while u not in store:
+                self.wait = (u, store)
+                yield
+        self.wait = None
 
     def _advance(self, out: Outbox):
         """Run the program until it waits or halts, broadcasting into out."""
@@ -333,8 +327,7 @@ class RecursiveColorProgram(VertexProgram):
                 colors_at = self.lin_at[lvl]
                 color = colors_at[0][vid]
                 for it, lin_plan in enumerate(plans):
-                    while not self._ready(same, colors_at[it]):
-                        yield
+                    yield from self._await(same, colors_at[it])
                     color = _poly_step(color, colors_at[it], same, lin_plan)
                     colors_at[it + 1][vid] = color
                     msg = Message(
@@ -349,8 +342,7 @@ class RecursiveColorProgram(VertexProgram):
                 phi = color
                 if level.kuhn_plan is not None:
                     colors = self.kuhn_at[lvl]
-                    while not self._ready(same, colors):
-                        yield
+                    yield from self._await(same, colors)
                     phi = _poly_step(colors[vid], colors, same, level.kuhn_plan)
                 self.phis[lvl] = phi
                 self.telemetry["r_phi"][lvl] = self.rnd
@@ -359,11 +351,9 @@ class RecursiveColorProgram(VertexProgram):
                 psi = phi
                 if level.kind != "pre_kuhn":
                     phis = self.phi_at[lvl]
-                    while not self._ready(same, phis):
-                        yield
+                    yield from self._await(same, phis)
                     smaller = _below(same, phis, phi)
-                    while not self._ready(smaller, self.psi_at[lvl]):
-                        yield
+                    yield from self._await(smaller, self.psi_at[lvl])
                     psi = _least_used(smaller, self.psi_at[lvl], level.p)
             self.hist.append(psi)
             self.telemetry["r_psi"][lvl] = self.rnd
@@ -373,16 +363,13 @@ class RecursiveColorProgram(VertexProgram):
                 self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
                 return
             psis = self.psi_at[lvl]
-            while not self._ready(same, psis):
-                yield
+            yield from self._await(same, psis)
             same = _members(same, psis, psi)
         bottom, finals = plan.bottom, self.lin_at[-1][-1]
-        while not self._ready(same, finals):
-            yield
+        yield from self._await(same, finals)
         if color > bottom.target:
             bigger = _bigger(same, finals, bottom.target, (color, vid))
-            while not self._ready(bigger, self.red_at):
-                yield
+            yield from self._await(bigger, self.red_at)
             color = _least_free(same, self.red_at, finals)
             final_pal = plans[-1].palette if plans else bottom.start_palette
             domain = max(final_pal, bottom.target, self.ctx.n + 2)

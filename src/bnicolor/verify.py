@@ -138,31 +138,3 @@ def greedy_color_by_key(g: Graph, key: Dict[int, int]) -> VertexColoring:
         max_out = max(max_out, len(used))
         colors[v] = min(set(range(1, len(used) + 2)).difference(used))
     return VertexColoring(colors, max_out + 1, 0)
-
-
-def check_defect_pigeonhole(
-    g: Graph,
-    phi: VertexColoring,
-    psi: VertexColoring,
-    p: int,
-    Lambda: int,
-) -> VerificationReport:
-    """Assert |{u in Gamma(v): phi(u) < phi(v), psi(u) = psi(v)}| <= floor(Lambda/p)."""
-    for col in (phi, psi):
-        missing = [v for v in g.vertices if v not in col.colors]
-        if missing:
-            raise ValueError(f"partial coloring, uncolored vertices: {missing[:10]}")
-    bound = Lambda // p
-    violated: List[Tuple[str, object]] = []
-    worst = 0
-    for v in g.vertices:
-        count = sum(
-            1
-            for u in g.adj[v]
-            if phi.colors[u] < phi.colors[v] and psi.colors[u] == psi.colors[v]
-        )
-        worst = max(worst, count)
-        if count > bound:
-            violated.append(("pigeonhole", (v, count, bound)))
-    rep = check_vertex_coloring(g, psi)
-    return VerificationReport(rep.legal, worst, rep.palette_used, violated)

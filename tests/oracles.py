@@ -4,8 +4,11 @@ the coloring text formats that `bnicolor verify` parses."""
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 from bnicolor.coloring import ColoringError, EdgeColoring, VertexColoring
 from bnicolor.graph import Graph, _neighbor_bits, edge_ids
+from bnicolor.verify import VerificationReport, check_vertex_coloring
 
 
 def independence_at_most(g: Graph, c: int) -> bool:
@@ -42,3 +45,31 @@ def format_edge_coloring(g: Graph, col: EdgeColoring) -> str:
     lines = [f"palette {col.palette} defect {col.claimed_defect}"]
     lines.extend(f"{i} {col.colors[e]}" for e, i in ids.items())
     return "\n".join(lines) + "\n"
+
+
+def check_defect_pigeonhole(
+    g: Graph,
+    phi: VertexColoring,
+    psi: VertexColoring,
+    p: int,
+    Lambda: int,
+) -> VerificationReport:
+    """Assert |{u in Gamma(v): phi(u) < phi(v), psi(u) = psi(v)}| <= floor(Lambda/p)."""
+    for col in (phi, psi):
+        missing = [v for v in g.vertices if v not in col.colors]
+        if missing:
+            raise ValueError(f"partial coloring, uncolored vertices: {missing[:10]}")
+    bound = Lambda // p
+    violated: List[Tuple[str, object]] = []
+    worst = 0
+    for v in g.vertices:
+        count = sum(
+            1
+            for u in g.adj[v]
+            if phi.colors[u] < phi.colors[v] and psi.colors[u] == psi.colors[v]
+        )
+        worst = max(worst, count)
+        if count > bound:
+            violated.append(("pigeonhole", (v, count, bound)))
+    rep = check_vertex_coloring(g, psi)
+    return VerificationReport(rep.legal, worst, rep.palette_used, violated)

@@ -170,8 +170,6 @@ def test_the_scan_finds_asserts():
 UNREACHED_OK = {
     # the radius-r ball a locality audit reruns a route on (ROADMAP item 3)
     "ball",
-    # the oracle for the recolor loop's per-vertex pigeonhole bound
-    "check_defect_pigeonhole",
     # the oracle for the class-subgraph claim of the defective step (criterion 3)
     "greedy_color_by_key",
 }

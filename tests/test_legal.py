@@ -48,9 +48,10 @@ from bnicolor.params import (
     vartheta_of_schedule,
 )
 from bnicolor.sim import Context, Message, run
-from bnicolor.verify import check_defect_pigeonhole, check_edge_coloring, check_vertex_coloring
+from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
 from conftest import canonical, connected_graphs, recording
+from oracles import check_defect_pigeonhole
 
 
 def line_graph_of_random(n, d, seed):
@@ -319,7 +320,7 @@ class TestReadinessCursors:
         for red in (6, 1):
             prog = RecursiveColorProgram(Context(5, [7], 8, {"plan": plan}))
             assert not prog.step(1, []) and prog.output is None
-            assert prog.wait == ([7], prog.red_at, 0)  # on the competitor's reduced color
+            assert prog.wait == (7, prog.red_at)  # on the competitor's reduced color
             out = prog.step(2, [(7, Message((K_RED, N_KINDS), (red - 1, 10)))])
             [(dst, [msg])] = out.items()
             assert dst == 7 and msg.fields[0][0] == K_RED

@@ -10,13 +10,13 @@ from bnicolor.graph import graph_from_edges
 from bnicolor.verify import (
     VerificationReport,
     brute_chromatic_number,
-    check_defect_pigeonhole,
     check_edge_coloring,
     check_vertex_coloring,
     greedy_color_by_key,
 )
 
 from conftest import small_graphs
+from oracles import check_defect_pigeonhole
 
 
 class TestVertexChecker:
