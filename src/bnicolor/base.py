@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .coloring import EdgeColoring
-from .graph import Graph
+from .graph import Graph, knowledge
 from .numbers import PolyPlan, agreement_counts, poly_coeffs, poly_eval
 from .params import ParamError
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
@@ -110,10 +110,11 @@ class KuhnEdgeProgram(VertexProgram):
 
 def kuhn_defective_edge(g: Graph, p_prime: int) -> Tuple[EdgeColoring, SimReport]:
     """4*ceil(delta/p')-defective p'^2-edge-coloring in exactly 2 rounds."""
-    if not (1 <= p_prime <= max(g.delta, 1)):
+    delta = knowledge(g).delta
+    if not (1 <= p_prime <= delta):
         raise ParamError(f"p_prime must be in 1..delta, got {p_prime}")
     report = run(g, KuhnEdgeProgram, msg_mode="wide", params={"p_prime": p_prime})
-    claimed = 4 * (-(-g.delta // p_prime)) if g.delta else 0
+    claimed = 4 * (-(-delta // p_prime)) if g.m else 0  # no edge, no defect
     return _merge_edge_outputs(g, report, p_prime * p_prime, claimed), report
 
 

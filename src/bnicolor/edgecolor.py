@@ -59,7 +59,7 @@ import numpy as np
 
 from .base import _merge_edge_outputs, step_color
 from .coloring import EdgeColoring
-from .graph import Graph, build_line_graph, edge_ids
+from .graph import Graph, build_line_graph, edge_ids, knowledge
 from .legal import LevelPlan, RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
 from .numbers import (
     PolyPlan,
@@ -513,7 +513,7 @@ def edge_color_direct(
     """Legal edge coloring via the edge-specialized recursion; short messages."""
     if budget_factor < 1:
         raise ParamError(f"budget_factor must be at least 1, got {budget_factor}")
-    Lambda0 = max(2 * (g.delta - 1), 1)
+    Lambda0 = knowledge(g).edge_Lambda
     params.validate(Lambda0)
     schedule = recursion_schedule(params, Lambda0)
     # paced runs reserve one slot per phi value, so a level-independent phi
@@ -551,8 +551,7 @@ def _check_endpoint_consistency(g: Graph, report: SimReport):
 
 def edge_color_2delta_minus_1(g: Graph) -> Tuple[EdgeColoring, SimReport]:
     """Legal edge coloring with palette <= 2*delta-1 (bottom stage only)."""
-    hat = max(2 * (g.delta - 1), 0)  # incident-degree bound of the edge set
-    return _run_edge_program(g, RecursionPlan((), bottom_plan(g.m, hat)))
+    return _run_edge_program(g, RecursionPlan((), bottom_plan(g.m, knowledge(g).edge_degree)))
 
 
 def edge_color_via_line_graph(
@@ -565,7 +564,8 @@ def edge_color_via_line_graph(
     from .sim import run_on_line_graph
 
     lgm = build_line_graph(g)
-    plan = legal_plan(lgm.lg, params, phi_mode)
+    # plans at L(G)'s delta; experiment sizes params at the host's 2(delta - 1) (ROADMAP item 11)
+    plan = legal_plan(knowledge(lgm.lg), params, phi_mode)
     report = run_on_line_graph(g, RecursiveColorProgram, params={"plan": plan}, lgm=lgm)
     colors = {lgm.edge_of[v]: out["color"] for v, out in report.outputs.items()}
     report.extra["vartheta"] = plan.suffix[0]

@@ -33,7 +33,7 @@ from .extensions import (
     tradeoff_color,
 )
 from .generators import generate
-from .graph import Graph
+from .graph import Graph, knowledge
 from .legal import defective_color, legal_color, linial_coloring
 from .params import (
     DefectiveParams,
@@ -150,19 +150,19 @@ def _run_linial(read: ParamReader, g: Graph, seed: int):
 
 def _run_defective(read: ParamReader, g: Graph, seed: int):
     b, p = read.take("b", int), read.take("p", int)
-    dp = DefectiveParams(b, p, read.take("Lambda", int, max(g.delta, 1)), read.take("c", int, 2))
+    dp = DefectiveParams(b, p, read.take("Lambda", int, knowledge(g).delta), read.take("c", int, 2))
     col, report = defective_color(g, dp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, asdict(dp)
 
 
 def _run_legal(read: ParamReader, g: Graph, seed: int):
-    lp = _legal_params_for(read, max(g.delta, 1))
+    lp = _legal_params_for(read, knowledge(g).delta)
     col, report = legal_color(g, lp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, _params_dict(lp)
 
 
 def _run_edge_direct(read: ParamReader, g: Graph, seed: int):
-    lp = _legal_params_for(read, max(2 * (g.delta - 1), 1))
+    lp = _legal_params_for(read, knowledge(g).edge_Lambda)
     col, report = edge_color_direct(
         g,
         lp,
@@ -174,7 +174,8 @@ def _run_edge_direct(read: ParamReader, g: Graph, seed: int):
 
 
 def _run_edge_line(read: ParamReader, g: Graph, seed: int):
-    lp = _legal_params_for(read, max(2 * (g.delta - 1), 1))
+    # sized at the host's 2(delta - 1); the route plans at L(G)'s delta (ROADMAP item 11)
+    lp = _legal_params_for(read, knowledge(g).edge_Lambda)
     col, report = edge_color_via_line_graph(g, lp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, _params_dict(lp)
 

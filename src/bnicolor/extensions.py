@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .coloring import VertexColoring
-from .graph import Graph
+from .graph import Graph, knowledge
 from .legal import (
     LevelPlan,
     RecursionPlan,
@@ -106,7 +106,7 @@ def _class_palette(g: Graph, params: RandomizedParams) -> int:
     ln_n = math.log(max(g.n, 3))
     if g.delta <= ln_n:
         raise ParamError(
-            f"delta = {g.delta} <= ln n = {ln_n:.2f}: use the deterministic "
+            f"delta = {g.delta} <= ln max(n, 3) = {ln_n:.2f}: use the deterministic "
             "legal_color path at this degree"
         )
     return random_palette_size(g.delta, g.n)
@@ -116,7 +116,7 @@ def randomized_defective(g: Graph, params: RandomizedParams) -> VertexColoring:
     """Uniform random palette-(ceil(delta/ln n)) coloring; defect holds whp."""
     p = _class_palette(g, params)
     colors = dict(zip(g.vertices, draw_classes(params.seed, g.vertices, p)))
-    return VertexColoring(colors, p, random_defect_bound(params.kappa, g.n))
+    return VertexColoring(colors, p, random_defect_bound(params.kappa, knowledge(g).n))
 
 
 def randomized_color(
@@ -132,11 +132,9 @@ def randomized_color(
     B, and the run is flagged otherwise.
     """
     p = _class_palette(g, params)
-    B = random_defect_bound(params.kappa, g.n)
-    plan = RecursionPlan(
-        (LevelPlan(g.delta, p, p, kind="pre_random"),),
-        bottom_plan(max(g.id_bound, 1), B),
-    )
+    k = knowledge(g)
+    B = random_defect_bound(params.kappa, k.n)
+    plan = RecursionPlan((LevelPlan(k.delta, p, p, kind="pre_random"),), bottom_plan(k.N, B))
     classes = dict(zip(g.vertices, draw_classes(params.seed, g.vertices, p)))
     report = run(g, RecursiveColorProgram, params={"plan": plan, "classes": classes})
     colors = {v: out["color"] for v, out in report.outputs.items()}
@@ -168,7 +166,7 @@ def tradeoff_color(
     coloring on each class; palette ~ q(delta)^2 * class palette."""
     if c < 1:
         raise ParamError("c must be positive")
-    delta = max(g.delta, 1)
+    N, _, delta = knowledge(g)
     q = params.validate(delta)
     p_t = math.ceil(delta / q)
     if p_t <= 1:
@@ -178,16 +176,15 @@ def tradeoff_color(
         report.extra["fallback"] = "legal_color"
         return col, report
     d = max(delta // p_t, 1)
-    n0 = max(g.id_bound, 1)
-    plans = linial_schedule(n0, delta)
-    rho_palette = plans[-1].palette if plans else n0
+    plans = linial_schedule(N, delta)
+    rho_palette = plans[-1].palette if plans else N
     kuhn = step_plan(rho_palette, delta, d)
     claimed = max(min(d, kuhn.k * delta // kuhn.q), 1)
     pre = LevelPlan(delta, kuhn.palette, kuhn.palette, tuple(plans), kuhn, kind="pre_kuhn")
     inner_params = preset_improved_s42(c, max(claimed, 2))
     schedule = recursion_schedule(inner_params, max(claimed, 1))
-    levels, _ = level_plans("fast", schedule[:-1], inner_params, n0)
-    plan = RecursionPlan((pre,) + levels, bottom_plan(n0, schedule[-1]))
+    levels, _ = level_plans("fast", schedule[:-1], inner_params, N)
+    plan = RecursionPlan((pre,) + levels, bottom_plan(N, schedule[-1]))
     report = run(g, RecursiveColorProgram, params={"plan": plan})
     colors = {v: out["color"] for v, out in report.outputs.items()}
     col = VertexColoring(colors, plan.suffix[0], 0)

@@ -1,8 +1,10 @@
-"""Immutable undirected graphs, line graphs, and independence search.
+"""Immutable undirected graphs, what a vertex knows of one, line graphs, and
+independence search.
 
 Vertex Ids are distinct positive integers. For a freshly built graph they live in
 1..n; induced subgraphs keep the original Ids so that Id-based tie-breaking keeps
-working down a recursion.
+working down a recursion. Every route sizes its plan from `knowledge(g)`, the
+one reader of a graph's Id bound and the one place its clamps are written.
 """
 
 from __future__ import annotations
@@ -86,6 +88,31 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
+
+
+class Knowledge(NamedTuple):
+    """What every vertex knows of the whole graph in the LOCAL model: the Id
+    bound N, the vertex count n and the maximum degree delta. Plans are sized
+    from it alone; `knowledge` builds it from a graph."""
+
+    N: int
+    n: int
+    delta: int
+
+    @property
+    def edge_degree(self) -> int:
+        """2(delta - 1): the most edges that share an endpoint with one edge."""
+        return 2 * (self.delta - 1)
+
+    @property
+    def edge_Lambda(self) -> int:
+        """The degree bound an edge recursion starts from: edge_degree, at least 1."""
+        return max(self.edge_degree, 1)
+
+
+def knowledge(g: Graph) -> Knowledge:
+    """g's knowledge, with N and delta at least 1 so that every plan is defined."""
+    return Knowledge(max(g.id_bound, 1), g.n, max(g.delta, 1))
 
 
 def _is_id(x) -> bool:

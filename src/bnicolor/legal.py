@@ -8,7 +8,8 @@ subgraph the vertex joins at the next level. The final level legally colors the
 remaining bounded-degree subgraph and every vertex merges its psi-history into
 a globally unique palette slot by pure arithmetic (`RecursionPlan.color`).
 `linial_coloring` is a plan with no levels and a bottom target that no Linial
-final exceeds, so it runs the bottom Linial phase alone.
+final exceeds, so it runs the bottom Linial phase alone. Every plan is sized
+from the graph's `graph.Knowledge` alone, so `legal_plan` needs no graph.
 
 The recursion is realized as one program: all sibling subgraphs advance in
 the same global rounds, and a vertex knows its subgraph from its own
@@ -29,8 +30,8 @@ bottom's, whose last color is reduced greedily. Stores are positional:
 Linial iteration `it`, `kuhn_at[lvl]` is the store a level's defective step
 reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at` hold the neighbors' phi,
 psi and reduced bottom colors. Iteration 0 is the Ids, the read-only
-`range(n + 1)` that maps Id u to u. Under `RecursionPlan.rho`, every `kuhn_at`
-and the bottom's iteration 0 are rho.
+`range(N + 1)` that maps Id u to u (N = `Context.n`, the Id bound). Under
+`RecursionPlan.rho`, every `kuhn_at` and the bottom's iteration 0 are rho.
 
 Every message goes to all of `same`, the neighbors in the vertex's current
 subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
@@ -50,7 +51,7 @@ import numpy as np
 
 from .base import Outbox, choose_point, step_color
 from .coloring import VertexColoring
-from .graph import Graph
+from .graph import Graph, Knowledge, knowledge
 from .numbers import PolyPlan, linial_schedule, step_plan
 from .params import (
     DefectiveParams,
@@ -420,10 +421,10 @@ def _least_free(nbrs: List[int], red_at: Dict[int, int], finals: Dict[int, int])
 def linial_coloring(g: Graph) -> Tuple[VertexColoring, SimReport]:
     """Legal coloring with palette <= C_LIN * delta^2, in O(log* n) rounds:
     the bottom Linial phase alone, with a target no final color exceeds."""
-    n0 = max(g.id_bound, 1)
-    plans = tuple(linial_schedule(n0, max(g.delta, 1)))
-    palette = plans[-1].palette if plans else n0
-    plan = RecursionPlan((), BottomPlan(palette, plans, n0))
+    k = knowledge(g)
+    plans = tuple(linial_schedule(k.N, k.delta))
+    palette = plans[-1].palette if plans else k.N
+    plan = RecursionPlan((), BottomPlan(palette, plans, k.N))
     report = run(g, RecursiveColorProgram, params={"plan": plan})
     col = VertexColoring({v: out["color"] for v, out in report.outputs.items()}, palette, 0)
     report.extra["palette"] = palette
@@ -436,8 +437,9 @@ def defective_color(
     """psi with palette <= p and measured defect <= defect_bound(params)."""
     if phi_mode not in ("fast", "simple"):
         raise ParamError(f"phi_mode must be fast or simple, got {phi_mode!r}")
-    params.validate(delta=g.delta)
-    levels, _ = level_plans(phi_mode, [params.Lambda], params, max(g.id_bound, 1))
+    k = knowledge(g)
+    params.validate(delta=k.delta)
+    levels, _ = level_plans(phi_mode, [params.Lambda], params, k.N)
     report = run(g, RecursiveColorProgram, params={"plan": RecursionPlan(levels, None)})
     psi = VertexColoring(
         {v: out["psi"] for v, out in report.outputs.items()},
@@ -452,17 +454,16 @@ def defective_color(
     return psi, report
 
 
-def legal_plan(g: Graph, params: LegalParams, phi_mode: str = "fast") -> RecursionPlan:
-    """The recursion plan of a legal coloring of g; its palette is vartheta of
-    its schedule of per-level degree bounds (`RecursionPlan.lambdas`)."""
+def legal_plan(k: Knowledge, params: LegalParams, phi_mode: str = "fast") -> RecursionPlan:
+    """The recursion plan of a legal coloring of any graph with knowledge k;
+    its palette is vartheta of its schedule of per-level degree bounds
+    (`RecursionPlan.lambdas`)."""
     if phi_mode not in PHI_MODES:
         raise ParamError(f"unknown phi_mode {phi_mode!r}")
-    Lambda0 = max(g.delta, 1)
-    params.validate(Lambda0)
-    schedule = recursion_schedule(params, Lambda0)
-    n0 = max(g.id_bound, 1)
-    levels, rho = level_plans(phi_mode, schedule[:-1], params, n0)
-    plan = RecursionPlan(levels, bottom_plan(rho or n0, schedule[-1]), rho is not None)
+    params.validate(k.delta)
+    schedule = recursion_schedule(params, k.delta)
+    levels, rho = level_plans(phi_mode, schedule[:-1], params, k.N)
+    plan = RecursionPlan(levels, bottom_plan(rho or k.N, schedule[-1]), rho is not None)
     vartheta = vartheta_of_schedule(schedule, params.p)
     if plan.suffix[0] != vartheta:
         raise ParamError(
@@ -477,7 +478,7 @@ def legal_color(
     phi_mode: str = "fast",
 ) -> Tuple[VertexColoring, SimReport]:
     """Legal coloring with palette <= vartheta (`report.extra["vartheta"]`)."""
-    plan = legal_plan(g, params, phi_mode)
+    plan = legal_plan(knowledge(g), params, phi_mode)
     report = run(g, RecursiveColorProgram, params={"plan": plan})
     colors = {v: out["color"] for v, out in report.outputs.items()}
     report.extra["vartheta"] = plan.suffix[0]

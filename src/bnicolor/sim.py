@@ -14,12 +14,12 @@ Message bit accounting: a message is a sequence of (value, domain) integer
 fields and costs sum(ceil(log2(domain))) bits. In `short` mode each (edge,
 direction, round) carries at most one message and rounds exceeding the log-n
 budget are flagged (never rejected); `wide` mode allows multiplexing and
-reports the maximum count. The budget is budget_factor * ceil(log2(id bound))
-bits. Each program's `Context` carries the run's `msg_mode` and that budget as
-`budget_bits`, so a program splits its payloads by the same rule the run
-accounts them with. A `Context` holds no seed: the programs are deterministic,
-and the one random draw (`legal.draw_classes`) is made before a run and
-handed in through `params`.
+reports the maximum count. The budget is budget_factor * ceil(log2(N)) bits,
+N the Id bound of `graph.knowledge(g)`. Each program's `Context` carries N as
+`n`, the run's `msg_mode` and that budget as `budget_bits`, so a program
+splits its payloads by the same rule the run accounts them with. A `Context`
+holds no seed: the programs are deterministic, and the one random draw
+(`legal.draw_classes`) is made before a run and handed in through `params`.
 
 Several destinations of one outbox may share one batch object (a broadcast).
 The run accounts such a batch once, for the run of consecutive destinations
@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .graph import Graph, LineGraphMap, build_line_graph
+from .graph import Graph, LineGraphMap, build_line_graph, knowledge
 from .numbers import ceil_log2
 
 
@@ -80,7 +80,7 @@ class Message:
 class Context:
     vid: int
     neighbors: Tuple[int, ...]
-    n: int  # Id-space bound (= n for freshly built graphs)
+    n: int  # the Id bound N of the run's `graph.knowledge`
     params: Dict[str, Any] = field(default_factory=dict)
     # set by `run`: its message mode and short-mode bit budget per message
     msg_mode: str = "wide"
@@ -159,14 +159,14 @@ def run(
         raise ValueError("round_cap must be positive")
     short = msg_mode == "short"
     params = dict(params or {})
-    budget = budget_factor * ceil_log2(max(g.id_bound, 2))
+    N, n, _ = knowledge(g)
+    budget = budget_factor * ceil_log2(N)
     insts: Dict[int, VertexProgram] = {}
     for v in g.vertices:
-        ctx = Context(v, g.adj[v], g.id_bound, params, msg_mode, budget)
+        ctx = Context(v, g.adj[v], N, params, msg_mode, budget)
         insts[v] = program(ctx)
 
     adjset = g._adjset
-    n = g.n
     inboxes: Dict[int, List[Tuple[int, Message]]] = {}
     halted: Dict[int, int] = {}
     wakeups: List[Tuple[int, int]] = []  # (wake round, v); stale entries are skipped
@@ -360,11 +360,11 @@ def run_on_line_graph(
 
     logical = run(lgm.lg, program, msg_mode="wide", params=params, on_send=fold)
     mux = max(mux, max(load.values(), default=0))
-    addr_bits = ceil_log2(max(lgm.lg.id_bound, 2))
+    addr_bits = ceil_log2(knowledge(lgm.lg).N)
     host_max_bits = logical_max_bits + addr_bits if cur else 0
     # setup round: each vertex tells each neighbor all its incident edge Ids
-    setup_mux = g.delta
-    setup_bits = 2 * ceil_log2(max(g.id_bound, 2)) if g.m else 0
+    setup_mux = g.delta  # the exact max degree: 0, with no setup message, on no edge
+    setup_bits = 2 * ceil_log2(knowledge(g).N) if g.m else 0
     report = SimReport(
         rounds=2 * logical.rounds + 2 if g.m else 0,
         max_msg_bits=max(host_max_bits, setup_bits),

@@ -4,7 +4,7 @@ the coloring text formats that `bnicolor verify` parses."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from bnicolor.coloring import ColoringError, EdgeColoring, VertexColoring
 from bnicolor.graph import Graph, _neighbor_bits, edge_ids
@@ -29,6 +29,21 @@ def independence_at_most(g: Graph, c: int) -> bool:
         return has_independent(avail & ~low, need)
 
     return not any(has_independent(mask, c + 1) for mask in nbr_bits.values())
+
+
+def level_profile(g: Graph, hists: Dict[int, Sequence[int]]) -> List[int]:
+    """Entry i: the largest degree of g inside one class of vertices whose psi
+    histories agree on their first i values, for i from 0 (g's max degree) to
+    the history length. A plan with bounds `RecursionPlan.lambdas` keeps entry
+    i at most lambdas[i]."""
+    depth = {len(h) for h in hists.values()}
+    if len(depth) > 1:
+        raise ValueError(f"psi histories of different lengths: {sorted(depth)}")
+    profile = []
+    for i in range(max(depth, default=0) + 1):
+        cls = {v: tuple(h[:i]) for v, h in hists.items()}
+        profile.append(max((sum(cls[u] == cls[v] for u in g.adj[v]) for v in g.vertices), default=0))
+    return profile
 
 
 def format_vertex_coloring(col: VertexColoring) -> str:

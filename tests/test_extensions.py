@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from bnicolor.extensions import (
     tradeoff_color,
 )
 from bnicolor.generators import complete_bipartite, complete_graph, random_gnd
-from bnicolor.graph import Graph, build_line_graph
+from bnicolor.graph import Graph, build_line_graph, graph_from_edges
 from bnicolor.legal import draw_classes
 from bnicolor.params import ParamError
 from bnicolor.verify import check_vertex_coloring
@@ -227,9 +228,13 @@ class TestRandomizedDefective:
         assert a.claimed_defect == random_defect_bound(2.0, g.n)
 
     def test_rejects_low_degree(self):
-        g = random_gnd(100, 3, seed=0)
-        with pytest.raises(ParamError):
-            randomized_defective(g, RandomizedParams())
+        for g, text in (
+            (random_gnd(100, 3, seed=0), "delta = 3 <= ln max(n, 3) = 4.61"),
+            # ln 2 = 0.69: the check compares with ln 3
+            (graph_from_edges(2, [(1, 2)]), "delta = 1 <= ln max(n, 3) = 1.10"),
+        ):
+            with pytest.raises(ParamError, match=re.escape(text)):
+                randomized_defective(g, RandomizedParams())
 
 
 class TestRandomizedColor:

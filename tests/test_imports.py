@@ -14,7 +14,9 @@ module-level function or class must be reached from `bnicolor.__all__`,
 from a module's top-level code or from one of the few that `UNREACHED_OK`
 keeps on purpose. A fifth keeps closure cells out of the generators that
 the vertex programs keep suspended between steps (see
-`tests/test_legal.py::TestGeneratorRules` for what a cell costs there).
+`tests/test_legal.py::TestGeneratorRules` for what a cell costs there). A
+sixth keeps reads of a graph's `id_bound` inside `graph.py`: every other
+module takes N from `graph.knowledge`.
 """
 
 import ast
@@ -164,6 +166,34 @@ def test_the_scan_finds_asserts():
         "assert f(1)\n"
     )
     assert assert_lines(source) == [2, 5, 7]
+
+
+def attribute_reads(source: str, attr: str):
+    """Lines that read the attribute `attr` off any object."""
+    tree = ast.parse(source)
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
+    )
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "graph"])
+def test_only_graph_reads_the_id_bound(module):
+    """A route learns the Id bound N from `graph.knowledge`, which applies the
+    clamps every plan needs, never from the graph itself."""
+    assert attribute_reads((SRC / f"{module}.py").read_text(), "id_bound") == []
+
+
+def test_the_scan_finds_id_bound_reads():
+    source = (
+        "def f(g, lgm):\n"
+        "    n0 = max(g.id_bound, 1)\n"
+        "    note = 'g.id_bound'  # g.id_bound in a comment\n"
+        "    g.id_bound = 3\n"
+        "    return lgm.lg.id_bound, getattr(g, 'id_bound')\n"
+    )
+    assert attribute_reads(source, "id_bound") == [2, 5]
 
 
 # module-level definitions that nothing in src/bnicolor reaches, kept on purpose

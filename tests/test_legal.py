@@ -20,9 +20,10 @@ from bnicolor.generators import (
     complete_bipartite,
     complete_graph,
     generate,
+    hypergraph_line,
     random_gnd,
 )
-from bnicolor.graph import Graph, build_line_graph
+from bnicolor.graph import Graph, Knowledge, build_line_graph, knowledge
 from bnicolor.legal import (
     K_RED,
     N_KINDS,
@@ -51,7 +52,7 @@ from bnicolor.sim import Context, Message, run
 from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
 from conftest import canonical, connected_graphs, recording
-from oracles import check_defect_pigeonhole
+from oracles import check_defect_pigeonhole, level_profile
 
 
 def line_graph_of_random(n, d, seed):
@@ -190,6 +191,17 @@ class TestRecursionPlan:
                 assert plan.suffix[0] == vartheta
 
     @pytest.mark.parametrize(
+        "delta,vartheta,lambdas",
+        [(2**16, 410368, [65536, 10242, 1602]), (2**20, 5711872, [1048576, 76460, 5577])],
+    )
+    def test_plan_from_knowledge_alone(self, delta, vartheta, lambdas):
+        """A plan needs no graph, so it can be sized at degrees no simulation
+        reaches: thm45 at c = 2 (ROADMAP's plan-scale table)."""
+        k = Knowledge(N=2**40, n=2**40, delta=delta)
+        plan = legal_plan(k, make_preset("thm45", 2, delta))
+        assert (plan.suffix[0], plan.lambdas) == (vartheta, lambdas)
+
+    @pytest.mark.parametrize(
         "levels,bottom",
         [((), bottom_plan(8, 2)), (level_plans("fast", [6], LegalParams(1, 2, 6, 1), 8)[0], None)],
         ids=["no-level", "no-bottom"],
@@ -207,7 +219,7 @@ class TestRecursionPlan:
         coloring and rounds are fast's; with a level rho is on."""
         g = random_gnd(n, d, seed=seed)
         params = LegalParams(1, 9, 12, 2)
-        plan = legal_plan(g, params, "improved")
+        plan = legal_plan(knowledge(g), params, "improved")
         assert (len(plan.levels), plan.rho) == (n_levels, n_levels > 0)
         if not plan.rho:
             col, report = legal_color(g, params, "improved")
@@ -375,7 +387,7 @@ class TestGeneratorRules:
         monkeypatch.setattr(legal, "Outbox", WeakOutbox)
         g = line_graph_of_random(24, 8, seed=1)
         v = g.vertices[0]
-        params = {"plan": legal_plan(g, TWO_LEVELS)}
+        params = {"plan": legal_plan(knowledge(g), TWO_LEVELS)}
         prog = RecursiveColorProgram(Context(v, g.adj[v], g.id_bound, params))
         out = prog.step(1, [])
         # it broadcast its phi and now waits mid-run, its generator suspended
@@ -419,7 +431,7 @@ class TestBroadcastOutbox:
                 return out
 
         g = line_graph_of_random(24, 8, seed=1)
-        params = {"plan": legal_plan(g, TWO_LEVELS, phi_mode)}
+        params = {"plan": legal_plan(knowledge(g), TWO_LEVELS, phi_mode)}
         transcripts = []
         plain = recording(run, transcripts)(g, RecursiveColorProgram, params=params)
         monkeypatch.setattr(legal, "Outbox", Recording)
@@ -444,6 +456,35 @@ class TestLineGraphRoutes:
         assert edge_col.colors == {
             lgm.edge_of[v]: col for v, col in vertex_col.colors.items()
         }
+
+
+class TestLevelBounds:
+    """After i levels, a vertex's degree inside its psi-history class is at
+    most the plan's Lambda_i; after the last level, the bottom's hat."""
+
+    @staticmethod
+    def check(g, report):
+        hists = {v: out["psi_hist"] for v, out in report.outputs.items()}
+        lambdas = report.extra["level_lambdas"]
+        profile = level_profile(g, hists)
+        assert len(profile) == len(lambdas) > 1
+        assert all(d <= lam for d, lam in zip(profile, lambdas)), (profile, lambdas)
+
+    @given(seed=st.integers(0, 2**16), phi_mode=st.sampled_from(PHI_MODES))
+    @settings(max_examples=6, deadline=None)
+    def test_legal(self, seed, phi_mode):
+        line = line_graph_of_random(40, 24, seed)
+        # hyperedges of size <= 3 bound neighborhood independence by 3
+        for g, c in ((line, 2), (hypergraph_line(3, 200, 40, seed=seed), 3)):
+            self.check(g, legal_color(g, make_preset("thm45", c, g.delta), phi_mode)[1])
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_edge_line(self, seed):
+        """On L(G), with the preset sized as `experiment` sizes it."""
+        g = random_gnd(40, 24, seed=seed)
+        params = make_preset("thm45", 2, knowledge(g).edge_Lambda)
+        self.check(build_line_graph(g).lg, edge_color_via_line_graph(g, params)[1])
 
 
 def _transcript_digest(monkeypatch):
