@@ -59,7 +59,7 @@ import numpy as np
 
 from .base import _merge_edge_outputs, step_color
 from .coloring import EdgeColoring
-from .graph import Graph, build_line_graph, edge_ids, knowledge
+from .graph import EDGE_IDS_FLAG, Graph, build_line_graph, edge_ids, knowledge
 from .legal import LevelPlan, RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
 from .numbers import (
     PolyPlan,
@@ -523,8 +523,7 @@ def edge_color_direct(
         g, plan, paced, msg_mode=msg_mode, round_cap=DIRECT_ROUND_CAP, budget_factor=budget_factor
     )
     report.extra["vartheta"] = plan.suffix[0]
-    report.extra["level_lambdas"] = plan.lambdas
-    report.flags.append("setup: edge Ids assigned by global dense rank")
+    report.flags.append(EDGE_IDS_FLAG)
     return col, report
 
 
@@ -535,6 +534,7 @@ def _run_edge_program(g: Graph, plan: RecursionPlan, paced: bool = False, **run_
     report = run(g, EdgeColorProgram, params=run_params, **run_kw)
     col = _merge_edge_outputs(g, report, plan.suffix[0])
     _check_endpoint_consistency(g, report)
+    report.extra["level_lambdas"] = plan.lambdas
     return col, report
 
 

@@ -3,7 +3,8 @@
 Both extensions reuse the recursive program by prepending one synthetic level:
 the randomized variant picks the first-level class uniformly at random (zero
 communication), the tradeoff variant takes the single-shot defective recoloring
-itself as the class (no recolor loop). The remaining levels run unchanged.
+itself as the class (no recolor loop) before `legal.legal_plan`'s levels. Both
+hand the plan to `legal.run_plan`; `run` stays imported for a benchmark patch.
 
 Randomness comes only from `legal.draw_classes`, a counter-based generator
 keyed by (seed, vertex Id) that draws every class before the run starts, so
@@ -18,24 +19,18 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .coloring import VertexColoring
-from .graph import Graph, knowledge
+from .graph import Graph, Knowledge, knowledge
 from .legal import (
     LevelPlan,
     RecursionPlan,
-    RecursiveColorProgram,
     bottom_plan,
     draw_classes,
     legal_color,
-    level_plans,
+    legal_plan,
+    run_plan,
 )
 from .numbers import linial_schedule, step_plan
-from .params import (
-    ParamError,
-    ParamReader,
-    preset_improved_s42,
-    recursion_schedule,
-    vartheta_of_schedule,
-)
+from .params import ParamError, ParamReader, preset_improved_s42
 from .sim import SimReport, run
 from .verify import check_vertex_coloring
 
@@ -91,19 +86,24 @@ class TradeoffParams:
         raise ParamError(f"unknown g_fn preset {self.g_fn!r}")
 
 
+def _ln(n: int) -> float:
+    """ln max(n, 3), the one logarithm of the randomized path (at least 1)."""
+    return math.log(max(n, 3))
+
+
 def random_palette_size(delta: int, n: int) -> int:
-    """ceil(delta / ln n); natural log throughout the randomized path."""
-    return math.ceil(delta / math.log(max(n, 3)))
+    """ceil(delta / ln n)."""
+    return math.ceil(delta / _ln(n))
 
 
 def random_defect_bound(kappa: float, n: int) -> int:
-    return math.ceil(kappa * math.e * math.log(max(n, 3)))
+    return math.ceil(kappa * math.e * _ln(n))
 
 
 def _class_palette(g: Graph, params: RandomizedParams) -> int:
     """The number of random classes; refused where delta <= ln n."""
     params.validate()
-    ln_n = math.log(max(g.n, 3))
+    ln_n = _ln(g.n)
     if g.delta <= ln_n:
         raise ParamError(
             f"delta = {g.delta} <= ln max(n, 3) = {ln_n:.2f}: use the deterministic "
@@ -131,17 +131,13 @@ def randomized_color(
     p * (B+1) holds whenever every class degree stays within the defect bound
     B, and the run is flagged otherwise.
     """
-    p = _class_palette(g, params)
+    classes = randomized_defective(g, params)
+    p, B = classes.palette, classes.claimed_defect
     k = knowledge(g)
-    B = random_defect_bound(params.kappa, k.n)
     plan = RecursionPlan((LevelPlan(k.delta, p, p, kind="pre_random"),), bottom_plan(k.N, B))
-    classes = dict(zip(g.vertices, draw_classes(params.seed, g.vertices, p)))
-    report = run(g, RecursiveColorProgram, params={"plan": plan, "classes": classes})
-    colors = {v: out["color"] for v, out in report.outputs.items()}
-    col = VertexColoring(colors, plan.suffix[0], 0)
+    col, report = run_plan(g, plan, classes=classes.colors)
     # flag classes that exceeded the probabilistic degree bound
-    classes = {v: out["psi_hist"][0] for v, out in report.outputs.items()}
-    worst = check_vertex_coloring(g, VertexColoring(classes, p, B)).measured_defect
+    worst = check_vertex_coloring(g, classes).measured_defect
     report.extra["class_palette"] = p
     report.extra["class_degree_bound"] = B
     report.extra["max_class_degree"] = worst
@@ -166,12 +162,11 @@ def tradeoff_color(
     coloring on each class; palette ~ q(delta)^2 * class palette."""
     if c < 1:
         raise ParamError("c must be positive")
-    N, _, delta = knowledge(g)
+    N, n, delta = knowledge(g)
     q = params.validate(delta)
     p_t = math.ceil(delta / q)
     if p_t <= 1:
-        inner = preset_improved_s42(c, delta)
-        col, report = legal_color(g, inner, phi_mode="improved")
+        col, report = legal_color(g, preset_improved_s42(c, delta), phi_mode="improved")
         report.extra["inner_vartheta"] = report.extra.pop("vartheta")
         report.extra["fallback"] = "legal_color"
         return col, report
@@ -181,17 +176,11 @@ def tradeoff_color(
     kuhn = step_plan(rho_palette, delta, d)
     claimed = max(min(d, kuhn.k * delta // kuhn.q), 1)
     pre = LevelPlan(delta, kuhn.palette, kuhn.palette, tuple(plans), kuhn, kind="pre_kuhn")
-    inner_params = preset_improved_s42(c, max(claimed, 2))
-    schedule = recursion_schedule(inner_params, max(claimed, 1))
-    levels, _ = level_plans("fast", schedule[:-1], inner_params, N)
-    plan = RecursionPlan((pre,) + levels, bottom_plan(N, schedule[-1]))
-    report = run(g, RecursiveColorProgram, params={"plan": plan})
-    colors = {v: out["color"] for v, out in report.outputs.items()}
-    col = VertexColoring(colors, plan.suffix[0], 0)
+    inner = legal_plan(Knowledge(N, n, claimed), preset_improved_s42(c, max(claimed, 2)))
+    col, report = run_plan(g, RecursionPlan((pre,) + inner.levels, inner.bottom))
     report.extra["q"] = q
     report.extra["p_t"] = p_t
     report.extra["class_defect_claimed"] = claimed
     report.extra["kuhn_palette"] = kuhn.palette
-    report.extra["inner_vartheta"] = vartheta_of_schedule(schedule, inner_params.p)
-    report.extra["level_lambdas"] = plan.lambdas
+    report.extra["inner_vartheta"] = inner.suffix[0]
     return col, report

@@ -205,6 +205,10 @@ def ball(g: Graph, center: int, radius: int) -> Graph:
     return induced_subgraph(g, seen)
 
 
+# the report flag that says a route numbered edges by `edge_ids`, a global rank
+EDGE_IDS_FLAG = "setup: edge Ids assigned by global dense rank"
+
+
 def edge_ids(g: Graph) -> Dict[Tuple[int, int], int]:
     """The Id of every edge: its 1-based rank in `g.edges()` (lexicographic in
     (min Id, max Id)), so the Ids form the dense range 1..|E| and the dict

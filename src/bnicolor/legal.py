@@ -7,9 +7,9 @@ then the recolor loop turns it into a psi-color in 1..p, which names the
 subgraph the vertex joins at the next level. The final level legally colors the
 remaining bounded-degree subgraph and every vertex merges its psi-history into
 a globally unique palette slot by pure arithmetic (`RecursionPlan.color`).
-`linial_coloring` is a plan with no levels and a bottom target that no Linial
-final exceeds, so it runs the bottom Linial phase alone. Every plan is sized
-from the graph's `graph.Knowledge` alone, so `legal_plan` needs no graph.
+`run_plan` runs every plan with a bottom, such as `linial_coloring`'s: no level
+and a bottom target no Linial final exceeds, so the bottom Linial phase alone.
+Plans are sized from `graph.Knowledge` alone, so `legal_plan` needs no graph.
 
 The recursion is realized as one program: all sibling subgraphs advance in
 the same global rounds, and a vertex knows its subgraph from its own
@@ -418,17 +418,22 @@ def _least_free(nbrs: List[int], red_at: Dict[int, int], finals: Dict[int, int])
 # -- wrappers -----------------------------------------------------------------
 
 
+def run_plan(g: Graph, plan: RecursionPlan, **run_params) -> Tuple[VertexColoring, SimReport]:
+    """Run plan, which has a bottom, on g; the coloring has the plan's palette
+    suffix[0] and defect 0. run_params join the plan's program params."""
+    report = run(g, RecursiveColorProgram, params={"plan": plan, **run_params})
+    colors = {v: out["color"] for v, out in report.outputs.items()}
+    report.extra["level_lambdas"] = plan.lambdas
+    return VertexColoring(colors, plan.suffix[0], 0), report
+
+
 def linial_coloring(g: Graph) -> Tuple[VertexColoring, SimReport]:
     """Legal coloring with palette <= C_LIN * delta^2, in O(log* n) rounds:
     the bottom Linial phase alone, with a target no final color exceeds."""
     k = knowledge(g)
     plans = tuple(linial_schedule(k.N, k.delta))
     palette = plans[-1].palette if plans else k.N
-    plan = RecursionPlan((), BottomPlan(palette, plans, k.N))
-    report = run(g, RecursiveColorProgram, params={"plan": plan})
-    col = VertexColoring({v: out["color"] for v, out in report.outputs.items()}, palette, 0)
-    report.extra["palette"] = palette
-    return col, report
+    return run_plan(g, RecursionPlan((), BottomPlan(palette, plans, k.N)))
 
 
 def defective_color(
@@ -479,10 +484,8 @@ def legal_color(
 ) -> Tuple[VertexColoring, SimReport]:
     """Legal coloring with palette <= vartheta (`report.extra["vartheta"]`)."""
     plan = legal_plan(knowledge(g), params, phi_mode)
-    report = run(g, RecursiveColorProgram, params={"plan": plan})
-    colors = {v: out["color"] for v, out in report.outputs.items()}
-    report.extra["vartheta"] = plan.suffix[0]
-    report.extra["level_lambdas"] = plan.lambdas
+    col, report = run_plan(g, plan)
+    report.extra["vartheta"] = col.palette
     if plan.rho:
         report.extra["rho_rounds"] = len(plan.levels[0].lin_plans)
-    return VertexColoring(colors, plan.suffix[0], 0), report
+    return col, report

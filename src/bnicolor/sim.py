@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .graph import Graph, LineGraphMap, build_line_graph, knowledge
+from .graph import EDGE_IDS_FLAG, Graph, LineGraphMap, build_line_graph, knowledge
 from .numbers import ceil_log2
 
 
@@ -370,7 +370,7 @@ def run_on_line_graph(
         max_msg_bits=max(host_max_bits, setup_bits),
         msgs_per_edge_round=max(mux, setup_mux),
         outputs=logical.outputs,
-        flags=list(logical.flags) + ["setup: edge Ids assigned by global dense rank"],
+        flags=list(logical.flags) + [EDGE_IDS_FLAG],
         telemetry=logical.telemetry,
         extra=dict(logical.extra),
     )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bnicolor import extensions, legal, sim
 from bnicolor.base import Outbox
 from bnicolor.coloring import VertexColoring
-from bnicolor.edgecolor import edge_color_via_line_graph, edge_level_plans
+from bnicolor.edgecolor import edge_color_direct, edge_color_via_line_graph, edge_level_plans
 from bnicolor.experiment import ExperimentSpec, report_json, run_experiment
 from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
 from bnicolor.generators import (
@@ -23,7 +23,7 @@ from bnicolor.generators import (
     hypergraph_line,
     random_gnd,
 )
-from bnicolor.graph import Graph, Knowledge, build_line_graph, knowledge
+from bnicolor.graph import Graph, Knowledge, build_line_graph, edge_ids, knowledge
 from bnicolor.legal import (
     K_RED,
     N_KINDS,
@@ -292,11 +292,11 @@ class TestReadinessCursors:
                 lambda g: defective_color(g, DefectiveParams(1, 4, g.delta, 2)), id="defective",
             ),
             pytest.param(
-                "pre_random", extensions, lambda: random_gnd(40, 20, seed=3),
+                "pre_random", legal, lambda: random_gnd(40, 20, seed=3),
                 lambda g: randomized_color(g, RandomizedParams(seed=5)), id="randomized",
             ),
             pytest.param(
-                "pre_kuhn", extensions, lambda: build_line_graph(complete_bipartite(1, 33)).lg,
+                "pre_kuhn", legal, lambda: build_line_graph(complete_bipartite(1, 33)).lg,
                 lambda g: tradeoff_color(g, TradeoffParams("power:0.5", eta=0.25), c=2),
                 id="tradeoff",
             ),
@@ -463,8 +463,9 @@ class TestLevelBounds:
     most the plan's Lambda_i; after the last level, the bottom's hat."""
 
     @staticmethod
-    def check(g, report):
-        hists = {v: out["psi_hist"] for v, out in report.outputs.items()}
+    def check(g, report, hists=None):
+        if hists is None:
+            hists = {v: out["psi_hist"] for v, out in report.outputs.items()}
         lambdas = report.extra["level_lambdas"]
         profile = level_profile(g, hists)
         assert len(profile) == len(lambdas) > 1
@@ -485,6 +486,31 @@ class TestLevelBounds:
         g = random_gnd(40, 24, seed=seed)
         params = make_preset("thm45", 2, knowledge(g).edge_Lambda)
         self.check(build_line_graph(g).lg, edge_color_via_line_graph(g, params)[1])
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_edge_direct(self, seed):
+        """On L(G), in wide, short and paced mode; an L(G) vertex is an
+        `edge_ids` Id and its history is its edge's psi telemetry."""
+        g = random_gnd(40, 24, seed=seed)
+        params = make_preset("thm45", 2, knowledge(g).edge_Lambda)
+        lg = build_line_graph(g).lg
+        for msg_mode, paced in (("wide", False), ("short", False), ("short", True)):
+            report = edge_color_direct(g, params, msg_mode=msg_mode, paced=paced)[1]
+            hists = {}
+            for (u, w), e in edge_ids(g).items():
+                psi = report.telemetry[u]["edges"][w]["psi"]
+                hists[e] = [psi[lvl][1] for lvl in sorted(psi)]
+            self.check(lg, report, hists)
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_tradeoff(self, seed):
+        """Each pre_kuhn class keeps degree at most class_defect_claimed, the
+        inner plan's Lambda_0."""
+        params = TradeoffParams("power:0.5", eta=0.25)
+        for g in (line_graph_of_random(40, 24, seed), random_gnd(80, 16, seed=seed), complete_graph(33)):
+            self.check(g, tradeoff_color(g, params, c=2)[1])
 
 
 def _transcript_digest(monkeypatch):
