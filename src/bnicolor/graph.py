@@ -5,11 +5,17 @@ Vertex Ids are distinct positive integers. For a freshly built graph they live i
 1..n; induced subgraphs keep the original Ids so that Id-based tie-breaking keeps
 working down a recursion. Every route sizes its plan from `knowledge(g)`, the
 one reader of a graph's Id bound and the one place its clamps are written.
+
+A `Graph` sets its fields in one place, `Graph._fill`, from a sorted adjacency.
+The constructor calls it once the edge list has passed its checks, and
+`build_line_graph` calls it on the adjacency it builds from the host's incidence
+lists, with no list of line-graph edges in between.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from bisect import bisect_left
+from itertools import chain
 from math import gcd
 from numbers import Integral
 from typing import Dict, Iterable, List, NamedTuple, Tuple
@@ -48,15 +54,20 @@ class Graph:
             gcd(*chain.from_iterable(adj.values()))
         except (KeyError, TypeError):
             _raise_first_bad_edge(vs, edges)
-        self.vertices: Tuple[int, ...] = tuple(vs)
-        self.adj: Dict[int, Tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._adjset = {v: frozenset(ns) for v, ns in self.adj.items()}
+        self._fill({v: tuple(sorted(ns)) for v, ns in adj.items()})
         # a self-loop at v lists v twice in adj[v], a duplicate edge lists a
         # neighbor twice: either way the set is shorter than the list
         if any(len(s) != len(self.adj[v]) for v, s in self._adjset.items()):
             _raise_first_bad_edge(vs, edges)
+
+    def _fill(self, adj: Dict[int, Tuple[int, ...]]):
+        """Set every field from `adj`: each vertex's sorted neighbor tuple,
+        with the vertices in ascending order. The one place the fields are set."""
+        self.vertices: Tuple[int, ...] = tuple(adj)
+        self.adj = adj
+        self._adjset = {v: frozenset(ns) for v, ns in adj.items()}
         self.delta = max(map(len, adj.values()), default=0)
-        self.id_bound = vs[-1] if vs else 0
+        self.id_bound = self.vertices[-1] if adj else 0
 
     @property
     def n(self) -> int:
@@ -213,7 +224,9 @@ def edge_ids(g: Graph) -> Dict[Tuple[int, int], int]:
     """The Id of every edge: its 1-based rank in `g.edges()` (lexicographic in
     (min Id, max Id)), so the Ids form the dense range 1..|E| and the dict
     lists the edges in Id order. Line-graph vertices, the direct edge routes
-    and the edge-coloring text format all number edges by it."""
+    and the edge-coloring text format all number edges by it;
+    `build_line_graph` relies on the dict's order to fill sorted incidence
+    lists."""
     return {e: i + 1 for i, e in enumerate(g.edges())}
 
 
@@ -226,16 +239,25 @@ class LineGraphMap(NamedTuple):
 
 
 def build_line_graph(g: Graph) -> LineGraphMap:
+    """L(g) with its vertices numbered by `edge_ids`, built from g's incidence
+    lists: edge i = (u, w) meets every other edge in inc[u] and inc[w]."""
     ids = edge_ids(g)
-    lg_edges = []
-    for v in g.vertices:
-        inc = sorted([ids[(v, w) if v < w else (w, v)] for w in g.adj[v]])
-        lg_edges.extend(combinations(inc, 2))
-    # Two edges sharing both endpoints are impossible in a simple graph, but
-    # edges sharing one endpoint are enumerated once per shared endpoint; a
-    # pair can share at most one endpoint, so no duplicates arise.
-    edge_of = {i: e for e, i in ids.items()}
-    return LineGraphMap(Graph(range(1, len(ids) + 1), lg_edges), edge_of)
+    inc: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    # filled in Id order, so every incidence list comes out sorted
+    for (u, w), i in ids.items():
+        inc[u].append(i)
+        inc[w].append(i)
+    adj: Dict[int, Tuple[int, ...]] = {}
+    for (u, w), i in ids.items():
+        # sorting two sorted runs is one merge; i is the one edge in both lists
+        # (no parallel edges), so it sits twice in a row and every other Id once
+        ns = sorted(inc[u] + inc[w])
+        k = bisect_left(ns, i)
+        del ns[k : k + 2]
+        adj[i] = tuple(ns)
+    lg = Graph.__new__(Graph)
+    lg._fill(adj)
+    return LineGraphMap(lg, {i: e for e, i in ids.items()})
 
 
 # -- neighborhood independence ------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -20,9 +21,9 @@ from bnicolor.graph import (
     neighborhood_independence,
     parse_edge_list,
 )
-from bnicolor.generators import clique_pendant, complete_graph, cycle_graph
+from bnicolor.generators import clique_pendant, complete_graph, cycle_graph, random_gnd
 
-from conftest import small_graphs
+from conftest import small_graphs, spread_ids
 from oracles import independence_at_most
 
 
@@ -241,6 +242,11 @@ def _frozen_build_line_graph(g):
     return Graph(range(1, len(edges) + 1), lg_edges), dict(enumerate(edges, 1))
 
 
+def _fields(g):
+    """Every field a Graph sets."""
+    return g.vertices, g.adj, g._adjset, g.delta, g.id_bound
+
+
 class TestLineGraphMatchesFrozen:
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
@@ -252,6 +258,55 @@ class TestLineGraphMatchesFrozen:
         # edge_of is a bijection from the line-graph vertices onto g's edges
         assert sorted(lgm.edge_of) == list(lgm.lg.vertices)
         assert sorted(lgm.edge_of.values()) == g.edges()
+        self.check_fields(g)
+
+    @staticmethod
+    def check_fields(g):
+        """Every field equals the oracle's, and the validating constructor
+        rebuilds every field from the line graph's own edge list."""
+        lgm = build_line_graph(g)
+        lg, edge_of = _frozen_build_line_graph(g)
+        assert _fields(lgm.lg) == _fields(lg)
+        assert lgm.edge_of == edge_of
+        assert _fields(Graph(lgm.lg.vertices, lgm.lg.edges())) == _fields(lgm.lg)
+
+    @given(small_graphs(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_spread_ids(self, g, seed):
+        self.check_fields(spread_ids(g, seed))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph([], []),
+            graph_from_edges(4, []),
+            graph_from_edges(7, [(2, 5), (5, 6), (2, 6)]),
+            Graph([3, 10, 11, 40, 2**40], [(3, 2**40), (10, 40), (40, 2**40)]),
+        ],
+        ids=["empty", "edgeless", "isolated", "sparse-ids"],
+    )
+    def test_edge_cases(self, g):
+        self.check_fields(g)
+
+    @pytest.mark.parametrize("seed", range(12, 24))
+    def test_line_legal_hosts(self, seed):
+        """The seed-1 `line_legal` benchmark inputs."""
+        self.check_fields(random_gnd(40, 24, seed=seed))
+
+
+class TestLineGraphMemory:
+    def test_build_peak_is_what_the_line_graph_keeps(self):
+        """Building L(g) holds little beyond the finished map: no pair list or
+        second adjacency lives beside it (a pair list put the peak at 1.57x)."""
+        g = random_gnd(128, 64, seed=1)
+        tracemalloc.start()
+        try:
+            lgm = build_line_graph(g)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lgm.lg.n == g.m
+        assert peak <= 1.2 * kept, (peak, kept)
 
 
 class TestIndependence:
