@@ -6,10 +6,12 @@ Vertex Ids are distinct positive integers. For a freshly built graph they live i
 working down a recursion. Every route sizes its plan from `knowledge(g)`, the
 one reader of a graph's Id bound and the one place its clamps are written.
 
-A `Graph` sets its fields in one place, `Graph._fill`, from a sorted adjacency.
-The constructor calls it once the edge list has passed its checks, and
-`build_line_graph` calls it on the adjacency it builds from the host's incidence
-lists, with no list of line-graph edges in between.
+A `Graph` is its sorted adjacency: `vertices`, `adj` (each vertex's sorted
+neighbor tuple), `delta` and `id_bound`, with no per-vertex neighbor set.
+`Graph._fill` sets these fields from a sorted adjacency. The constructor calls
+it once the edge list has passed its checks, and `build_line_graph` calls it
+on the adjacency it builds from the host's incidence lists, with no list of
+line-graph edges in between.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class Graph:
     or unknown endpoint or a duplicate edge (in either orientation).
     """
 
-    __slots__ = ("vertices", "adj", "_adjset", "delta", "id_bound")
+    __slots__ = ("vertices", "adj", "delta", "id_bound")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]]):
         vertices = list(vertices)
@@ -56,8 +58,8 @@ class Graph:
             _raise_first_bad_edge(vs, edges)
         self._fill({v: tuple(sorted(ns)) for v, ns in adj.items()})
         # a self-loop at v lists v twice in adj[v], a duplicate edge lists a
-        # neighbor twice: either way the set is shorter than the list
-        if any(len(s) != len(self.adj[v]) for v, s in self._adjset.items()):
+        # neighbor twice: either way the tuple's set is shorter than the tuple
+        if any(len(set(ns)) != len(ns) for ns in self.adj.values()):
             _raise_first_bad_edge(vs, edges)
 
     def _fill(self, adj: Dict[int, Tuple[int, ...]]):
@@ -65,7 +67,6 @@ class Graph:
         with the vertices in ascending order. The one place the fields are set."""
         self.vertices: Tuple[int, ...] = tuple(adj)
         self.adj = adj
-        self._adjset = {v: frozenset(ns) for v, ns in adj.items()}
         self.delta = max(map(len, adj.values()), default=0)
         self.id_bound = self.vertices[-1] if adj else 0
 
@@ -84,7 +85,7 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, w: int) -> bool:
-        return w in self._adjset[u]
+        return w in self.adj[u]
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as (u, w) with u < w, lexicographically sorted."""

@@ -24,9 +24,14 @@ holds no seed: the programs are deterministic, and the one random draw
 Several destinations of one outbox may share one batch object (a broadcast).
 The run accounts such a batch once, for the run of consecutive destinations
 holding it: its bits, the maximum width and multiplexing, and its inbox
-entries are computed once and reused; the `on_send` call, the short-mode
-budget flag and the locality rule stay per destination. The run never
-mutates a batch, and a program must not mutate one after returning it.
+entries are computed once and reused; the `on_send` call and the short-mode
+budget flag stay per destination. The run never mutates a batch, and a
+program must not mutate one after returning it.
+
+Locality is checked once per sending step, the outbox's destinations against
+the sender's adjacency tuple `g.adj[v]`; no neighbor set is stored. On a
+violation, the destinations before the first stranger are accounted, in
+outbox order, before `LocalityViolation` is raised.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ def run(
         ctx = Context(v, g.adj[v], N, params, msg_mode, budget)
         insts[v] = program(ctx)
 
-    adjset = g._adjset
+    adj = g.adj
     inboxes: Dict[int, List[Tuple[int, Message]]] = {}
     halted: Dict[int, int] = {}
     wakeups: List[Tuple[int, int]] = []  # (wake round, v); stale entries are skipped
@@ -197,11 +202,11 @@ def run(
                 inst.wake = None
             out = inst.step(round_no, inboxes.pop(v, None) or [])
             if out:
-                nbrs = adjset[v]
-                local = nbrs.issuperset(out)
-                # on a violation, the destinations before the first non-neighbor
+                # the destinations that are not neighbors, a set kept for this step
+                # only; on a violation, the destinations before the first of them
                 # are still accounted, in outbox order, before the error is raised
-                items = out.items() if local else takewhile(lambda kv: kv[0] in nbrs, out.items())
+                stray = out.keys() - adj[v]
+                items = takewhile(lambda kv: kv[0] not in stray, out.items()) if stray else out.items()
                 # a batch is accounted once for the run of destinations sharing it:
                 # k messages, their inbox entry (k == 1) or entries, and bit sum b
                 prev = _NO_BATCH
@@ -252,8 +257,8 @@ def run(
                         nxt[dst].append(entry)
                     if on_send is not None:
                         on_send(round_no, v, dst, b)
-                if not local:
-                    dst = next(d for d in out if d not in nbrs)
+                if stray:
+                    dst = next(d for d in out if d in stray)
                     raise LocalityViolation(
                         f"vertex {v} sent to non-neighbor {dst} in round {round_no}",
                         partial_report(),

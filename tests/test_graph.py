@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -244,7 +245,7 @@ def _frozen_build_line_graph(g):
 
 def _fields(g):
     """Every field a Graph sets."""
-    return g.vertices, g.adj, g._adjset, g.delta, g.id_bound
+    return g.vertices, g.adj, g.delta, g.id_bound
 
 
 class TestLineGraphMatchesFrozen:
@@ -307,6 +308,21 @@ class TestLineGraphMemory:
             tracemalloc.stop()
         assert lgm.lg.n == g.m
         assert peak <= 1.2 * kept, (peak, kept)
+
+    def test_line_graph_keeps_little_beyond_its_adjacency(self):
+        """The finished map holds its sorted adjacency and little else: no
+        second per-vertex copy of the neighbors (a frozenset per vertex put
+        it at 9.24x the adjacency's size)."""
+        g = random_gnd(128, 64, seed=1)
+        tracemalloc.start()
+        try:
+            lgm = build_line_graph(g)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        adj = lgm.lg.adj
+        size = sys.getsizeof(adj) + sum(map(sys.getsizeof, adj.values()))
+        assert kept <= 1.5 * size, (kept, size)
 
 
 class TestIndependence:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -326,9 +327,10 @@ class Scripted(VertexProgram):
 
     Each step is logged as (vertex, round, inbox). A step sends batches of 0 to
     `max_batch` messages, a single one bare or in a list, to a random subset
-    of neighbors in random order, now and then also to a non-neighbor; it
-    leaves `wake` as it is or sets it to None or a past, present or future
-    round, and halts with probability `halt`. With `share` on, a destination
+    of neighbors in random order, now and then also to a non-neighbor (itself,
+    the Id past the bound N, or an Id in 1..N it is not adjacent to, which on
+    a graph on 1..N is a vertex); it leaves `wake` as it is or sets it to None
+    or a past, present or future round, and halts with probability `halt`. With `share` on, a destination
     may instead get the very batch object (a list, possibly empty or of
     several messages, or a bare Message) of an earlier destination.
     """
@@ -341,7 +343,11 @@ class Scripted(VertexProgram):
         nbrs = list(self.ctx.neighbors)
         targets = rng.sample(nbrs, rng.randint(0, len(nbrs)))
         if rng.random() < p["rude"]:
-            stranger = rng.choice([self.ctx.vid, self.ctx.n + 1])
+            strangers = [self.ctx.vid, self.ctx.n + 1]
+            far = [w for w in range(1, self.ctx.n + 1) if w != self.ctx.vid and w not in nbrs]
+            if far:
+                strangers.append(rng.choice(far))
+            stranger = rng.choice(strangers)
             targets.insert(rng.randint(0, len(targets)), stranger)
         out = {}
         for dst in targets:
@@ -403,16 +409,21 @@ class TestRunMatchesFrozenLoop:
 
     def test_every_outcome_is_reached(self):
         """A fixed sweep reaches a finished run and each of the four errors,
-        and agrees with the oracle on every one."""
+        the locality error for each kind of stranger, and agrees with the
+        oracle on every one."""
         g = cycle_graph(6)
-        seen = set()
+        seen, strangers = set(), set()
         for k in range(120):
             script = {"script": k, "halt": (0.0, 0.1, 0.4)[k % 3], "rude": 0.03, "max_batch": k % 4}
             options = {"msg_mode": ("short", "wide")[k % 2], "round_cap": 25, "transcribe": True}
             new = _outcome(run, g, script, **options)
             assert new == _outcome(_frozen_run, g, script, **options)
             seen.add(new[1][0])
+            if new[1][0] is LocalityViolation:
+                v, dst = map(int, re.match(r"vertex (\d+) sent to non-neighbor (\d+)", new[1][1]).groups())
+                strangers.add("self" if dst == v else "past N" if dst > g.n else "vertex")
         assert seen == {"ok", LocalityViolation, SimError, DeadlockError, RoundCapExceeded}
+        assert strangers == {"self", "past N", "vertex"}
 
 
 class SharedThenStray(VertexProgram):
