@@ -1,4 +1,6 @@
-"""Edge coloring: the direct short-message variant and the line-graph path.
+"""Edge coloring: the direct short-message variant and the line-graph path,
+both planned by `legal.legal_plan` (the direct one at `graph.edge_knowledge`,
+with edge-label levels), and the bottom-only 2*delta - 1 route.
 
 The direct variant runs one program on the host graph; each vertex maintains
 the state of all its incident edges and every decision about an edge is made
@@ -59,15 +61,15 @@ import numpy as np
 
 from .base import _merge_edge_outputs, step_color
 from .coloring import EdgeColoring
-from .graph import EDGE_IDS_FLAG, Graph, build_line_graph, edge_ids, knowledge
-from .legal import LevelPlan, RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
+from .graph import EDGE_IDS_FLAG, Graph, build_line_graph, edge_ids, edge_knowledge, knowledge
+from .legal import RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
 from .numbers import (
     PolyPlan,
     agreement_counts,
     ceil_log2,
     poly_eval,
 )
-from .params import LegalParams, ParamError, recursion_schedule
+from .params import LegalParams, ParamError
 from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
 K_LAB, K_RDY, K_CNT, K_BLIN, K_USED = range(5)
@@ -79,38 +81,6 @@ def conflict_bitmap(own_color: int, nbr_colors: List[int], plan: PolyPlan) -> in
     """Bit x set iff some neighbor polynomial agrees with ours at x."""
     mask = agreement_counts(own_color, nbr_colors, plan) > 0
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def smallest_pprime(Lambda: int, d: int) -> int:
-    """Smallest p' whose round-robin label defect fits under d.
-
-    An edge has at most ceil(Lambda/p') - 1 same-label co-incident edges per
-    endpoint, so its phi-defect is at most 2*ceil(Lambda/p') - 2. That is <= d
-    exactly when ceil(Lambda/p') <= d//2 + 1, i.e. p' >= ceil(Lambda/(d//2 + 1));
-    the result is at most Lambda, hence every level is feasible.
-    """
-    if d < 0:
-        raise ParamError(f"defect target must be nonnegative, got {d}")
-    return -(-Lambda // (d // 2 + 1))
-
-
-def edge_level_plans(
-    schedule: List[int],
-    params: LegalParams,
-    m_total: int,
-    uniform_pprime: bool = False,
-) -> RecursionPlan:
-    bp = params.b * params.p
-    pps = [smallest_pprime(Lam, Lam // bp) for Lam in schedule[:-1]]
-    if uniform_pprime:
-        # one p' valid for every level: at least 2bp+1 (enough for Lambda >> bp)
-        # and at least each level's minimal feasible value
-        pps = [max([2 * bp + 1] + pps)] * len(pps)
-    levels = [LevelPlan(Lam, params.p, pp * pp, p_prime=pp) for Lam, pp in zip(schedule, pps)]
-    # schedule entries bound the INCIDENT degree (line-graph degree), so the
-    # bottom greedy needs hat+1 colors; for the whole graph hat = 2*(delta-1)
-    # recovers the classical 2*delta-1.
-    return RecursionPlan(tuple(levels), bottom_plan(max(m_total, 1), schedule[-1]))
 
 
 class _Exchange:
@@ -513,12 +483,7 @@ def edge_color_direct(
     """Legal edge coloring via the edge-specialized recursion; short messages."""
     if budget_factor < 1:
         raise ParamError(f"budget_factor must be at least 1, got {budget_factor}")
-    Lambda0 = knowledge(g).edge_Lambda
-    params.validate(Lambda0)
-    schedule = recursion_schedule(params, Lambda0)
-    # paced runs reserve one slot per phi value, so a level-independent phi
-    # palette makes the per-level round cost uniform
-    plan = edge_level_plans(schedule, params, g.m, uniform_pprime=paced)
+    plan = legal_plan(edge_knowledge(g), params, paced=paced)
     col, report = _run_edge_program(
         g, plan, paced, msg_mode=msg_mode, round_cap=DIRECT_ROUND_CAP, budget_factor=budget_factor
     )
@@ -550,8 +515,10 @@ def _check_endpoint_consistency(g: Graph, report: SimReport):
 
 
 def edge_color_2delta_minus_1(g: Graph) -> Tuple[EdgeColoring, SimReport]:
-    """Legal edge coloring with palette <= 2*delta-1 (bottom stage only)."""
-    return _run_edge_program(g, RecursionPlan((), bottom_plan(g.m, knowledge(g).edge_degree)))
+    """Legal edge coloring with palette <= 2*delta-1 (bottom stage only), sized
+    at edge_degree: 0 on a matching, where `edge_knowledge` lifts it to 1."""
+    bottom = bottom_plan(edge_knowledge(g).N, knowledge(g).edge_degree)
+    return _run_edge_program(g, RecursionPlan((), bottom))
 
 
 def edge_color_via_line_graph(
@@ -564,7 +531,7 @@ def edge_color_via_line_graph(
     from .sim import run_on_line_graph
 
     lgm = build_line_graph(g)
-    # plans at L(G)'s delta; experiment sizes params at the host's 2(delta - 1) (ROADMAP item 11)
+    # plans at L(G)'s delta; experiment sizes params at edge_knowledge(g).delta (ROADMAP item 21)
     plan = legal_plan(knowledge(lgm.lg), params, phi_mode)
     report = run_on_line_graph(g, RecursiveColorProgram, params={"plan": plan}, lgm=lgm)
     colors = {lgm.edge_of[v]: out["color"] for v, out in report.outputs.items()}

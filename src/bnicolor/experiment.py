@@ -33,7 +33,7 @@ from .extensions import (
     tradeoff_color,
 )
 from .generators import generate
-from .graph import Graph, knowledge
+from .graph import Graph, edge_knowledge, knowledge
 from .legal import defective_color, legal_color, linial_coloring
 from .params import (
     DefectiveParams,
@@ -162,7 +162,7 @@ def _run_legal(read: ParamReader, g: Graph, seed: int):
 
 
 def _run_edge_direct(read: ParamReader, g: Graph, seed: int):
-    lp = _legal_params_for(read, knowledge(g).edge_Lambda)
+    lp = _legal_params_for(read, edge_knowledge(g).delta)
     col, report = edge_color_direct(
         g,
         lp,
@@ -174,8 +174,7 @@ def _run_edge_direct(read: ParamReader, g: Graph, seed: int):
 
 
 def _run_edge_line(read: ParamReader, g: Graph, seed: int):
-    # sized at the host's 2(delta - 1); the route plans at L(G)'s delta (ROADMAP item 11)
-    lp = _legal_params_for(read, knowledge(g).edge_Lambda)
+    lp = _legal_params_for(read, edge_knowledge(g).delta)
     col, report = edge_color_via_line_graph(g, lp, phi_mode=read.take("phi_mode", str, "fast"))
     return col, report, _params_dict(lp)
 

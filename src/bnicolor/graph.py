@@ -4,7 +4,8 @@ independence search.
 Vertex Ids are distinct positive integers. For a freshly built graph they live in
 1..n; induced subgraphs keep the original Ids so that Id-based tie-breaking keeps
 working down a recursion. Every route sizes its plan from `knowledge(g)`, the
-one reader of a graph's Id bound and the one place its clamps are written.
+one reader of a graph's Id bound and the one place its clamps are written, or
+from `edge_knowledge(g)`.
 
 A `Graph` is its sorted adjacency: `vertices`, `adj` (each vertex's sorted
 neighbor tuple), `delta` and `id_bound`, with no per-vertex neighbor set.
@@ -116,15 +117,17 @@ class Knowledge(NamedTuple):
         """2(delta - 1): the most edges that share an endpoint with one edge."""
         return 2 * (self.delta - 1)
 
-    @property
-    def edge_Lambda(self) -> int:
-        """The degree bound an edge recursion starts from: edge_degree, at least 1."""
-        return max(self.edge_degree, 1)
-
 
 def knowledge(g: Graph) -> Knowledge:
     """g's knowledge, with N and delta at least 1 so that every plan is defined."""
     return Knowledge(max(g.id_bound, 1), g.n, max(g.delta, 1))
+
+
+def edge_knowledge(g: Graph) -> Knowledge:
+    """What every edge knows of g's edges: the edge-Id bound N (the dense
+    `edge_ids` rank: m, at least 1), n = m and `edge_degree`, at least 1."""
+    m = g.m
+    return Knowledge(max(m, 1), m, max(knowledge(g).edge_degree, 1))
 
 
 def _is_id(x) -> bool:

@@ -9,7 +9,8 @@ remaining bounded-degree subgraph and every vertex merges its psi-history into
 a globally unique palette slot by pure arithmetic (`RecursionPlan.color`).
 `run_plan` runs every plan with a bottom, such as `linial_coloring`'s: no level
 and a bottom target no Linial final exceeds, so the bottom Linial phase alone.
-Plans are sized from `graph.Knowledge` alone, so `legal_plan` needs no graph.
+Plans are sized from `graph.Knowledge` alone, so `legal_plan` needs no graph;
+it also plans the edge routes, the direct one with edge-label levels.
 
 The recursion is realized as one program: all sibling subgraphs advance in
 the same global rounds, and a vertex knows its subgraph from its own
@@ -70,6 +71,7 @@ N_KINDS = 4
 C_LIN = 9  # linial palette <= C_LIN * delta^2 (delta >= 1)
 
 PHI_MODES = ("fast", "simple", "improved")
+LABELS = "labels"  # the edge-label level kind of `level_plans`, never a phi_mode
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class LevelPlan:
     The defective step reads this level's Linial colors, or rho under
     `RecursionPlan.rho`. kind "pre_random" takes psi from the run's "classes"
     param (vertex Id -> class, from `draw_classes`), "pre_kuhn" takes phi as psi.
-    Edge levels use p_prime, the round-robin label palette (phi = label pair).
+    Edge levels, kind "labels", use p_prime, the round-robin label palette (phi = label pair).
     """
 
     Lambda: int
@@ -221,16 +223,39 @@ def draw_classes(seed: int, vids: Sequence[int], p: int) -> List[int]:
     return classes.tolist()
 
 
+def smallest_pprime(Lambda: int, d: int) -> int:
+    """Smallest p' with 2*ceil(Lambda/p') - 2 <= d, i.e. ceil(Lambda/(d//2 + 1));
+    at most Lambda, hence every level is feasible. That is no phi-defect bound:
+    phi orders an edge's labels by endpoint Id, so edges at v can share phi with
+    different labels at v. What holds is at most 2*ceil(s_v/p') - 1 equal-phi
+    class neighbours at each endpoint v, s_v the edge's group size at v."""
+    if d < 0:
+        raise ParamError(f"defect target must be nonnegative, got {d}")
+    return -(-Lambda // (d // 2 + 1))
+
+
 def level_plans(
     mode: str,
     lambdas: Sequence[int],
     params: Union[DefectiveParams, LegalParams],
     n0: int,
+    paced: bool = False,
 ) -> Tuple[Tuple[LevelPlan, ...], Optional[int]]:
     """Pure arithmetic: the defective levels of degree bounds lambdas, and the
     palette of rho, level 0's Linial colors, which every level after the first
     reuses in improved mode (None in the other modes or without a level).
-    Of params only b and p are read."""
+    Of params only b and p are read. Mode `LABELS` gives edge levels, with no
+    Linial or Kuhn plan: p' is each level's `smallest_pprime`, or when paced one
+    p' for all, at least 2bp + 1 and each level's own (a slot per phi value)."""
+    bp = params.b * params.p
+    if mode == LABELS:
+        pps = [smallest_pprime(Lam, Lam // bp) for Lam in lambdas]
+        if paced:
+            pps = [max([2 * bp + 1] + pps)] * len(pps)
+        return tuple(
+            LevelPlan(Lam, params.p, pp * pp, kind=LABELS, p_prime=pp)
+            for Lam, pp in zip(lambdas, pps)
+        ), None
     levels: List[LevelPlan] = []
     rho_palette = None
     for Lam in lambdas:
@@ -238,7 +263,7 @@ def level_plans(
         palette = rho_palette or (plans[-1].palette if plans else n0)
         rho_palette = palette if mode == "improved" else None
         # simple: the legal coloring itself serves as the 0-defective phi
-        kuhn = None if mode == "simple" else step_plan(palette, Lam, Lam // (params.b * params.p))
+        kuhn = None if mode == "simple" else step_plan(palette, Lam, Lam // bp)
         levels.append(LevelPlan(Lam, params.p, kuhn.palette if kuhn else palette, plans, kuhn))
     return tuple(levels), rho_palette
 
@@ -459,15 +484,19 @@ def defective_color(
     return psi, report
 
 
-def legal_plan(k: Knowledge, params: LegalParams, phi_mode: str = "fast") -> RecursionPlan:
+def legal_plan(
+    k: Knowledge, params: LegalParams, phi_mode: str = "fast", paced: Optional[bool] = None
+) -> RecursionPlan:
     """The recursion plan of a legal coloring of any graph with knowledge k;
     its palette is vartheta of its schedule of per-level degree bounds
-    (`RecursionPlan.lambdas`)."""
+    (`RecursionPlan.lambdas`), checked. paced None plans vertex levels under
+    phi_mode; True or False plans `LABELS` levels, the direct edge route's."""
     if phi_mode not in PHI_MODES:
         raise ParamError(f"unknown phi_mode {phi_mode!r}")
     params.validate(k.delta)
     schedule = recursion_schedule(params, k.delta)
-    levels, rho = level_plans(phi_mode, schedule[:-1], params, k.N)
+    mode = phi_mode if paced is None else LABELS
+    levels, rho = level_plans(mode, schedule[:-1], params, k.N, bool(paced))
     plan = RecursionPlan(levels, bottom_plan(rho or k.N, schedule[-1]), rho is not None)
     vartheta = vartheta_of_schedule(schedule, params.p)
     if plan.suffix[0] != vartheta:

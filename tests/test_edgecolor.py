@@ -18,7 +18,6 @@ from bnicolor.edgecolor import (
     edge_color_2delta_minus_1,
     edge_color_direct,
     edge_color_via_line_graph,
-    smallest_pprime,
 )
 from bnicolor.experiment import ExperimentSpec, run_experiment
 from bnicolor.generators import (
@@ -28,9 +27,9 @@ from bnicolor.generators import (
     path_graph,
     random_gnd,
 )
-from bnicolor.graph import edge_ids, graph_from_edges
-from bnicolor.legal import RecursionPlan, bottom_plan
-from bnicolor.params import LegalParams, ParamError
+from bnicolor.graph import edge_ids, edge_knowledge, graph_from_edges
+from bnicolor.legal import LABELS, RecursionPlan, bottom_plan
+from bnicolor.params import LegalParams, ParamError, make_preset
 from bnicolor.sim import Context, Message, SimError, run
 from bnicolor.verify import check_edge_coloring
 
@@ -41,36 +40,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_EDGE = LegalParams(1, 5, 4, 1)
 
 
-class TestSmallestPprime:
-    def test_values(self):
-        assert smallest_pprime(64, 3) == 32
-        assert smallest_pprime(64, 0) == 64
-        assert smallest_pprime(10, 4) == 4
+class TestDegreeAtMostOne:
+    """edge_2delta sizes its bottom at edge_degree, 0 on a matching, and the
+    direct route at `edge_knowledge`'s degree, at least 1: one color against
+    a vartheta of 2."""
 
-    @given(st.integers(1, 200), st.integers(0, 30))
-    @settings(max_examples=60, deadline=None)
-    def test_bound_holds_and_minimal(self, Lambda, d):
-        pp = smallest_pprime(Lambda, d)
-        assert 2 * (-(-Lambda // pp)) - 2 <= d
-        if pp > 1:
-            assert 2 * (-(-Lambda // (pp - 1))) - 2 > d
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParamError):
-            smallest_pprime(10, -1)
-
-    def test_formula_matches_frozen_search(self):
-        """The closed form against the linear search it replaced, verbatim."""
-
-        def frozen(Lambda, d):
-            for pp in range(1, Lambda + 1):
-                if 2 * (-(-Lambda // pp)) - 2 <= d:
-                    return pp
-            return Lambda
-
-        for Lambda in range(600):
-            for d in range(1300):
-                assert smallest_pprime(Lambda, d) == frozen(Lambda, d), (Lambda, d)
+    @pytest.mark.parametrize(
+        "edges,n,rounds", [([(1, 2), (3, 4), (5, 6)], 6, 2), ([], 3, 0)], ids=["matching", "edgeless"]
+    )
+    def test_pinned(self, edges, n, rounds):
+        g = graph_from_edges(n, edges)
+        col, report = edge_color_2delta_minus_1(g)
+        assert (col.palette, report.rounds, report.extra["level_lambdas"]) == (1, rounds, [0])
+        params = make_preset("thm45", 2, edge_knowledge(g).delta)
+        for msg_mode in ("wide", "short"):
+            col, report = edge_color_direct(g, params, msg_mode=msg_mode)
+            assert (report.extra["vartheta"], report.rounds) == (2, rounds)
+            assert report.extra["level_lambdas"] == [1]
+            assert set(col.colors.values()) <= {1}
 
 
 class TestBottomOnly:
@@ -211,9 +198,11 @@ class TestEdgeViaLineGraph:
             assert (report.rounds, report.max_msg_bits, report.msgs_per_edge_round) == (0, 0, 0)
 
     def test_unknown_phi_mode(self):
-        # the route builds its plan with legal_color's checks, phi_mode included
-        with pytest.raises(ParamError, match="unknown phi_mode 'warp'"):
-            edge_color_via_line_graph(random_gnd(12, 4, seed=1), SMALL_EDGE, phi_mode="warp")
+        # the route builds its plan with legal_color's checks, phi_mode included;
+        # the edge-label level kind is no phi_mode
+        for phi_mode in ("warp", LABELS):
+            with pytest.raises(ParamError, match=f"unknown phi_mode '{phi_mode}'"):
+                edge_color_via_line_graph(random_gnd(12, 4, seed=1), SMALL_EDGE, phi_mode=phi_mode)
 
 
 def _endpoints_agree(g, report):

@@ -16,7 +16,9 @@ keeps on purpose. A fifth keeps closure cells out of the generators that
 the vertex programs keep suspended between steps (see
 `tests/test_legal.py::TestGeneratorRules` for what a cell costs there). A
 sixth keeps reads of a graph's `id_bound` inside `graph.py`: every other
-module takes N from `graph.knowledge`.
+module takes N from `graph.knowledge`. A seventh keeps the plan arithmetic,
+the calls of `recursion_schedule` and `smallest_pprime`, inside `legal.py`:
+every plan sized by a schedule comes from `legal.legal_plan`.
 """
 
 import ast
@@ -194,6 +196,39 @@ def test_the_scan_finds_id_bound_reads():
         "    return lgm.lg.id_bound, getattr(g, 'id_bound')\n"
     )
     assert attribute_reads(source, "id_bound") == [2, 5]
+
+
+def call_lines(source: str, names):
+    """Lines that call a function named in names, by name or as an attribute."""
+    tree = ast.parse(source)
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", getattr(n.func, "attr", None)) in names
+    )
+
+
+PLAN_ARITHMETIC = ("recursion_schedule", "smallest_pprime")
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "legal"])
+def test_only_legal_calls_the_plan_arithmetic(module):
+    """A route sizes its levels through `legal.legal_plan`, which checks the
+    palette against vartheta, never from the schedule itself."""
+    assert call_lines((SRC / f"{module}.py").read_text(), PLAN_ARITHMETIC) == []
+
+
+def test_the_scan_finds_plan_arithmetic_calls():
+    source = (
+        "from params import recursion_schedule\n"
+        "def f(params, delta, legal):\n"
+        "    schedule = recursion_schedule(params, delta)\n"
+        "    note = 'smallest_pprime(9, 2)'  # smallest_pprime(9, 2) in a comment\n"
+        "    pp = legal.smallest_pprime(schedule[0], 2)\n"
+        "    return recursion_schedule, [smallest_pprime(L, 0) for L in schedule]\n"
+    )
+    assert call_lines(source, PLAN_ARITHMETIC) == [3, 5, 6]
 
 
 # module-level definitions that nothing in src/bnicolor reaches, kept on purpose

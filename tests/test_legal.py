@@ -3,7 +3,9 @@ import inspect
 import json
 import random
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from bnicolor import extensions, legal, sim
 from bnicolor.base import Outbox
 from bnicolor.coloring import VertexColoring
-from bnicolor.edgecolor import edge_color_direct, edge_color_via_line_graph, edge_level_plans
+from bnicolor.edgecolor import edge_color_direct, edge_color_via_line_graph
 from bnicolor.experiment import ExperimentSpec, report_json, run_experiment
 from bnicolor.extensions import RandomizedParams, TradeoffParams, randomized_color, tradeoff_color
 from bnicolor.generators import (
@@ -23,12 +25,22 @@ from bnicolor.generators import (
     hypergraph_line,
     random_gnd,
 )
-from bnicolor.graph import Graph, Knowledge, build_line_graph, edge_ids, knowledge
+from bnicolor.graph import (
+    Graph,
+    Knowledge,
+    build_line_graph,
+    edge_ids,
+    edge_knowledge,
+    graph_from_edges,
+    knowledge,
+)
 from bnicolor.legal import (
     K_RED,
+    LABELS,
     N_KINDS,
     PHI_MODES,
     BottomPlan,
+    LevelPlan,
     RecursionPlan,
     RecursiveColorProgram,
     bottom_plan,
@@ -37,6 +49,7 @@ from bnicolor.legal import (
     legal_plan,
     level_plans,
     linial_coloring,
+    smallest_pprime,
 )
 from bnicolor.params import (
     DefectiveParams,
@@ -110,6 +123,11 @@ class TestDefectiveColor:
         rep = check_defect_pigeonhole(g, phi, psi, p=4, Lambda=g.delta)
         assert not rep.violated
 
+    def test_unknown_phi_mode(self):
+        for phi_mode in ("improved", LABELS):
+            with pytest.raises(ParamError, match=f"phi_mode must be fast or simple, got '{phi_mode}'"):
+                defective_color(complete_graph(4), DefectiveParams(1, 2, 3, 1), phi_mode=phi_mode)
+
     def test_rejects_lambda_below_delta(self):
         g = complete_graph(6)
         with pytest.raises(ParamError):
@@ -154,12 +172,110 @@ class TestLegalColor:
         assert check_vertex_coloring(g, col).legal
 
     def test_unknown_phi_mode(self):
-        with pytest.raises(ParamError):
-            legal_color(complete_graph(4), LegalParams(1, 9, 12, 2), phi_mode="warp")
+        # the edge-label level kind is no phi_mode
+        for phi_mode in ("warp", LABELS):
+            with pytest.raises(ParamError, match=f"unknown phi_mode '{phi_mode}'"):
+                legal_color(complete_graph(4), LegalParams(1, 9, 12, 2), phi_mode=phi_mode)
 
 
 # recurses twice on the line graphs below: [14, 6, 3] at degree 14
 TWO_LEVELS = LegalParams(1, 5, 4, 1)
+
+
+class TestSmallestPprime:
+    def test_values(self):
+        assert smallest_pprime(64, 3) == 32
+        assert smallest_pprime(64, 0) == 64
+        assert smallest_pprime(10, 4) == 4
+
+    @given(st.integers(1, 200), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_and_minimal(self, Lambda, d):
+        pp = smallest_pprime(Lambda, d)
+        assert 2 * (-(-Lambda // pp)) - 2 <= d
+        if pp > 1:
+            assert 2 * (-(-Lambda // (pp - 1))) - 2 > d
+
+    def test_rejects_negative(self):
+        with pytest.raises(ParamError):
+            smallest_pprime(10, -1)
+
+    def test_formula_matches_frozen_search(self):
+        """The closed form against the linear search it replaced, verbatim."""
+
+        def frozen(Lambda, d):
+            for pp in range(1, Lambda + 1):
+                if 2 * (-(-Lambda // pp)) - 2 <= d:
+                    return pp
+            return Lambda
+
+        for Lambda in range(600):
+            for d in range(1300):
+                assert smallest_pprime(Lambda, d) == frozen(Lambda, d), (Lambda, d)
+
+
+def _frozen_direct_plan(params, Lambda0, m_total, uniform_pprime=False):
+    """The direct edge route's plan before `legal_plan` built it: the lines of
+    `edge_color_direct` and `edge_level_plans`, verbatim but for
+    `smallest_pprime`, inlined as its closed form."""
+    params.validate(Lambda0)
+    schedule = recursion_schedule(params, Lambda0)
+    bp = params.b * params.p
+    pps = [-(-Lam // ((Lam // bp) // 2 + 1)) for Lam in schedule[:-1]]
+    if uniform_pprime:
+        # one p' valid for every level: at least 2bp+1 (enough for Lambda >> bp)
+        # and at least each level's minimal feasible value
+        pps = [max([2 * bp + 1] + pps)] * len(pps)
+    levels = [LevelPlan(Lam, params.p, pp * pp, p_prime=pp) for Lam, pp in zip(schedule, pps)]
+    # schedule entries bound the INCIDENT degree (line-graph degree), so the
+    # bottom greedy needs hat+1 colors; for the whole graph hat = 2*(delta-1)
+    # recovers the classical 2*delta-1.
+    return RecursionPlan(tuple(levels), bottom_plan(max(m_total, 1), schedule[-1]))
+
+
+def _plan_fields(build):
+    """Every field of build()'s plan that the edge program or a report reads,
+    with the levels' kind tag set aside, or build()'s ParamError message."""
+    try:
+        plan = build()
+    except ParamError as e:
+        return str(e)
+    levels = tuple(replace(level, kind="std") for level in plan.levels)
+    return levels, plan.bottom, plan.rho, plan.suffix
+
+
+class TestEdgePlan:
+    def test_equals_the_frozen_builder(self):
+        """`legal_plan` at an edge knowledge (N = max(m, 1), n = m) against
+        the frozen builder: the same plan, or the same error, on every preset,
+        c, degree, m and pacing."""
+        compared = 0
+        grid = product(
+            ("thm45", "thm48_3", "improved_s42", "thm46"), (1, 2, 3, 5), [*range(1, 80), 128, 256, 1024, 4096]
+        )
+        for preset, c, delta in grid:
+            t = smallest_feasible_thm46_t(c, delta) if preset == "thm46" else None
+            try:
+                params = make_preset(preset, c, delta, t=t)
+            except ParamError:
+                continue
+            for m, paced in product((0, 1000), (False, True)):
+                k = Knowledge(max(m, 1), m, delta)
+                new = _plan_fields(lambda: legal_plan(k, params, paced=paced))
+                assert new == _plan_fields(lambda: _frozen_direct_plan(params, delta, m, paced))
+                compared += not isinstance(new, str)
+        assert compared == 3988
+
+    def test_edge_knowledge(self):
+        """N is the dense edge-Id bound, n the edge count and delta the
+        incident degree 2(delta - 1), all at least 1 but n; its paced and
+        unpaced plans have levels of the edge-label kind."""
+        k = edge_knowledge(complete_graph(9))
+        assert k == Knowledge(36, 36, 14)
+        for paced in (False, True):
+            assert [level.kind for level in legal_plan(k, TWO_LEVELS, paced=paced).levels] == [LABELS] * 2
+        assert edge_knowledge(graph_from_edges(6, [(1, 2), (3, 4), (5, 6)])) == Knowledge(3, 3, 1)
+        assert edge_knowledge(graph_from_edges(3, [])) == Knowledge(1, 0, 1)
 
 
 class TestRecursionPlan:
@@ -179,7 +295,7 @@ class TestRecursionPlan:
             schedule = recursion_schedule(params, delta)
             vartheta = vartheta_of_schedule(schedule, params.p)
             if edge_route:
-                plans = [edge_level_plans(schedule, params, 500, u) for u in (False, True)]
+                plans = [legal_plan(Knowledge(500, 500, delta), params, paced=u) for u in (False, True)]
             else:
                 plans = []
                 for mode in PHI_MODES:
@@ -484,16 +600,14 @@ class TestLevelBounds:
     def test_edge_line(self, seed):
         """On L(G), with the preset sized as `experiment` sizes it."""
         g = random_gnd(40, 24, seed=seed)
-        params = make_preset("thm45", 2, knowledge(g).edge_Lambda)
+        params = make_preset("thm45", 2, edge_knowledge(g).delta)
         self.check(build_line_graph(g).lg, edge_color_via_line_graph(g, params)[1])
 
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=4, deadline=None)
-    def test_edge_direct(self, seed):
+    @classmethod
+    def check_edge_direct(cls, g, params):
         """On L(G), in wide, short and paced mode; an L(G) vertex is an
-        `edge_ids` Id and its history is its edge's psi telemetry."""
-        g = random_gnd(40, 24, seed=seed)
-        params = make_preset("thm45", 2, knowledge(g).edge_Lambda)
+        `edge_ids` Id and its history is its edge's psi telemetry. Each
+        level's phi-defect is checked too."""
         lg = build_line_graph(g).lg
         for msg_mode, paced in (("wide", False), ("short", False), ("short", True)):
             report = edge_color_direct(g, params, msg_mode=msg_mode, paced=paced)[1]
@@ -501,7 +615,35 @@ class TestLevelBounds:
             for (u, w), e in edge_ids(g).items():
                 psi = report.telemetry[u]["edges"][w]["psi"]
                 hists[e] = [psi[lvl][1] for lvl in sorted(psi)]
-            self.check(lg, report, hists)
+            cls.check(lg, report, hists)
+            cls.check_phi_defect(g, report, legal_plan(edge_knowledge(g), params, paced=paced))
+
+    @staticmethod
+    def check_phi_defect(g, report, plan):
+        """At every level, an edge has at most 2*ceil(s_v/p') - 1 equal-phi
+        class neighbours at each endpoint v, s_v its group size at v: phi
+        orders the labels by endpoint Id, so two edges can share phi with
+        different labels at v (`legal.smallest_pprime`)."""
+        for v in g.vertices:
+            edges = report.telemetry[v]["edges"].values()
+            for lvl, level in enumerate(plan.levels):
+                groups = defaultdict(list)
+                for t in edges:
+                    groups[tuple(t["psi"][i][1] for i in range(lvl))].append(t["phi"][lvl][1])
+                for phis in groups.values():
+                    bound = 2 * -(-len(phis) // level.p_prime) - 1
+                    assert max(Counter(phis).values()) - 1 <= bound, (v, lvl, phis)
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_edge_direct(self, seed):
+        g = random_gnd(40, 24, seed=seed)
+        self.check_edge_direct(g, make_preset("thm45", 2, edge_knowledge(g).delta))
+
+    @pytest.mark.parametrize("n", [7, 9, 10, 11, 12, 13])
+    def test_edge_direct_complete(self, n):
+        """Complete graphs, where phi-defects exceed 2*ceil(Lambda/p') - 2."""
+        self.check_edge_direct(complete_graph(n), TWO_LEVELS)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=4, deadline=None)
