@@ -18,12 +18,12 @@ psi-history, so no coordination is needed. A vertex's run is one generator,
 `RecursiveColorProgram._program`, that walks the levels in order and, wherever
 it needs its neighbors' colors, runs `yield from self._await(nbrs, store)`;
 `step` files what arrives and resumes it unless the awaited neighbor is still
-missing. So a vertex moves on as soon as its messages have arrived, which can
-be earlier than the worst-case schedule. Every vertex's generator stays
-suspended between steps, and two rules keep that cheap: its body holds no
-comprehension or lambda (on Python 3.10 and 3.11 each local one reads would
-become a closure cell per vertex), and it holds a step's outbox only while
-that step runs.
+missing; then it returns None and builds no outbox. So a vertex moves on as
+soon as its messages have arrived, which can be earlier than the worst-case
+schedule. Every vertex's generator stays suspended between steps, and two
+rules keep that cheap: its body holds no comprehension or lambda (on Python
+3.10 and 3.11 each local one reads would become a closure cell per vertex),
+and it holds a step's outbox only while that step runs.
 
 Linial phases are numbered as `RecursionPlan.phases`: one per level, then the
 bottom's, whose last color is reduced greedily. Stores are positional:
@@ -33,6 +33,12 @@ reads, and `phi_at[lvl]`, `psi_at[lvl]` and `red_at` hold the neighbors' phi,
 psi and reduced bottom colors. Iteration 0 is the Ids, the read-only
 `range(N + 1)` that maps Id u to u (N = `Context.n`, the Id bound). Under
 `RecursionPlan.rho`, every `kuhn_at` and the bottom's iteration 0 are rho.
+`stores` lists them all flat: `red_at`, each level's `phi_at`, each level's
+`psi_at`, then each phase's `lin_at` from iteration 0. Every message names the
+store it fills by its index there, `slot`, which is the same at every vertex
+because all vertices run one plan, and carries the color as `val`; `step`
+files it as `stores[msg.slot][u] = msg.val`. Its fields (kind, level,
+iteration, color) still give its bits.
 
 Every message goes to all of `same`, the neighbors in the vertex's current
 subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
@@ -268,6 +274,18 @@ def level_plans(
     return tuple(levels), rho_palette
 
 
+class _Filed(Message):
+    """A message of `RecursiveColorProgram` that names the store it fills:
+    the receiver sets stores[slot][sender] = val."""
+
+    __slots__ = ("slot", "val")
+
+    def __init__(self, slot: int, val: int, *fields: Tuple[int, int]):
+        super().__init__(*fields)
+        self.slot = slot
+        self.val = val
+
+
 class RecursiveColorProgram(VertexProgram):
     def __init__(self, ctx: Context):
         super().__init__(ctx)
@@ -286,6 +304,9 @@ class RecursiveColorProgram(VertexProgram):
         self.phi_at: List[Dict[int, int]] = [{} for _ in plan.levels]
         self.psi_at: List[Dict[int, int]] = [{} for _ in plan.levels]
         self.red_at: Dict[int, int] = {}
+        self.stores = [self.red_at, *self.phi_at, *self.psi_at]
+        for phase in self.lin_at:
+            self.stores += phase
         # the one wait the program is blocked on, or None: (u, store) with u
         # the first neighbor still missing from store
         self.wait: Optional[Tuple[int, Dict[int, int]]] = None
@@ -294,22 +315,14 @@ class RecursiveColorProgram(VertexProgram):
         self._run = self._program()
 
     def step(self, round_no, inbox):
+        stores = self.stores
         for u, msg in inbox:
-            f = msg.fields
-            kind = f[0][0]
-            if kind == K_LIN:
-                self.lin_at[f[1][0]][f[2][0]][u] = f[3][0] + 1
-            elif kind == K_PHI:
-                self.phi_at[f[1][0]][u] = f[2][0] + 1
-            elif kind == K_PSI:
-                self.psi_at[f[1][0]][u] = f[2][0] + 1
-            else:
-                self.red_at[u] = f[1][0] + 1
-        out = Outbox()
+            stores[msg.slot][u] = msg.val
         wait = self.wait
         if wait is not None and wait[0] not in wait[1]:
-            return out  # the awaited neighbor has not reported: nothing can move
+            return None  # the awaited neighbor has not reported: nothing can move
         self.rnd = round_no
+        out = Outbox()
         self._advance(out)
         return out
 
@@ -345,7 +358,9 @@ class RecursiveColorProgram(VertexProgram):
         plan, vid = self.plan, self.ctx.vid
         n_levels = len(plan.levels)
         same = self.ctx.neighbors
+        lin_next = 1 + 2 * n_levels  # the `stores` index of a phase's iteration 0
         for lvl, plans in enumerate(plan.phases):
+            lin_0, lin_next = lin_next, lin_next + len(plans) + 1
             level = plan.levels[lvl] if lvl < n_levels else None
             if level is not None and level.kind == "pre_random":
                 psi = self.ctx.params["classes"][vid]
@@ -356,7 +371,9 @@ class RecursiveColorProgram(VertexProgram):
                     yield from self._await(same, colors_at[it])
                     color = _poly_step(color, colors_at[it], same, lin_plan)
                     colors_at[it + 1][vid] = color
-                    msg = Message(
+                    msg = _Filed(
+                        lin_0 + it + 1,
+                        color,
                         (K_LIN, N_KINDS),
                         (lvl, n_levels + 1),
                         (it + 1, len(plans) + 1),
@@ -372,7 +389,9 @@ class RecursiveColorProgram(VertexProgram):
                     phi = _poly_step(colors[vid], colors, same, level.kuhn_plan)
                 self.phis[lvl] = phi
                 self.telemetry["r_phi"][lvl] = self.rnd
-                msg = Message((K_PHI, N_KINDS), (lvl, n_levels + 1), (phi - 1, level.phi_palette))
+                msg = _Filed(
+                    1 + lvl, phi, (K_PHI, N_KINDS), (lvl, n_levels + 1), (phi - 1, level.phi_palette)
+                )
                 self._out.broadcast(same, msg)
                 psi = phi
                 if level.kind != "pre_kuhn":
@@ -383,7 +402,9 @@ class RecursiveColorProgram(VertexProgram):
                     psi = _least_used(smaller, self.psi_at[lvl], level.p)
             self.hist.append(psi)
             self.telemetry["r_psi"][lvl] = self.rnd
-            msg = Message((K_PSI, N_KINDS), (lvl, n_levels + 1), (psi - 1, level.p))
+            msg = _Filed(
+                1 + n_levels + lvl, psi, (K_PSI, N_KINDS), (lvl, n_levels + 1), (psi - 1, level.p)
+            )
             self._out.broadcast(same, msg)
             if plan.bottom is None:
                 self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
@@ -399,7 +420,7 @@ class RecursiveColorProgram(VertexProgram):
             color = _least_free(same, self.red_at, finals)
             final_pal = plans[-1].palette if plans else bottom.start_palette
             domain = max(final_pal, bottom.target, self.ctx.n + 2)
-            self._out.broadcast(same, Message((K_RED, N_KINDS), (color - 1, domain)))
+            self._out.broadcast(same, _Filed(0, color, (K_RED, N_KINDS), (color - 1, domain)))
         self.telemetry["out_round"] = self.rnd
         self.telemetry["bot_color"] = color
         self.output = {"color": plan.color(color, self.hist), "psi_hist": list(self.hist)}

@@ -22,11 +22,12 @@ holds no seed: the programs are deterministic, and the one random draw
 (`legal.draw_classes`) is made before a run and handed in through `params`.
 
 Several destinations of one outbox may share one batch object (a broadcast).
-The run accounts such a batch once, for the run of consecutive destinations
-holding it: its bits, the maximum width and multiplexing, and its inbox
-entries are computed once and reused; the `on_send` call and the short-mode
-budget flag stay per destination. The run never mutates a batch, and a
-program must not mutate one after returning it.
+The run accounts such a batch once, for the batch run, the run of
+consecutive destinations holding it: its bits, the maximum width and
+multiplexing, and its inbox entries are computed once and reused, and
+`on_send` is called once with the run's destinations; the short-mode budget
+flag stays per destination. The run never mutates a batch, and a program
+must not mutate one after returning it.
 
 Locality is checked once per sending step, the outbox's destinations against
 the sender's adjacency tuple `g.adj[v]`; no neighbor set is stored. On a
@@ -96,10 +97,10 @@ class VertexProgram:
     """Base class: subclass and implement step(round_no, inbox) -> outbox.
 
     inbox is a list of (sender Id, Message); outbox maps neighbor Id to a
-    Message (short mode) or a list of Messages (wide mode). Several neighbors
-    may map to the same batch object: the run accounts it once and never
-    mutates it, and the program must not mutate it after returning it. Set
-    self.output to halt.
+    Message (short mode) or a list of Messages (wide mode), and may be empty
+    or None when the step sends nothing. Several neighbors may map to the
+    same batch object: the run accounts it once and never mutates it, and the
+    program must not mutate it after returning it. Set self.output to halt.
     """
 
     def __init__(self, ctx: Context):
@@ -147,13 +148,16 @@ def run(
     round_cap: int = DEFAULT_ROUND_CAP,
     params: Optional[Dict[str, Any]] = None,
     budget_factor: int = 1,
-    on_send: Optional[Callable[[int, int, int, int], None]] = None,
+    on_send: Optional[Callable[[int, int, List[int], int], None]] = None,
 ) -> SimReport:
     """Execute `program` on every vertex of g until all halt.
 
-    on_send(round, sender, dst, bits), if given, is called per destination of
-    each non-empty batch (bits: the batch's bit sum) in delivery order: rounds
-    never decrease; within one, senders ascend, each in outbox order.
+    on_send(round, sender, dsts, bits), if given, is called once per batch run
+    of a non-empty batch: dsts lists the run's destinations in outbox order
+    (a new list per call) and bits is the batch's bit sum. Calls come in
+    delivery order: rounds never decrease; within one, senders ascend, each
+    in outbox order. When a multiplexed short-mode batch or a non-neighbor
+    raises, every run before it is passed on first.
 
     Raises RoundCapExceeded / DeadlockError with a partial report attached,
     and LocalityViolation if a program addresses a non-neighbor.
@@ -208,10 +212,14 @@ def run(
                 stray = out.keys() - adj[v]
                 items = takewhile(lambda kv: kv[0] not in stray, out.items()) if stray else out.items()
                 # a batch is accounted once for the run of destinations sharing it:
-                # k messages, their inbox entry (k == 1) or entries, and bit sum b
+                # k messages, their inbox entry (k == 1) or entries, and bit sum b;
+                # dsts collects the run's destinations for one on_send call
                 prev = _NO_BATCH
+                dsts = None
                 for dst, msgs in items:
                     if msgs is not prev:
+                        if dsts:
+                            on_send(round_no, v, dsts, b)
                         prev = msgs
                         if not isinstance(msgs, list):
                             msgs = [msgs]
@@ -239,6 +247,7 @@ def run(
                                     max_bits = m.bits
                             if k > max_mux:
                                 max_mux = k
+                        dsts = [] if on_send is not None else None
                     if not k:
                         continue
                     acted = True
@@ -255,8 +264,10 @@ def run(
                             else:
                                 flag_overflow += 1
                         nxt[dst].append(entry)
-                    if on_send is not None:
-                        on_send(round_no, v, dst, b)
+                    if dsts is not None:
+                        dsts.append(dst)
+                if dsts:
+                    on_send(round_no, v, dsts, b)
                 if stray:
                     dst = next(d for d in out if d in stray)
                     raise LocalityViolation(
@@ -328,12 +339,20 @@ def run_on_line_graph(
     Host messages carry the logical payload plus a destination-edge
     Id field; per-host-edge multiplexing is counted and reported.
 
-    The owner of line-graph vertex e is `lgm.edge_of[e][0]`, the smaller
-    endpoint. Adjacent edges (su, sw) and (du, dw) share exactly one endpoint:
-    su if su is one of du, dw, else sw. A hop whose owner is the shared
-    endpoint stays on that host and costs no host message.
+    The owner of line-graph vertex e = (su, sw), su < sw, is su. Adjacent
+    edges share exactly one endpoint, and a hop whose owner is that shared
+    endpoint stays on its host and costs no host message. So a message from e
+    to f = (du, dw) loads host edge su -> sw in hop 1 exactly when f meets e
+    at sw, and host edge dw -> du in hop 2 exactly when f meets e at dw, that
+    is, when dw is su or sw. Each directed host edge thus carries the hop-1
+    load of one sender and the hop-2 load of one receiver, and a fold counts
+    them per line-graph vertex: for a batch from e to dsts, hop 1 adds
+    |dsts & inc[sw]| to e, and hop 2 adds 1 to each f in dsts & hi[su] and
+    dsts & hi[sw], where inc[s] holds the edges at host vertex s and hi[s]
+    those whose larger endpoint is s. Only these two sets per host vertex
+    are kept, nothing per line-graph edge.
 
-    Each logical message is folded into host load as it is sent (`on_send`).
+    Each logical batch is folded into host load as it is sent (`on_send`).
     Round r loads only host rounds 2r + 1 and 2r + 2, and `run` never goes
     back a round, so r's counts are final once a later round sends: only the
     current round's counts are kept.
@@ -341,30 +360,41 @@ def run_on_line_graph(
     if lgm is None:
         lgm = build_line_graph(g)
     edge_of = lgm.edge_of
-    # the current round r's load: (hop h, directed host edge) -> count, in host round 2r + h
-    load: Dict[Tuple[int, int, int], int] = {}
+    inc: Dict[int, set] = {s: set() for s in g.vertices}
+    hi: Dict[int, set] = {s: set() for s in g.vertices}
+    for e, (su, sw) in edge_of.items():
+        inc[su].add(e)
+        inc[sw].add(e)
+        hi[sw].add(e)
+    # the current round r's load, keyed by line-graph vertex: hop 1 (host round
+    # 2r + 1) by the sender, hop 2 (host round 2r + 2) by the receiver
+    hop1: Dict[int, int] = {}
+    hop2: Dict[int, int] = {}
     cur = mux = logical_max_bits = 0  # cur stays 0 until the first send
 
-    def fold(rnd, src_e, dst_e, bits):
+    def heaviest() -> int:
+        return max(max(hop1.values(), default=0), max(hop2.values(), default=0))
+
+    def fold(rnd, e, dsts, bits):
         nonlocal cur, mux, logical_max_bits
         if rnd != cur:
-            mux = max(mux, max(load.values(), default=0))
-            load.clear()
+            mux = max(mux, heaviest())
+            hop1.clear()
+            hop2.clear()
             cur = rnd
-        su, sw = edge_of[src_e]
-        du, dw = edge_of[dst_e]
-        shared = su if su == du or su == dw else sw
         if bits > logical_max_bits:
             logical_max_bits = bits
-        if su != shared:
-            key = (1, su, shared)
-            load[key] = load.get(key, 0) + 1
-        if du != shared:
-            key = (2, shared, du)
-            load[key] = load.get(key, 0) + 1
+        su, sw = edge_of[e]
+        k = len(inc[sw].intersection(dsts))
+        if k:
+            hop1[e] = hop1.get(e, 0) + k
+        for f in hi[su].intersection(dsts):
+            hop2[f] = hop2.get(f, 0) + 1
+        for f in hi[sw].intersection(dsts):
+            hop2[f] = hop2.get(f, 0) + 1
 
     logical = run(lgm.lg, program, msg_mode="wide", params=params, on_send=fold)
-    mux = max(mux, max(load.values(), default=0))
+    mux = max(mux, heaviest())
     addr_bits = ceil_log2(knowledge(lgm.lg).N)
     host_max_bits = logical_max_bits + addr_bits if cur else 0
     # setup round: each vertex tells each neighbor all its incident edge Ids

@@ -44,18 +44,18 @@ def recording(run, transcripts):
     """`run` (`sim.run`, or a stand-in with its signature) that records every
     call's messages: each call appends a list to `transcripts` and passes an
     `on_send` that adds one row (round, sender, dst, bits) to it per
-    destination, in delivery order, and hands the row on to the caller's own
-    `on_send`, if any. The list is appended before the run starts, so a run
-    that raises leaves the rows it sent."""
+    destination of each batch run, in delivery order, and hands the call on
+    to the caller's own `on_send`, if any. The list is appended before the run
+    starts, so a run that raises leaves the rows it sent."""
 
     def recorded_run(*args, on_send=None, **kwargs):
         rows = []
         transcripts.append(rows)
 
-        def record(*row):
-            rows.append(row)
+        def record(rnd, src, dsts, bits):
+            rows.extend((rnd, src, dst, bits) for dst in dsts)
             if on_send is not None:
-                on_send(*row)
+                on_send(rnd, src, dsts, bits)
 
         return run(*args, on_send=record, **kwargs)
 

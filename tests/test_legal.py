@@ -61,7 +61,7 @@ from bnicolor.params import (
     smallest_feasible_thm46_t,
     vartheta_of_schedule,
 )
-from bnicolor.sim import Context, Message, run
+from bnicolor.sim import Context, run
 from bnicolor.verify import check_edge_coloring, check_vertex_coloring
 
 from conftest import canonical, connected_graphs, recording
@@ -449,7 +449,8 @@ class TestReadinessCursors:
             prog = RecursiveColorProgram(Context(5, [7], 8, {"plan": plan}))
             assert not prog.step(1, []) and prog.output is None
             assert prog.wait == (7, prog.red_at)  # on the competitor's reduced color
-            out = prog.step(2, [(7, Message((K_RED, N_KINDS), (red - 1, 10)))])
+            # slot 0 is red_at, as the program files a K_RED message
+            out = prog.step(2, [(7, legal._Filed(0, red, (K_RED, N_KINDS), (red - 1, 10)))])
             [(dst, [msg])] = out.items()
             assert dst == 7 and msg.fields[0][0] == K_RED
             outcomes.append((msg.fields[1][0] + 1, prog.output))
@@ -463,16 +464,22 @@ class TestWorkCount:
     def test_most_steps_of_a_waiting_vertex_return_at_once(self, monkeypatch):
         """On the first input of the benchmark's line_legal workload (seed 1),
         at most 30% of RecursiveColorProgram steps reach `_advance`: a step
-        whose awaited neighbor has not reported returns at once."""
-        counts = {"step": 0, "_advance": 0}
-        for name in counts:
-            real = getattr(RecursiveColorProgram, name)
+        whose awaited neighbor has not reported returns at once. Such a step
+        builds no outbox either: 4,285 are built, one per `_advance`, where
+        each of the 16,624 steps built one before."""
+        counts = {"step": 0, "_advance": 0, "__init__": 0}
+        for owner, name in (
+            (RecursiveColorProgram, "step"),
+            (RecursiveColorProgram, "_advance"),
+            (Outbox, "__init__"),
+        ):
+            real = getattr(owner, name)
 
             def counted(self, *args, _real=real, _name=name):
                 counts[_name] += 1
                 return _real(self, *args)
 
-            monkeypatch.setattr(RecursiveColorProgram, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         spec = ExperimentSpec(
             "line_of",
             {"inner": {"kind": "random_gnd", "params": {"n": 40, "d": 24}}},
@@ -484,6 +491,44 @@ class TestWorkCount:
         report = run_experiment(spec)
         assert report["verification"]["legal"] and report["rounds"] == 68
         assert counts["_advance"] <= 0.30 * counts["step"]
+        assert counts["__init__"] <= counts["_advance"]
+
+    def test_one_on_send_call_per_batch_run(self, monkeypatch):
+        """On the first input of the benchmark's edge_line workload (seed 1),
+        `sim.run` calls on_send once per batch run, so no more often than the
+        sending steps return distinct batch objects: 1,061, for 1,016 sending
+        steps, one of which narrows `same` and so gives each of its 46
+        destinations its own copy. It was called once per destination, 31,539
+        times."""
+        calls, batches = [0], [0]
+        real_run, real_step = sim.run, RecursiveColorProgram.step
+
+        def counted_run(*args, on_send, **kwargs):
+            def counted(*row):
+                calls[0] += 1
+                on_send(*row)
+
+            return real_run(*args, on_send=counted, **kwargs)
+
+        def step(self, round_no, inbox):
+            out = real_step(self, round_no, inbox)
+            if out:
+                batches[0] += len({id(batch) for batch in out.values()})
+            return out
+
+        monkeypatch.setattr(sim, "run", counted_run)
+        monkeypatch.setattr(RecursiveColorProgram, "step", step)
+        spec = ExperimentSpec(
+            "random_gnd",
+            {"n": 30, "d": 24},
+            algorithm="edge_line",
+            preset="thm45",
+            params={"c": 2, "eps": "3/4"},
+            seed=12,
+        )
+        report = run_experiment(spec)
+        assert report["verification"]["legal"] and report["rounds"] == 154
+        assert 0 < calls[0] <= batches[0]
 
 
 class TestGeneratorRules:
@@ -537,6 +582,8 @@ class TestBroadcastOutbox:
         class Checked(RecursiveColorProgram):
             def step(self, round_no, inbox):
                 out = super().step(round_no, inbox)
+                if out is None:  # blocked: no outbox was built
+                    return out
                 expected = {}
                 for targets, msg in out.calls:
                     for u in targets:
@@ -594,6 +641,24 @@ class TestLevelBounds:
         # hyperedges of size <= 3 bound neighborhood independence by 3
         for g, c in ((line, 2), (hypergraph_line(3, 200, 40, seed=seed), 3)):
             self.check(g, legal_color(g, make_preset("thm45", c, g.delta), phi_mode)[1])
+
+    @given(
+        seed=st.integers(0, 2**16),
+        phi_mode=st.sampled_from(["fast", "simple"]),
+        bp=st.sampled_from([(1, 4), (2, 3), (1, 8)]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_defective(self, seed, phi_mode, bp):
+        """The single level's phi: at most Lambda // (b * p) neighbors share
+        a vertex's phi in fast mode (the Kuhn step's target defect), none in
+        simple mode (phi is the legal Linial coloring)."""
+        line = line_graph_of_random(40, 24, seed)
+        for g, c in ((line, 2), (hypergraph_line(3, 200, 40, seed=seed), 3)):
+            params = DefectiveParams(*bp, g.delta, c)
+            report = defective_color(g, params, phi_mode)[1]
+            phi = report.extra["phi_colors"]
+            defect = max(sum(phi[u] == phi[v] for u in g.adj[v]) for v in g.vertices)
+            assert defect <= (g.delta // (bp[0] * bp[1]) if phi_mode == "fast" else 0), (defect, bp)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=4, deadline=None)

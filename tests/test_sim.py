@@ -209,7 +209,8 @@ def _frozen_run(
 ):
     """`sim.run` as it was before the delivery loop was rewritten, kept as an
     oracle: every vertex scanned each round, every batch summed, halted
-    vertices' inboxes kept."""
+    vertices' inboxes kept, and `on_send` called with one destination each
+    time."""
     if msg_mode not in ("short", "wide"):
         raise ValueError(f"unknown msg_mode {msg_mode!r}")
     if round_cap <= 0:
@@ -279,7 +280,7 @@ def _frozen_run(
                     else:
                         flag_overflow += 1
                 if on_send is not None:
-                    on_send(round_no, v, dst, bits)
+                    on_send(round_no, v, [dst], bits)
                 outgoing.setdefault(dst, []).extend((v, m) for m in batch)
             if insts[v].output is not None and v not in halted:
                 halted[v] = round_no
@@ -490,6 +491,27 @@ class Gossip(VertexProgram):
         return out
 
 
+class Broadcast(VertexProgram):
+    """Until round T, sends one shared batch of 1 to 3 messages to a random
+    subset of neighbors each round, and now and then a second shared batch,
+    one message longer, to a random part of that subset in its place;
+    halts in round T."""
+
+    def step(self, round_no, inbox):
+        rng = random.Random(repr((self.ctx.params["script"], self.ctx.vid, round_no)))
+        if round_no >= self.ctx.params["T"]:
+            self.output = round_no
+        else:
+            self.wake = round_no + 1
+        targets = rng.sample(self.ctx.neighbors, rng.randint(0, len(self.ctx.neighbors)))
+        batch = [Message((0, rng.choice(DOMAINS))) for _ in range(rng.randint(1, 3))]
+        out = dict.fromkeys(targets, batch)
+        if targets and rng.random() < 0.5:
+            second = batch + [Message((0, rng.choice(DOMAINS)))]
+            out.update(dict.fromkeys(rng.sample(targets, rng.randint(1, len(targets))), second))
+        return out
+
+
 def _frozen_host_accounting(lgm, transcript):
     """run_on_line_graph's host load and host message width as they were
     computed before the rewrite: owner() closure, set intersection."""
@@ -537,10 +559,23 @@ class TestHostAccountingMatchesFrozen:
     @example(*LAST_ONLY)
     @settings(max_examples=80, deadline=None)
     def test_mux_and_bits_equal_the_oracle(self, g, script, T):
+        self.check(g, Gossip, script, T)
+
+    @given(small_graphs(max_n=9), st.integers(0, 2**32), st.integers(1, 6))
+    @example(*HEAVIEST_FIRST)
+    @settings(max_examples=80, deadline=None)
+    def test_shared_batches_equal_the_oracle(self, g, script, T):
+        """Gossip gives every destination its own batch, so each fold sees
+        one destination; here batch runs of several destinations are folded
+        at once."""
+        self.check(g, Broadcast, script, T)
+
+    @staticmethod
+    def check(g, program, script, T):
         transcripts = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "run", recording(run, transcripts))
-            report = run_on_line_graph(g, Gossip, params={"script": script, "T": T})
+            report = run_on_line_graph(g, program, params={"script": script, "T": T})
         [transcript] = transcripts
         mux, host_max_bits = _frozen_host_accounting(build_line_graph(g), transcript)
         assert "transcript" not in report.extra
