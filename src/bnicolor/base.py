@@ -1,9 +1,8 @@
 """The polynomial step and the two-round defective edge labeling.
 
 `choose_point` and `step_color` are the polynomial step that every Linial
-iteration and the single-shot defective recoloring share; `Outbox` is the
-broadcast outbox of the recursion program. The Linial coloring, the
-recoloring and the palette reduction run as phases of
+iteration and the single-shot defective recoloring share. The Linial
+coloring, the recoloring and the palette reduction run as phases of
 `legal.RecursiveColorProgram`, which `legal.linial_coloring` also runs; only
 the two-round defective edge labeling (`KuhnEdgeProgram`) stays a program of
 its own here.
@@ -36,38 +35,6 @@ def choose_point(
 def step_color(own_color: int, x: int, plan: PolyPlan) -> int:
     value = poly_eval(poly_coeffs(own_color, plan.k, plan.q), x, plan.q)
     return x * plan.q + value + 1
-
-
-class Outbox(dict):
-    """One step's outbox of `legal.RecursiveColorProgram`, neighbor Id -> list
-    of Messages, filled by broadcasts.
-
-    The first broadcast puts one shared batch under every target, and later
-    broadcasts to the same target sequence (the same object, not mutated in
-    between) append to it once. A broadcast to other targets first gives
-    every destination its own copy and then appends per target. Each
-    destination's messages, and their order, are those of a per-target
-    `setdefault(u, []).append(msg)`.
-    """
-
-    __slots__ = ("_targets", "_batch")
-
-    def __init__(self):
-        self._targets = None  # the targets sharing self._batch, if any
-
-    def broadcast(self, targets, msg: Message):
-        if targets is self._targets:
-            self._batch.append(msg)
-        elif not self:
-            self._targets, self._batch = targets, [msg]
-            self.update(dict.fromkeys(targets, self._batch))
-        else:
-            if self._targets is not None:
-                for u in self._targets:
-                    self[u] = list(self._batch)
-                self._targets = None
-            for u in targets:
-                self.setdefault(u, []).append(msg)
 
 
 class KuhnEdgeProgram(VertexProgram):

@@ -11,7 +11,8 @@ in one `bnicolor <command>: ...` stderr line: a parameter that is missing, of
 the wrong type (booleans are not numbers; a boolean takes only true or false),
 out of range or never read; a --param, --gen-param or --sweep not key=value; a
 --spec file that cannot be read, holds no JSON object or comes with a flag
-setting a spec field; an unwritable output path.
+setting a spec field; a bench sweep of more than one repetition; an
+unwritable output path.
 
 Reports land next to stdout unless --out is given; a bare filename is placed
 in $BNICOLOR_OUT_DIR when that variable is set.

@@ -305,14 +305,17 @@ def _set_nested(d: Dict, key: str, value):
 def sweep_reports(
     spec: ExperimentSpec, key: str, values: List
 ) -> List[Tuple[object, Dict]]:
-    """Run the spec once per sweep value; `key` is dotted (gen_params.d)."""
-    out = []
+    """Run the spec once per sweep value; `key` is dotted (gen_params.d).
+    A point of more than one repetition is refused before any point runs."""
+    points = []
     for value in values:
         data = spec.to_dict()
         _set_nested(data, key, value)
         point = ExperimentSpec.from_dict(data)
-        out.append((value, run_experiment(point)))
-    return out
+        if point.repetitions != 1:
+            raise ParamError(f"a sweep runs each point once, got repetitions {point.repetitions}")
+        points.append((value, point))
+    return [(value, run_experiment(point)) for value, point in points]
 
 
 def sweep_csv(points: List[Tuple[object, Dict]], key: str) -> str:

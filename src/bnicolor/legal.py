@@ -23,7 +23,7 @@ soon as its messages have arrived, which can be earlier than the worst-case
 schedule. Every vertex's generator stays suspended between steps, and two
 rules keep that cheap: its body holds no comprehension or lambda (on Python
 3.10 and 3.11 each local one reads would become a closure cell per vertex),
-and it holds a step's outbox only while that step runs.
+and the program holds a step's sends only while that step runs.
 
 Linial phases are numbered as `RecursionPlan.phases`: one per level, then the
 bottom's, whose last color is reduced greedily. Stores are positional:
@@ -41,11 +41,12 @@ files it as `stores[msg.slot][u] = msg.val`. Its fields (kind, level,
 iteration, color) still give its bits.
 
 Every message goes to all of `same`, the neighbors in the vertex's current
-subgraph, through `base.Outbox.broadcast`: a step's broadcasts share one batch
-object across their destinations as long as `same` is not narrowed, so the
-simulator accounts them once per batch. `draw_classes` is the library's only
-random draw: a Philox4x64-10 over arrays that gives every vertex its class
-before the run starts, so the programs themselves are deterministic.
+subgraph, through `_send`, and `step` builds its outbox from the sends: all
+of `same` shares one batch object until `same` narrows, when the narrowed
+`same` starts a batch that extends the last one, so the simulator accounts a
+step once per batch run. `draw_classes` is the library's only random draw: a
+Philox4x64-10 over arrays that gives every vertex its class before the run
+starts, so the programs themselves are deterministic.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .base import Outbox, choose_point, step_color
+from .base import choose_point, step_color
 from .coloring import VertexColoring
 from .graph import Graph, Knowledge, knowledge
 from .numbers import PolyPlan, linial_schedule, step_plan
@@ -311,7 +312,8 @@ class RecursiveColorProgram(VertexProgram):
         # the first neighbor still missing from store
         self.wait: Optional[Tuple[int, Dict[int, int]]] = None
         self.telemetry = {"r_phi": {}, "r_psi": {}}
-        self._out: Optional[Outbox] = None  # the outbox of the step in progress
+        # the step in progress's sends, (targets, batch) in send order, or None
+        self._sends: Optional[List[Tuple[List[int], List[Message]]]] = None
         self._run = self._program()
 
     def step(self, round_no, inbox):
@@ -322,9 +324,24 @@ class RecursiveColorProgram(VertexProgram):
         if wait is not None and wait[0] not in wait[1]:
             return None  # the awaited neighbor has not reported: nothing can move
         self.rnd = round_no
-        out = Outbox()
-        self._advance(out)
+        self._sends = sends = []
+        next(self._run, None)
+        self._sends = None
+        out = {}
+        for targets, batch in sends:
+            out.update(dict.fromkeys(targets, batch))
         return out
+
+    def _send(self, targets: List[int], msg: Message):
+        """Send msg to every u in targets, which is the last send's targets or
+        narrows them: a send to the same object extends the last batch, any
+        other send starts a batch of the last one's messages and msg, which
+        `step` files over the last one's at targets."""
+        sends = self._sends
+        if sends and sends[-1][0] is targets:
+            sends[-1][1].append(msg)
+        else:
+            sends.append((targets, [*sends[-1][1], msg] if sends else [msg]))
 
     def _await(self, nbrs: List[int], store: Dict[int, int]):
         """Wait until store holds every u in nbrs; meanwhile `wait` names the
@@ -335,12 +352,6 @@ class RecursiveColorProgram(VertexProgram):
                 self.wait = (u, store)
                 yield
         self.wait = None
-
-    def _advance(self, out: Outbox):
-        """Run the program until it waits or halts, broadcasting into out."""
-        self._out = out
-        next(self._run, None)
-        self._out = None
 
     def _program(self):
         """The vertex's run: per level the Linial phase, phi and the recolor
@@ -379,7 +390,7 @@ class RecursiveColorProgram(VertexProgram):
                         (it + 1, len(plans) + 1),
                         (color - 1, lin_plan.palette),
                     )
-                    self._out.broadcast(same, msg)
+                    self._send(same, msg)
                 if level is None:
                     break
                 phi = color
@@ -392,7 +403,7 @@ class RecursiveColorProgram(VertexProgram):
                 msg = _Filed(
                     1 + lvl, phi, (K_PHI, N_KINDS), (lvl, n_levels + 1), (phi - 1, level.phi_palette)
                 )
-                self._out.broadcast(same, msg)
+                self._send(same, msg)
                 psi = phi
                 if level.kind != "pre_kuhn":
                     phis = self.phi_at[lvl]
@@ -405,7 +416,7 @@ class RecursiveColorProgram(VertexProgram):
             msg = _Filed(
                 1 + n_levels + lvl, psi, (K_PSI, N_KINDS), (lvl, n_levels + 1), (psi - 1, level.p)
             )
-            self._out.broadcast(same, msg)
+            self._send(same, msg)
             if plan.bottom is None:
                 self.output = {"phi": self.phis.get(lvl, 0), "psi": psi}
                 return
@@ -420,7 +431,7 @@ class RecursiveColorProgram(VertexProgram):
             color = _least_free(same, self.red_at, finals)
             final_pal = plans[-1].palette if plans else bottom.start_palette
             domain = max(final_pal, bottom.target, self.ctx.n + 2)
-            self._out.broadcast(same, _Filed(0, color, (K_RED, N_KINDS), (color - 1, domain)))
+            self._send(same, _Filed(0, color, (K_RED, N_KINDS), (color - 1, domain)))
         self.telemetry["out_round"] = self.rnd
         self.telemetry["bot_color"] = color
         self.output = {"color": plan.color(color, self.hist), "psi_hist": list(self.hist)}

@@ -42,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import takewhile
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .graph import EDGE_IDS_FLAG, Graph, LineGraphMap, build_line_graph, knowledge
 from .numbers import ceil_log2
@@ -177,7 +177,7 @@ def run(
 
     adj = g.adj
     inboxes: Dict[int, List[Tuple[int, Message]]] = {}
-    halted: Dict[int, int] = {}
+    halted: Set[int] = set()
     wakeups: List[Tuple[int, int]] = []  # (wake round, v); stale entries are skipped
     to_step = list(g.vertices)
     rounds_done = 0
@@ -275,7 +275,7 @@ def run(
                         partial_report(),
                     )
             if inst.output is not None:
-                halted[v] = round_no
+                halted.add(v)
             if inst.wake is not None:
                 heappush(wakeups, (inst.wake, v))
         if acted:

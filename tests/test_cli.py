@@ -597,6 +597,29 @@ class TestBench:
             "legal_params_eps_1_2.json", "legal_params_eps_3_4.json",
         ]
 
+    @pytest.mark.parametrize("how", ["flag", "spec", "sweep-key"])
+    def test_repetitions_are_refused(self, tmp_path, capsys, how):
+        """A sweep runs each point once, so asking for more repetitions ends
+        in one stderr line and exit 2 before any point runs."""
+        spec = ["--generator", "random_gnd", "--gen-param", "n=12", "--gen-param", "d=3",
+                "--algorithm", "linial"]
+        sweep = ["--sweep", "seed=1,2"]
+        if how == "flag":
+            argv = ["bench", *spec, "--repetitions", "3", *sweep]
+        elif how == "spec":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(
+                {"generator": "random_gnd", "gen_params": {"n": 12, "d": 3},
+                 "algorithm": "linial", "repetitions": 3}
+            ))
+            argv = ["bench", "--spec", str(path), *sweep]
+        else:
+            argv = ["bench", *spec, "--sweep", "repetitions=1,3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bnicolor bench: a sweep runs each point once, got repetitions 3\n"
+
     def test_bad_sweep_errors(self, capsys):
         argv = ["bench", "--generator", "path", "--gen-param", "n=3", "--algorithm", "linial"]
         assert main(argv + ["--sweep", "nonsense"]) == 2

@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import json
 import random
-import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import product
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnicolor import extensions, legal, sim
-from bnicolor.base import Outbox
 from bnicolor.coloring import VertexColoring
 from bnicolor.edgecolor import edge_color_direct, edge_color_via_line_graph
 from bnicolor.experiment import ExperimentSpec, report_json, run_experiment
@@ -463,23 +461,30 @@ class TestReadinessCursors:
 class TestWorkCount:
     def test_most_steps_of_a_waiting_vertex_return_at_once(self, monkeypatch):
         """On the first input of the benchmark's line_legal workload (seed 1),
-        at most 30% of RecursiveColorProgram steps reach `_advance`: a step
+        at most 30% of RecursiveColorProgram steps resume the program: a step
         whose awaited neighbor has not reported returns at once. Such a step
-        builds no outbox either: 4,285 are built, one per `_advance`, where
-        each of the 16,624 steps built one before."""
-        counts = {"step": 0, "_advance": 0, "__init__": 0}
-        for owner, name in (
-            (RecursiveColorProgram, "step"),
-            (RecursiveColorProgram, "_advance"),
-            (Outbox, "__init__"),
-        ):
-            real = getattr(owner, name)
+        builds no outbox either: 4,285 are built, one per resume, where each
+        of the 16,624 steps built one before."""
+        counts = {"step": 0, "resume": 0, "outbox": 0}
+        real_step, real_program = RecursiveColorProgram.step, RecursiveColorProgram._program
+        done = object()
 
-            def counted(self, *args, _real=real, _name=name):
-                counts[_name] += 1
-                return _real(self, *args)
+        def step(self, round_no, inbox):
+            out = real_step(self, round_no, inbox)
+            counts["step"] += 1
+            counts["outbox"] += out is not None
+            return out
 
-            monkeypatch.setattr(owner, name, counted)
+        def program(self):
+            run = real_program(self)
+            while True:
+                counts["resume"] += 1
+                if next(run, done) is done:
+                    return
+                yield
+
+        monkeypatch.setattr(RecursiveColorProgram, "step", step)
+        monkeypatch.setattr(RecursiveColorProgram, "_program", program)
         spec = ExperimentSpec(
             "line_of",
             {"inner": {"kind": "random_gnd", "params": {"n": 40, "d": 24}}},
@@ -490,17 +495,18 @@ class TestWorkCount:
         )
         report = run_experiment(spec)
         assert report["verification"]["legal"] and report["rounds"] == 68
-        assert counts["_advance"] <= 0.30 * counts["step"]
-        assert counts["__init__"] <= counts["_advance"]
+        assert counts["resume"] <= 0.30 * counts["step"]
+        assert counts["outbox"] == counts["resume"]
 
     def test_one_on_send_call_per_batch_run(self, monkeypatch):
         """On the first input of the benchmark's edge_line workload (seed 1),
-        `sim.run` calls on_send once per batch run, so no more often than the
-        sending steps return distinct batch objects: 1,061, for 1,016 sending
-        steps, one of which narrows `same` and so gives each of its 46
-        destinations its own copy. It was called once per destination, 31,539
-        times."""
-        calls, batches = [0], [0]
+        `sim.run` calls on_send once per batch run, the consecutive
+        destinations of an outbox that hold one batch object: 1,024 times.
+        A step that narrows `same` shares one batch among the destinations
+        it leaves and one among those it keeps; when each destination got
+        its own copy there, it was called 1,061 times, and 31,539 times when
+        it was called once per destination."""
+        calls, runs = [0], [0]
         real_run, real_step = sim.run, RecursiveColorProgram.step
 
         def counted_run(*args, on_send, **kwargs):
@@ -512,8 +518,10 @@ class TestWorkCount:
 
         def step(self, round_no, inbox):
             out = real_step(self, round_no, inbox)
-            if out:
-                batches[0] += len({id(batch) for batch in out.values()})
+            prev = None
+            for batch in (out or {}).values():
+                runs[0] += batch is not prev
+                prev = batch
             return out
 
         monkeypatch.setattr(sim, "run", counted_run)
@@ -528,7 +536,7 @@ class TestWorkCount:
         )
         report = run_experiment(spec)
         assert report["verification"]["legal"] and report["rounds"] == 154
-        assert 0 < calls[0] <= batches[0]
+        assert 0 < calls[0] <= runs[0] <= 1024
 
 
 class TestGeneratorRules:
@@ -541,11 +549,7 @@ class TestGeneratorRules:
     tests/test_imports.py keeps cells out of every vertex program's
     generator. A step's outbox is likewise dropped when the step ends."""
 
-    def test_no_outbox_outlives_its_step(self, monkeypatch):
-        class WeakOutbox(Outbox):
-            __slots__ = ("__weakref__",)
-
-        monkeypatch.setattr(legal, "Outbox", WeakOutbox)
+    def test_no_outbox_outlives_its_step(self):
         g = line_graph_of_random(24, 8, seed=1)
         v = g.vertices[0]
         params = {"plan": legal_plan(knowledge(g), TWO_LEVELS)}
@@ -554,50 +558,46 @@ class TestGeneratorRules:
         # it broadcast its phi and now waits mid-run, its generator suspended
         assert out and prog.output is None
         assert inspect.getgeneratorstate(prog._run) == inspect.GEN_SUSPENDED
-        ref = weakref.ref(out)
-        del out
-        assert ref() is None
+        assert prog._sends is None
+        held = {id(x) for x in prog._run.gi_frame.f_locals.values()}
+        assert not held & {id(out), *map(id, out.values())}
 
 
 class TestBroadcastOutbox:
     """Each outbox holds, by value and in destination order, what one
-    `setdefault(u, []).append(msg)` per broadcast target would have built,
-    also in steps where `same` narrows between two broadcasts."""
+    `setdefault(u, []).append(msg)` per `_send` target would have built,
+    also in steps where `same` narrows between two sends; a step that does
+    not narrow shares one batch among all its destinations."""
 
     @pytest.mark.parametrize("phi_mode", PHI_MODES)
-    def test_outbox_equals_per_target_construction(self, monkeypatch, phi_mode):
-        class Recording(Outbox):
-            __slots__ = ("calls",)
-
-            def __init__(self):
-                super().__init__()
-                self.calls = []
-
-            def broadcast(self, targets, msg):
-                self.calls.append((targets, msg))
-                super().broadcast(targets, msg)
-
+    def test_outbox_equals_per_target_construction(self, phi_mode):
         narrowed = []
 
         class Checked(RecursiveColorProgram):
             def step(self, round_no, inbox):
+                self.calls = []
                 out = super().step(round_no, inbox)
                 if out is None:  # blocked: no outbox was built
                     return out
                 expected = {}
-                for targets, msg in out.calls:
+                for targets, msg in self.calls:
                     for u in targets:
                         expected.setdefault(u, []).append(msg)
                 assert list(out.items()) == list(expected.items())
-                if len({id(targets) for targets, _ in out.calls}) > 1:
+                if len({id(targets) for targets, _ in self.calls}) > 1:
                     narrowed.append((self.ctx.vid, round_no))
+                else:
+                    assert len({id(batch) for batch in out.values()}) <= 1
                 return out
+
+            def _send(self, targets, msg):
+                self.calls.append((targets, msg))
+                super()._send(targets, msg)
 
         g = line_graph_of_random(24, 8, seed=1)
         params = {"plan": legal_plan(knowledge(g), TWO_LEVELS, phi_mode)}
         transcripts = []
         plain = recording(run, transcripts)(g, RecursiveColorProgram, params=params)
-        monkeypatch.setattr(legal, "Outbox", Recording)
         checked = recording(run, transcripts)(g, Checked, params=params)
         assert checked.to_json() == plain.to_json()
         assert checked.extra == plain.extra
@@ -641,6 +641,45 @@ class TestLevelBounds:
         # hyperedges of size <= 3 bound neighborhood independence by 3
         for g, c in ((line, 2), (hypergraph_line(3, 200, 40, seed=seed), 3)):
             self.check(g, legal_color(g, make_preset("thm45", c, g.delta), phi_mode)[1])
+
+    @staticmethod
+    def phi_defects(g, plan):
+        """Per level, the most neighbors of its level class that share a
+        vertex's phi; each vertex's phis and psi history are recorded when it
+        halts, since reports carry no per-level phi."""
+        halted = {}
+
+        class Recording(RecursiveColorProgram):
+            def step(self, round_no, inbox):
+                out = super().step(round_no, inbox)
+                if self.output is not None:
+                    halted[self.ctx.vid] = (self.phis, self.hist)
+                return out
+
+        run(g, Recording, params={"plan": plan})
+        assert len(halted) == len(g.vertices)
+        return [
+            max(
+                sum(halted[u][1][:lvl] == hist[:lvl] and halted[u][0][lvl] == phis[lvl] for u in g.adj[v])
+                for v, (phis, hist) in halted.items()
+            )
+            for lvl in range(len(plan.levels))
+        ]
+
+    @given(seed=st.integers(0, 2**16), phi_mode=st.sampled_from(PHI_MODES))
+    @settings(max_examples=6, deadline=None)
+    def test_legal_phi_defect(self, seed, phi_mode):
+        """Each level's phi: in fast and improved mode a vertex shares it with
+        at most Lambda_i // (b * p) neighbors of its class (the Kuhn step's
+        target defect), in simple mode with none (phi is a legal coloring)."""
+        line = line_graph_of_random(40, 24, seed)
+        for g, c in ((line, 2), (hypergraph_line(3, 200, 40, seed=seed), 3)):
+            params = make_preset("thm45", c, g.delta)
+            plan = legal_plan(knowledge(g), params, phi_mode)
+            bp = params.b * params.p
+            bounds = [0 if phi_mode == "simple" else level.Lambda // bp for level in plan.levels]
+            defects = self.phi_defects(g, plan)
+            assert bounds and all(d <= b for d, b in zip(defects, bounds)), (defects, bounds)
 
     @given(
         seed=st.integers(0, 2**16),
