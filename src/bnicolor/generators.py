@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_line_graph, graph_from_edges
+from .graph import Graph, GraphError, build_line_graph, graph_from_edges, graph_from_sorted_adjacency
 from .params import ParamReader
 
 KINDS = ("path", "cycle", "complete", "bipartite", "random_gnd", "line_of", "clique_pendant",
@@ -30,6 +30,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    if n < 1:
+        raise GraphError("complete needs n >= 1")
     return graph_from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
@@ -47,14 +49,30 @@ VECTOR_DRAW_MIN_PAIRS = 8000
 _DRAW_CHUNK = 1 << 14  # pairs per generator read; larger reads raised peak RSS
 
 
-def _candidate_pairs(n: int, prob: float, rng: random.Random) -> List[Tuple[int, int]]:
+def _candidate_pairs(
+    ids: List[int], prob: float, rng: random.Random
+) -> Tuple[List[int], List[int]]:
     """The pairs (i, j), 1 <= i < j <= n in lexicographic order, for which
-    `rng.random() < prob`, drawing one `random()` per pair in that order."""
+    `rng.random() < prob`, one draw per pair in that order, as two lists: the
+    i's and the j's. Every entry is the object in `ids` (`list(range(n + 1))`),
+    so one int object stands for each Id.
+
+    From VECTOR_DRAW_MIN_PAIRS pairs on, numpy compares the generator words the
+    per-pair loop would read, in `getrandbits` blocks, so the pairs and the
+    generator state after the draw are the loop's. Its index -> (i, j) mapping
+    is checked with an explicit raise: every pair in 1 <= i < j <= n, strictly
+    increasing, so none is unknown, a self-loop or a repeat.
+    """
+    n = len(ids) - 1
     m = n * (n - 1) // 2
     if m < VECTOR_DRAW_MIN_PAIRS:
-        return [
-            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < prob
-        ]
+        us, ws = [], []
+        for i in ids[1:]:
+            for j in ids[i + 1 :]:
+                if rng.random() < prob:
+                    us.append(i)
+                    ws.append(j)
+        return us, ws
     # random() = ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for the next two 32-bit
     # Mersenne Twister words a, b; getrandbits(64 * k) returns the next 2k words
     # in draw order, the first in the lowest bits. Each little-endian 64-bit
@@ -74,7 +92,13 @@ def _candidate_pairs(n: int, prob: float, rng: random.Random) -> List[Tuple[int,
     starts = np.cumsum(sizes) - sizes
     rows = np.searchsorted(starts, kept, side="right")
     cols = kept - starts[rows - 1] + rows + 1
-    return list(zip(rows.tolist(), cols.tolist()))
+    # within the range, i * (n + 1) + j orders the pairs lexicographically
+    in_range = (1 <= rows) & (rows < cols) & (cols <= n)
+    if not (in_range.all() and (np.diff(rows * (n + 1) + cols) > 0).all()):
+        raise GraphError("random_gnd drew a pair outside 1 <= i < j <= n or out of order")
+    # an object array hands back the objects of `ids` themselves
+    id_objects = np.array(ids, dtype=object)
+    return id_objects[rows].tolist(), id_objects[cols].tolist()
 
 
 def random_gnd(n: int, d: int, prob: Optional[float] = None, seed: int = 0) -> Graph:
@@ -82,13 +106,13 @@ def random_gnd(n: int, d: int, prob: Optional[float] = None, seed: int = 0) -> G
     visited in seeded random order and dropped when either endpoint is full.
 
     `prob` defaults to d / (n - 1), capped at 1, and must be a real number in
-    [0, 1]. Candidate (i, j) is kept when `random.Random(seed).random() < prob`,
-    one draw per pair in lexicographic order, and the kept list is then
-    shuffled by the same generator. From VECTOR_DRAW_MIN_PAIRS pairs on, the
-    draw reads exactly the generator words the per-pair loop would consume, in
-    blocks compared with numpy, so the candidates, the generator state after
-    the draw, the shuffle and the graph are the same as the loop's; below it
-    the loop itself runs.
+    [0, 1]. `random.Random(seed)` draws the candidates (`_candidate_pairs`) and
+    then shuffles their index list `list(range(L))`, the permutation a shuffle
+    of the L candidates themselves would make. One pass in that order appends
+    each candidate whose endpoints both have fewer than d neighbors to their
+    neighbor lists; the sorted lists go to `graph_from_sorted_adjacency`, with
+    no edge list and no pass through the validating constructor, since the
+    candidates are distinct and in range (checked in the numpy draw).
     """
     if n < 1 or d < 0:
         raise GraphError("random_gnd needs n >= 1, d >= 0")
@@ -97,16 +121,18 @@ def random_gnd(n: int, d: int, prob: Optional[float] = None, seed: int = 0) -> G
     elif isinstance(prob, bool) or not isinstance(prob, numbers.Real) or not 0 <= prob <= 1:
         raise GraphError(f"random_gnd needs prob to be a real number in [0, 1], got {prob!r}")
     rng = random.Random(seed)
-    candidates = _candidate_pairs(n, prob, rng)
-    rng.shuffle(candidates)
-    deg = [0] * (n + 1)
-    edges = []
-    for u, w in candidates:
-        if deg[u] < d and deg[w] < d:
-            edges.append((u, w))
-            deg[u] += 1
-            deg[w] += 1
-    return graph_from_edges(n, edges)
+    ids = list(range(n + 1))
+    us, ws = _candidate_pairs(ids, prob, rng)
+    order = list(range(len(us)))
+    rng.shuffle(order)
+    nbrs: List[List[int]] = [[] for _ in ids]
+    for k in order:
+        u, w = us[k], ws[k]
+        nu, nw = nbrs[u], nbrs[w]
+        if len(nu) < d and len(nw) < d:
+            nu.append(w)
+            nw.append(u)
+    return graph_from_sorted_adjacency(dict(zip(ids[1:], map(tuple, map(sorted, nbrs[1:])))))
 
 
 def clique_pendant(n: int) -> Graph:

@@ -10,9 +10,11 @@ from `edge_knowledge(g)`.
 A `Graph` is its sorted adjacency: `vertices`, `adj` (each vertex's sorted
 neighbor tuple), `delta` and `id_bound`, with no per-vertex neighbor set.
 `Graph._fill` sets these fields from a sorted adjacency. The constructor calls
-it once the edge list has passed its checks, and `build_line_graph` calls it
-on the adjacency it builds from the host's incidence lists, with no list of
-line-graph edges in between.
+it once the edge list has passed its checks; `graph_from_sorted_adjacency`
+calls it, unchecked, for the two builders whose adjacency is right by
+construction: `build_line_graph`, from the host's incidence lists, and
+`generators.random_gnd`, from its degree-cap pass, with no edge list in
+between.
 """
 
 from __future__ import annotations
@@ -159,6 +161,16 @@ def graph_from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     return Graph(range(1, n + 1), edges)
 
 
+def graph_from_sorted_adjacency(adj: Dict[int, Tuple[int, ...]]) -> Graph:
+    """The graph whose adjacency is `adj`, taken as it stands: each vertex's
+    sorted neighbor tuple, the vertices in ascending order, every edge listed
+    at both ends. Nothing is checked; it is for builders whose adjacency is
+    right by construction (`build_line_graph`, `generators.random_gnd`)."""
+    g = Graph.__new__(Graph)
+    g._fill(adj)
+    return g
+
+
 def _int(token: str, line: str) -> int:
     try:
         return int(token)
@@ -259,9 +271,7 @@ def build_line_graph(g: Graph) -> LineGraphMap:
         k = bisect_left(ns, i)
         del ns[k : k + 2]
         adj[i] = tuple(ns)
-    lg = Graph.__new__(Graph)
-    lg._fill(adj)
-    return LineGraphMap(lg, {i: e for e, i in ids.items()})
+    return LineGraphMap(graph_from_sorted_adjacency(adj), {i: e for e, i in ids.items()})
 
 
 # -- neighborhood independence ------------------------------------------------

@@ -263,6 +263,7 @@ class TestMalformedParameters:
                 ["gen", "--kind", "complete", "--gen-param", "n=true"],
                 "complete parameter n must be int, got True",
             ),
+            (["gen", "--kind", "complete", "--gen-param", "n=-3"], "complete needs n >= 1"),
             (
                 ["run", *_GND, "--gen-param", "d=12", "--algorithm", "randomized", "--param", "kappa=true"],
                 "randomized parameter kappa must be float, got True",
@@ -305,7 +306,7 @@ class TestMalformedParameters:
             "run-without-generator", "bench-without-generator", "sweep-without-equals",
             "sweep-without-values", "sweep-key-through-seed", "sweep-key-through-d",
             "legal-msg-mode-short", "linial-preset", "param-named-like-a-spec-field", "c-true",
-            "n-true", "kappa-true", "thm45-eps-denominator", "thm48-3-eps-overflow",
+            "n-true", "complete-n-negative", "kappa-true", "thm45-eps-denominator", "thm48-3-eps-overflow",
             *[f"g-fn-{fn}-{arg}" for fn, arg in _G_FN_NOT_FINITE],
             "g-fn-power-overflow", "g-fn-const-overflow",
         ],

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -14,6 +16,7 @@ from bnicolor.generators import (
     KINDS,
     clique_pendant,
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     generate,
     hypergraph_line,
@@ -51,6 +54,11 @@ class TestBasicKinds:
     def test_clique_pendant_rejects_odd(self):
         with pytest.raises(GraphError):
             clique_pendant(7)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_complete_rejects_n_below_1(self, n):
+        with pytest.raises(GraphError, match="complete needs n >= 1"):
+            complete_graph(n)
 
 
 class TestRandomGnd:
@@ -92,6 +100,11 @@ def _frozen_random_gnd(n, d, prob=None, seed=0):
     return graph_from_edges(n, edges)
 
 
+def _pairs(n, prob, rng):
+    """`_candidate_pairs` on Ids 1..n as one list of (i, j) tuples."""
+    return list(zip(*generators._candidate_pairs(list(range(n + 1)), prob, rng)))
+
+
 _CUTOFF = generators.VECTOR_DRAW_MIN_PAIRS
 # n = 126 has 7875 pairs and n = 127 has 8001: the two sides of the default cutoff
 _SIZES = st.one_of(st.integers(1, 40), st.integers(125, 128))
@@ -116,7 +129,7 @@ class TestRandomGndMatchesFrozenLoop:
             g = random_gnd(n, d, prob, seed=seed)
             p = min(1.0, d / max(n - 1, 1)) if prob is None else prob
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            assert generators._candidate_pairs(n, p, rng) == _frozen_candidates(n, p, ref_rng)
+            assert _pairs(n, p, rng) == _frozen_candidates(n, p, ref_rng)
             assert rng.random() == ref_rng.random()
         ref = _frozen_random_gnd(n, d, prob, seed)
         assert g == ref
@@ -132,12 +145,71 @@ class TestRandomGndMatchesFrozenLoop:
         for x in (min(draws), min(d for d in draws if d > 0.25), max(draws)):
             for prob in (x, math.nextafter(x, 0), math.nextafter(x, 1)):
                 rng, ref_rng = random.Random(seed), random.Random(seed)
-                assert generators._candidate_pairs(n, prob, rng) == _frozen_candidates(n, prob, ref_rng)
+                assert _pairs(n, prob, rng) == _frozen_candidates(n, prob, ref_rng)
 
-    @pytest.mark.parametrize("n,d,seed", [(768, 48, 13), (300, 40, 1), (127, 126, 5)])
+    # the 12 seed-1 `flood` benchmark inputs are random_gnd(768, 48) at seeds 12..23
+    @pytest.mark.parametrize(
+        "n,d,seed", [(768, 48, s) for s in range(12, 24)] + [(300, 40, 1), (127, 126, 5)]
+    )
     def test_large_inputs(self, n, d, seed):
         assert n * (n - 1) // 2 >= _CUTOFF
         assert random_gnd(n, d, seed=seed) == _frozen_random_gnd(n, d, seed=seed)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_pair_outside_the_range_raises(self, shift):
+        """A row lookup that moves one pair out of 1 <= i < j <= n ends in
+        GraphError, not in a graph with an unknown endpoint or a self-loop."""
+        searchsorted = np.searchsorted
+
+        def off_by_shift(*args, **kwargs):
+            rows = searchsorted(*args, **kwargs)
+            rows[len(rows) // 2] += shift
+            return rows
+
+        with mock.patch.object(generators.np, "searchsorted", off_by_shift):
+            with pytest.raises(GraphError, match="outside 1 <= i < j <= n"):
+                random_gnd(300, 40, seed=1)
+
+    def test_a_repeated_pair_raises(self):
+        """A pair index drawn twice would be a duplicate edge: it ends in
+        GraphError too, since the pairs must strictly increase."""
+        concatenate = np.concatenate
+
+        def with_a_repeat(arrays, *args, **kwargs):
+            kept = concatenate(arrays, *args, **kwargs)
+            return concatenate([kept[:1], kept])
+
+        with mock.patch.object(generators.np, "concatenate", with_a_repeat):
+            with pytest.raises(GraphError, match="out of order"):
+                random_gnd(300, 40, seed=1)
+
+
+class TestRandomGndMemory:
+    """Measured on random_gnd(768, 48, seed=1), the shape of the `flood`
+    inputs, under Python 3.11: the graph kept 1.08x its adjacency containers
+    and the build peaked at 1.74 MB. Building the graph through an edge list
+    and the validating constructor kept 3.5x (a fresh int object for every
+    neighbor entry above 256) and peaked at 3.84 MB."""
+
+    def build(self):
+        tracemalloc.start()
+        try:
+            g = random_gnd(768, 48, seed=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return g, kept, peak
+
+    def test_graph_keeps_little_beyond_its_adjacency(self):
+        """Every neighbor entry is the one int object of its Id."""
+        g, kept, _ = self.build()
+        size = sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj.values()))
+        assert kept <= 1.3 * size, (kept, size)
+
+    def test_build_peak(self):
+        """No edge list or second adjacency lives beside the draw."""
+        _, _, peak = self.build()
+        assert peak <= 2_500_000, peak
 
 
 class TestHypergraphLine:

@@ -18,7 +18,10 @@ the vertex programs keep suspended between steps (see
 sixth keeps reads of a graph's `id_bound` inside `graph.py`: every other
 module takes N from `graph.knowledge`. A seventh keeps the plan arithmetic,
 the calls of `recursion_schedule` and `smallest_pprime`, inside `legal.py`:
-every plan sized by a schedule comes from `legal.legal_plan`.
+every plan sized by a schedule comes from `legal.legal_plan`. An eighth keeps
+reads of `_fill` and `__new__` (as in `Graph.__new__`) inside `graph.py`:
+every other module gets a graph from the validating constructor or from
+`graph.graph_from_sorted_adjacency`.
 """
 
 import ast
@@ -35,10 +38,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bnicolor"
 ALL_MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 MODULES = [m for m in ALL_MODULES if m != "__init__"]
 
-# module -> names bench/spans.py patches in it
+# module -> names bench/spans.py patches in it (bench/measure.py times setup
+# through the `experiment.generate` patch)
 PATCHED = {
     "base": ("run", "choose_point", "poly_eval"),
     "edgecolor": ("run", "poly_eval", "build_line_graph", "conflict_bitmap"),
+    "experiment": ("generate",),
     "extensions": ("run",),
     "generators": ("build_line_graph",),
     "legal": ("run", "choose_point"),
@@ -207,6 +212,31 @@ def call_lines(source: str, names):
         if isinstance(n, ast.Call)
         and getattr(n.func, "id", getattr(n.func, "attr", None)) in names
     )
+
+
+def fill_bypasses(source: str):
+    """Lines that read `_fill` or `__new__` off any object."""
+    return sorted(set(attribute_reads(source, "_fill") + attribute_reads(source, "__new__")))
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "graph"])
+def test_only_graph_fills_a_graph(module):
+    """A graph built without the validating constructor comes from
+    `graph.graph_from_sorted_adjacency`, the one unchecked entry point."""
+    assert fill_bypasses((SRC / f"{module}.py").read_text()) == []
+
+
+def test_the_scan_finds_fill_bypasses():
+    source = (
+        "from graph import Graph\n"
+        "def f(adj, g):\n"
+        "    lg = Graph.__new__(Graph)\n"
+        "    note = 'lg._fill(adj)'  # lg._fill(adj) in a comment\n"
+        "    lg._fill(adj)\n"
+        "    fill, new = g._fill, object.__new__(Graph)\n"
+        "    return lg, fill, new, g.fill(adj)\n"
+    )
+    assert fill_bypasses(source) == [3, 5, 6]
 
 
 PLAN_ARITHMETIC = ("recursion_schedule", "smallest_pprime")
