@@ -5,7 +5,8 @@ iteration and the single-shot defective recoloring share. The Linial
 coloring, the recoloring and the palette reduction run as phases of
 `legal.RecursiveColorProgram`, which `legal.linial_coloring` also runs; only
 the two-round defective edge labeling (`KuhnEdgeProgram`) stays a program of
-its own here.
+its own here. `label_color` is the one edge-label rule, which it and the
+direct edge route's levels (`edgecolor.EdgeColorProgram`) both apply.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def step_color(own_color: int, x: int, plan: PolyPlan) -> int:
     return x * plan.q + value + 1
 
 
+def label_color(mine: int, other: int, vid: int, u: int, pp: int) -> int:
+    """The color in 1..pp^2 of the edge (vid, u) whose round-robin labels in
+    1..pp are mine at vid and other at u: the label pair ordered by endpoint Id."""
+    lo, hi = (mine, other) if vid < u else (other, mine)
+    return (lo - 1) * pp + hi
+
+
 class KuhnEdgeProgram(VertexProgram):
     """Round-robin edge labels; color = ordered label pair; 2 rounds."""
 
@@ -59,9 +67,7 @@ class KuhnEdgeProgram(VertexProgram):
         if round_no == 2:
             for u, msg in inbox:
                 other = msg.fields[0][0] + 1
-                mine = self.labels[u]
-                lo, hi = (mine, other) if self.ctx.vid < u else (other, mine)
-                self.colors[u] = (lo - 1) * self.pp + hi
+                self.colors[u] = label_color(self.labels[u], other, self.ctx.vid, u, self.pp)
             return {
                 u: Message((self.colors[u] - 1, self.pp * self.pp))
                 for u in self.ctx.neighbors

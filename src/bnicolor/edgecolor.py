@@ -1,5 +1,5 @@
 """Edge coloring: the direct short-message variant and the line-graph path,
-both planned by `legal.legal_plan` (the direct one at `graph.edge_knowledge`,
+both planned by `legal.legal_plan` at `graph.edge_knowledge` (the direct one
 with edge-label levels), and the bottom-only 2*delta - 1 route.
 
 The direct variant runs one program on the host graph; each vertex maintains
@@ -27,9 +27,9 @@ Linial bitmaps, used-color bitmaps) is one `_Exchange` record: this side's
 values, the other side's values in chunk order, and the two arrival rounds.
 Both endpoints send the same kind of payload over the same domain, so the
 values a side sent fix its chunking and how many values to expect back.
-Each vertex also keeps a group index keyed by (level, psi-history prefix). An
-entry holds the group's edges and the count of those that have not decided
-psi at that level; the decision that empties the count starts its children.
+Each vertex keeps its groups as a tree: a group's child for psi holds the
+members that decided psi at its level, and the decision that leaves no member
+undecided starts the children.
 When a whole group holds its phi, each edge gets readiness tallies (group
 edges with a smaller phi still undecided, the psi counts of those decided,
 the final colors taken at the bottom), which every decision updates in place.
@@ -59,7 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .base import _merge_edge_outputs, step_color
+from .base import _merge_edge_outputs, label_color, step_color
 from .coloring import EdgeColoring
 from .graph import EDGE_IDS_FLAG, Graph, build_line_graph, edge_ids, edge_knowledge, knowledge
 from .legal import RecursionPlan, RecursiveColorProgram, bottom_plan, legal_plan
@@ -74,7 +74,6 @@ from .sim import Context, Message, SimError, SimReport, VertexProgram, run
 
 K_LAB, K_RDY, K_CNT, K_BLIN, K_USED = range(5)
 N_KINDS = 5
-DIRECT_ROUND_CAP = 200_000  # round cap of `edge_color_direct`'s run
 
 
 def conflict_bitmap(own_color: int, nbr_colors: List[int], plan: PolyPlan) -> int:
@@ -115,7 +114,7 @@ class _Group:
         self.undecided = 0  # members that have not decided psi at this level
         self.ready = 0  # members holding this level's phi
         self.lin = [0]  # lin[j]: members whose Linial iteration reached j (bottom only)
-        self.children: List[_Group] = []
+        self.children: Dict[int, _Group] = {}  # psi -> the next level's group
 
 
 class EdgeSlot:
@@ -177,7 +176,8 @@ class EdgeColorProgram(VertexProgram):
         self.paced = P.get("paced", False)
         self.lvl_dom = len(self.levels) + 2
         # one fixed psi-count width across levels keeps the per-level chunk
-        # count (and so the per-level round cost) uniform
+        # count (and so the per-level round cost) uniform. Planned, it is at
+        # least 2 * delta > every count (<= delta - 1); `Message` refuses any other
         self.cnt_dom = (self.levels[0].Lambda + 2) if self.levels else 2
         self.it_dom = max(len(self.bottom.lin_plans) + 2, 2)
         # the chunk index has 64 values unless the plan's longest payload (psi
@@ -197,9 +197,9 @@ class EdgeColorProgram(VertexProgram):
             u: EdgeSlot(u, rank[(ctx.vid, u) if ctx.vid < u else (u, ctx.vid)])
             for u in ctx.neighbors
         }
-        self.groups: Dict[Tuple[int, Tuple[int, ...]], _Group] = {}
+        self.root = _Group()  # the group of all the vertex's edges, at level 0
         for s in self.slots.values():
-            self._join(s, None)
+            self._join(s, self.root)
             s.run = self._edge(s)
         self.uncolored = len(self.slots)
         # worklist: slots that may advance; wake-ups: a heap of (round, slot)
@@ -260,7 +260,7 @@ class EdgeColorProgram(VertexProgram):
         while due and due[0][0] <= round_no:
             dirty.add(heappop(due)[1])
         if round_no == 1 and self.slots:
-            self._start_group(self.groups[(0, ())], 0)
+            self._start_group(self.root, 0)
         if dirty:
             self._advance()
         # one message per busy channel (a wide payload is one message), in
@@ -280,14 +280,8 @@ class EdgeColorProgram(VertexProgram):
 
     # -- group index ---------------------------------------------------------
 
-    def _join(self, s: EdgeSlot, parent: Optional[_Group]):
-        """Enter s into the group of its current level and psi history."""
-        key = (len(s.hist), tuple(s.hist))
-        g = self.groups.get(key)
-        if g is None:
-            g = self.groups[key] = _Group()
-            if parent is not None:
-                parent.children.append(g)
+    def _join(self, s: EdgeSlot, g: _Group):
+        """Enter s into g, the group of its current level and psi history."""
         g.members.append(s.nbr)
         g.undecided += 1
         s.grp = g
@@ -340,11 +334,13 @@ class EdgeColorProgram(VertexProgram):
             if sw.phi > s.phi:
                 sw.psi_counts[psi - 1] += 1
                 self._release(sw)
-        self._join(s, g)
+        if psi not in g.children:
+            g.children[psi] = _Group()
+        self._join(s, g.children[psi])
         if g.undecided:
             return
         # every child group's membership is now final
-        for child in g.children:
+        for child in g.children.values():
             self._start_group(child, lvl + 1)
 
     # -- the edge's run -----------------------------------------------------
@@ -392,14 +388,12 @@ class EdgeColorProgram(VertexProgram):
         for lvl, level in enumerate(self.levels):
             ex = s.exch[K_LAB, lvl, 0]
             rr = yield from self._until(s, ex)
-            mine, other = ex.mine[0] + 1, ex.other[0] + 1
-            lo, hi = (mine, other) if vid < s.nbr else (other, mine)
-            s.phi = (lo - 1) * level.p_prime + hi
+            s.phi = label_color(ex.mine[0] + 1, ex.other[0] + 1, vid, s.nbr, level.p_prime)
             # record the symmetric ready round, not the (possibly later) step round
             s.tele["phi"][lvl] = [rr, s.phi]
             self._hold(s)
             start = yield from self._turn(s, lvl)
-            self._submit(s.nbr, K_CNT, lvl, 0, _capped(s.psi_counts, self.cnt_dom), self.cnt_dom)
+            self._submit(s.nbr, K_CNT, lvl, 0, list(s.psi_counts), self.cnt_dom)
             ex = s.exch[K_CNT, lvl, 0]
             due = yield from self._until(s, ex, start)
             psi = _least_loaded(ex.mine, ex.other)
@@ -454,11 +448,6 @@ class EdgeColorProgram(VertexProgram):
         return (s.phi, s.lin_hist[0])
 
 
-def _capped(counts: List[int], dom: int) -> List[int]:
-    """counts as values of domain dom: each at most dom - 1."""
-    return [min(c, dom - 1) for c in counts]
-
-
 def _least_loaded(mine: List[int], other: List[int]) -> int:
     """The psi in 1..p with the least count over both sides, the least on a tie."""
     totals = [a + b for a, b in zip(mine, other)]
@@ -484,9 +473,7 @@ def edge_color_direct(
     if budget_factor < 1:
         raise ParamError(f"budget_factor must be at least 1, got {budget_factor}")
     plan = legal_plan(edge_knowledge(g), params, paced=paced)
-    col, report = _run_edge_program(
-        g, plan, paced, msg_mode=msg_mode, round_cap=DIRECT_ROUND_CAP, budget_factor=budget_factor
-    )
+    col, report = _run_edge_program(g, plan, paced, msg_mode=msg_mode, budget_factor=budget_factor)
     report.extra["vartheta"] = plan.suffix[0]
     report.flags.append(EDGE_IDS_FLAG)
     return col, report
@@ -526,13 +513,13 @@ def edge_color_via_line_graph(
     params: LegalParams,
     phi_mode: str = "fast",
 ) -> Tuple[EdgeColoring, SimReport]:
-    """Vertex-color the line graph through the host simulation; the induced
-    edge coloring inherits its palette bound."""
+    """Vertex-color the line graph through the host simulation, planned at
+    the edge `Knowledge` as the direct route is; the induced edge coloring
+    inherits its palette bound."""
     from .sim import run_on_line_graph
 
     lgm = build_line_graph(g)
-    # plans at L(G)'s delta; experiment sizes params at edge_knowledge(g).delta (ROADMAP item 21)
-    plan = legal_plan(knowledge(lgm.lg), params, phi_mode)
+    plan = legal_plan(edge_knowledge(g), params, phi_mode)
     report = run_on_line_graph(g, RecursiveColorProgram, params={"plan": plan}, lgm=lgm)
     colors = {lgm.edge_of[v]: out["color"] for v, out in report.outputs.items()}
     report.extra["vartheta"] = plan.suffix[0]

@@ -3,8 +3,9 @@
 Both extensions reuse the recursive program by prepending one synthetic level:
 the randomized variant picks the first-level class uniformly at random (zero
 communication), the tradeoff variant takes the single-shot defective recoloring
-itself as the class (no recolor loop) before `legal.legal_plan`'s levels. Both
-hand the plan to `legal.run_plan`; `run` stays imported for a benchmark patch.
+of a `legal.level_plans` level as the class (no recolor loop) before
+`legal.legal_plan`'s levels. Both hand the plan to `legal.run_plan`; `run`
+stays imported for a benchmark patch.
 
 Randomness comes only from `legal.draw_classes`, a counter-based generator
 keyed by (seed, vertex Id) that draws every class before the run starts, so
@@ -15,7 +16,7 @@ draws are independent of execution order and runs are reproducible from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 from .coloring import VertexColoring
@@ -27,10 +28,10 @@ from .legal import (
     draw_classes,
     legal_color,
     legal_plan,
+    level_plans,
     run_plan,
 )
-from .numbers import linial_schedule, step_plan
-from .params import ParamError, ParamReader, preset_improved_s42
+from .params import DefectiveParams, ParamError, ParamReader, preset_improved_s42
 from .sim import SimReport, run
 from .verify import check_vertex_coloring
 
@@ -170,12 +171,11 @@ def tradeoff_color(
         report.extra["inner_vartheta"] = report.extra.pop("vartheta")
         report.extra["fallback"] = "legal_color"
         return col, report
-    d = max(delta // p_t, 1)
-    plans = linial_schedule(N, delta)
-    rho_palette = plans[-1].palette if plans else N
-    kuhn = step_plan(rho_palette, delta, d)
-    claimed = max(min(d, kuhn.k * delta // kuhn.q), 1)
-    pre = LevelPlan(delta, kuhn.palette, kuhn.palette, tuple(plans), kuhn, kind="pre_kuhn")
+    # one fast level with p_t classes: its step is (delta // p_t)-defective
+    (level,), _ = level_plans("fast", [delta], DefectiveParams(1, p_t, delta, c), N)
+    kuhn = level.kuhn_plan
+    claimed = max(min(delta // p_t, kuhn.k * delta // kuhn.q), 1)
+    pre = replace(level, p=kuhn.palette, kind="pre_kuhn")
     inner = legal_plan(Knowledge(N, n, claimed), preset_improved_s42(c, max(claimed, 2)))
     col, report = run_plan(g, RecursionPlan((pre,) + inner.levels, inner.bottom))
     report.extra["q"] = q

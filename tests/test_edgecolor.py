@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from bnicolor.generators import (
     random_gnd,
 )
 from bnicolor.graph import edge_ids, edge_knowledge, graph_from_edges
-from bnicolor.legal import LABELS, RecursionPlan, bottom_plan
+from bnicolor.legal import LABELS, LevelPlan, RecursionPlan, bottom_plan
 from bnicolor.params import LegalParams, ParamError, make_preset
 from bnicolor.sim import Context, Message, SimError, run
 from bnicolor.verify import check_edge_coloring
@@ -197,6 +198,30 @@ class TestEdgeViaLineGraph:
         ):
             assert (report.rounds, report.max_msg_bits, report.msgs_per_edge_round) == (0, 0, 0)
 
+    @pytest.mark.parametrize("preset", ["thm45", "thm48_3", "improved_s42"])
+    def test_small_bipartite_inputs_are_colored(self, preset):
+        """Sized and planned at the edge Knowledge, the route colors every
+        K_{a,b} with a <= 3; planned at Delta(L) < 2(Delta - 1) it refused some
+        (K_{1,13} under thm45: b*p = 18 exceeds Lambda = 12)."""
+        for a, b in product((1, 2, 3), range(1, 41)):
+            spec = ExperimentSpec("bipartite", {"a": a, "b": b}, "edge_line", preset, {"c": 2})
+            report = run_experiment(spec)
+            assert report["verification"]["legal"], (a, b)
+
+    @given(
+        st.sampled_from(["thm45", "thm48_3", "improved_s42"]),
+        st.integers(1, 3),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_same_vartheta_as_direct(self, preset, a, b):
+        """Both edge routes run one plan size, so they report one vartheta."""
+        line, direct = (
+            run_experiment(ExperimentSpec("bipartite", {"a": a, "b": b}, alg, preset, {"c": 2}))
+            for alg in ("edge_line", "edge_direct")
+        )
+        assert line["vartheta"] == direct["vartheta"]
+
     def test_unknown_phi_mode(self):
         # the route builds its plan with legal_color's checks, phi_mode included;
         # the edge-label level kind is no phi_mode
@@ -239,8 +264,8 @@ class TestDifferential:
 
 def _rescanned_groups(prog):
     """(level, psi prefix) -> (sorted members, undecided count), rebuilt from
-    every slot's psi history."""
-    groups = {}
+    every slot's psi history; the root is there also with no edge."""
+    groups = {(0, ()): ([], 0)}
     for u in sorted(prog.ctx.neighbors):
         hist = prog.slots[u].hist
         for lvl in range(len(hist) + 1):
@@ -250,9 +275,28 @@ def _rescanned_groups(prog):
     return groups
 
 
+def _indexed_groups(prog):
+    """(level, psi prefix) -> (sorted members, undecided count), walked from
+    the program's group tree."""
+    index, todo = {}, [((), prog.root)]
+    while todo:
+        prefix, g = todo.pop()
+        index[(len(prefix), prefix)] = (sorted(g.members), g.undecided)
+        todo += [(prefix + (psi,), child) for psi, child in g.children.items()]
+    return index
+
+
+def _group_of(prog, hist):
+    """The group the tree files under the psi history hist."""
+    g = prog.root
+    for psi in hist:
+        g = g.children[psi]
+    return g
+
+
 def _check_tallies(prog):
     for s in prog.slots.values():
-        assert prog.groups[(len(s.hist), tuple(s.hist))] is s.grp
+        assert _group_of(prog, s.hist) is s.grp
         members = [prog.slots[w] for w in s.grp.members]
         at_level = len(s.hist) < len(prog.levels)
         if at_level and s.grp.ready == len(members):
@@ -287,8 +331,7 @@ class TestGroupIndex:
 
         def checked_step(self, round_no, inbox):
             out = step(self, round_no, inbox)
-            index = {key: (sorted(g.members), g.undecided) for key, g in self.groups.items()}
-            assert index == _rescanned_groups(self)
+            assert _indexed_groups(self) == _rescanned_groups(self)
             _check_tallies(self)
             steps.append(round_no)
             return out
@@ -296,6 +339,25 @@ class TestGroupIndex:
         monkeypatch.setattr(EdgeColorProgram, "step", checked_step)
         col, _ = run_it()
         assert steps and col.colors
+
+    def test_a_vertex_with_no_edge_keeps_an_empty_root(self):
+        params = {"plan": RecursionPlan((), bottom_plan(1, 0)), "rank": {}}
+        prog = EdgeColorProgram(Context(1, (), 1, params))
+        assert _indexed_groups(prog) == _rescanned_groups(prog) == {(0, ()): ([], 0)}
+
+
+class TestPsiCountDomain:
+    def test_a_count_at_the_domain_raises(self):
+        """Planned, Lambda_0 is 2(Delta - 1), so a psi count (at most Delta - 1)
+        stays below the count domain Lambda_0 + 2. A hand-built level with
+        Lambda_0 = 1 and one class under the star K_{1,6} gives the domain 3,
+        while the center's edges count 0..5 smaller edges in class 1: the
+        count 3 is refused, not clamped to 2."""
+        g = complete_bipartite(1, 6)
+        level = LevelPlan(1, 1, 36, kind=LABELS, p_prime=6)
+        params = {"plan": RecursionPlan((level,), bottom_plan(6, 1)), "rank": edge_ids(g)}
+        with pytest.raises(ValueError, match="field value 3 outside domain 3"):
+            run(g, EdgeColorProgram, params=params)
 
 
 TAMPERED = """

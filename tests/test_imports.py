@@ -17,8 +17,10 @@ the vertex programs keep suspended between steps (see
 `tests/test_legal.py::TestGeneratorRules` for what a cell costs there). A
 sixth keeps reads of a graph's `id_bound` inside `graph.py`: every other
 module takes N from `graph.knowledge`. A seventh keeps the plan arithmetic,
-the calls of `recursion_schedule` and `smallest_pprime`, inside `legal.py`:
-every plan sized by a schedule comes from `legal.legal_plan`. An eighth keeps
+the calls of `recursion_schedule` and `smallest_pprime`, inside `legal.py`,
+and those of `linial_schedule` and `step_plan` inside `legal.py` and
+`numbers.py`: every plan sized by a schedule comes from `legal.legal_plan`,
+and every level from `legal.level_plans`. An eighth keeps
 reads of `_fill` and `__new__` (as in `Graph.__new__`) inside `graph.py`:
 every other module gets a graph from the validating constructor or from
 `graph.graph_from_sorted_adjacency`.
@@ -239,14 +241,22 @@ def test_the_scan_finds_fill_bypasses():
     assert fill_bypasses(source) == [3, 5, 6]
 
 
-PLAN_ARITHMETIC = ("recursion_schedule", "smallest_pprime")
+# plan-arithmetic function -> the modules that may call it
+PLAN_ARITHMETIC = {
+    "recursion_schedule": ("legal",),
+    "smallest_pprime": ("legal",),
+    "linial_schedule": ("legal", "numbers"),
+    "step_plan": ("legal", "numbers"),
+}
 
 
 @pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "legal"])
 def test_only_legal_calls_the_plan_arithmetic(module):
-    """A route sizes its levels through `legal.legal_plan`, which checks the
-    palette against vartheta, never from the schedule itself."""
-    assert call_lines((SRC / f"{module}.py").read_text(), PLAN_ARITHMETIC) == []
+    """A route sizes its levels through `legal.legal_plan` or
+    `legal.level_plans`, never from the schedule or a step plan itself;
+    `numbers` builds its Linial schedule from step plans."""
+    banned = [name for name, homes in PLAN_ARITHMETIC.items() if module not in homes]
+    assert call_lines((SRC / f"{module}.py").read_text(), banned) == []
 
 
 def test_the_scan_finds_plan_arithmetic_calls():
@@ -256,9 +266,11 @@ def test_the_scan_finds_plan_arithmetic_calls():
         "    schedule = recursion_schedule(params, delta)\n"
         "    note = 'smallest_pprime(9, 2)'  # smallest_pprime(9, 2) in a comment\n"
         "    pp = legal.smallest_pprime(schedule[0], 2)\n"
+        "    plans = numbers.linial_schedule(9, 2) + [step_plan(9, 2, 1)]\n"
         "    return recursion_schedule, [smallest_pprime(L, 0) for L in schedule]\n"
     )
-    assert call_lines(source, PLAN_ARITHMETIC) == [3, 5, 6]
+    assert call_lines(source, PLAN_ARITHMETIC) == [3, 5, 6, 6, 7]
+    assert call_lines(source, ["step_plan"]) == [6]
 
 
 # module-level definitions that nothing in src/bnicolor reaches, kept on purpose

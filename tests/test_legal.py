@@ -47,6 +47,7 @@ from bnicolor.legal import (
     legal_plan,
     level_plans,
     linial_coloring,
+    run_plan,
     smallest_pprime,
 )
 from bnicolor.params import (
@@ -609,9 +610,11 @@ class TestLineGraphRoutes:
     @given(connected_graphs(min_n=3, max_n=9))
     @settings(max_examples=20, deadline=None)
     def test_edge_route_equals_legal_on_line_graph(self, g):
+        """The route runs the recursion on L(G) under the plan of the edge
+        Knowledge, the plan the direct route runs."""
         edge_col, edge_report = edge_color_via_line_graph(g, TWO_LEVELS)
         lgm = build_line_graph(g)
-        vertex_col, _ = legal_color(lgm.lg, TWO_LEVELS)
+        vertex_col, _ = run_plan(lgm.lg, legal_plan(edge_knowledge(g), TWO_LEVELS))
         assert check_edge_coloring(g, edge_col).legal
         assert check_vertex_coloring(lgm.lg, vertex_col).legal
         assert max(edge_col.colors.values()) <= edge_report.extra["vartheta"]
